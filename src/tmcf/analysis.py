@@ -11,26 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .tm import TmSequence, tm_digit_sum, tm_digit_sum_sequence, tm_morphism
-from .words import FiniteWord, LazyWord, WordRangeError
-
-Word = Union[TmSequence, LazyWord, FiniteWord, Sequence[int]]
-
-
-def _prefix_of(word: Word, length: int | None) -> tuple[list[int], int]:
-    """Materialize a prefix and report the alphabet modulus."""
-    if isinstance(word, TmSequence):
-        return _prefix_of(word.word, length)
-    if isinstance(word, LazyWord):
-        if length is None:
-            raise ValueError("an explicit prefix length is required for infinite words")
-        return word.prefix(length), word.alphabet.m
-    if isinstance(word, FiniteWord):
-        syms = list(word.symbols if length is None else word.symbols[:length])
-        return syms, word.alphabet.m
-    syms = list(word if length is None else word[:length])
-    m = max(syms) + 1 if syms else 2
-    return syms, max(m, 2)
+from .tm import Word, _prefix_of, tm_digit_sum, tm_digit_sum_sequence, tm_morphism
+from .words import FiniteWord, WordRangeError
 
 
 class SuffixAutomaton:

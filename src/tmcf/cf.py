@@ -247,8 +247,12 @@ def verify_tail_intervals(quotients: list[int], n_max: int, alpha_depth: int = 6
     Pushing alpha's bracketing interval through S at index n-1 yields an
     interval around -alpha_n; its reflection must contain the bracket of
     alpha_n = [a_n; a_{n+1}, ...] computed from all remaining quotients
-    (a strictly tighter interval).  Everything is exact rationals.
+    (a strictly tighter interval).  Everything is exact rationals.  The
+    pole of S at index n-1 is the convergent p_{n-1}/q_{n-1}, which lies in
+    alpha's bracket once n >= alpha_depth, so n_max must stay below it.
     """
+    if n_max >= alpha_depth:
+        raise ValueError(f"n_max={n_max} must be below alpha_depth={alpha_depth}")
     if n_max + alpha_depth + 2 > len(quotients):
         raise ValueError("not enough quotients for the requested check depth")
     pairs = convergents(iter(quotients), alpha_depth)

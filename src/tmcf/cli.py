@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from . import analysis, cf, prefix_cache, tm
+from . import analysis, cf, tm
 from .words import AlphabetError
 
 EXIT_OK = 0
@@ -33,7 +33,6 @@ class RunConfig:
     convergent_count: int | None = None
     out_format: str = "plain"
     out_path: str | None = None
-    seed: int = 0
     pattern: str | None = None
     k_max: int | None = None
     inject_flip: int | None = None
@@ -99,16 +98,6 @@ def _alphabet_map(config: RunConfig) -> cf.AlphabetMap:
     return cf.AlphabetMap.identity_shift(config.m)
 
 
-def _tm_prefix(m: int, length: int) -> list[int]:
-    """Digit-sum prefix, through the on-disk cache when TMCF_CACHE_DIR is set."""
-    cached = prefix_cache.load_cached_prefix(m, length)
-    if cached is not None:
-        return cached
-    prefix = tm.tm_digit_sum_sequence(m).prefix(length)
-    prefix_cache.store_prefix(m, prefix)
-    return prefix
-
-
 def cmd_gen(config: RunConfig, writer: Writer) -> int:
     amap = _alphabet_map(config) if config.map_spec is not None else None
     stream = itertools.islice(tm.digit_sum_stream(config.m), config.length)
@@ -141,7 +130,7 @@ def cmd_cf(config: RunConfig, writer: Writer) -> int:
 
 
 def cmd_complexity(config: RunConfig, writer: Writer) -> int:
-    prefix = _tm_prefix(config.m, config.length)
+    prefix = tm.tm_digit_sum_sequence(config.m).prefix(config.length)
     n_max = min(config.n_max, config.length)
     profile = analysis.complexity(prefix, n_max)
     bound = config.m ** 3
@@ -161,7 +150,7 @@ def cmd_complexity(config: RunConfig, writer: Writer) -> int:
 
 
 def cmd_period(config: RunConfig, writer: Writer) -> int:
-    prefix = _tm_prefix(config.m, config.length)
+    prefix = tm.tm_digit_sum_sequence(config.m).prefix(config.length)
     witness = analysis.find_period(prefix, config.a_max, config.b_max)
     if witness is None:
         writer.emit({"kind": "period", "found": False, "a_max": config.a_max, "b_max": config.b_max})
@@ -171,7 +160,7 @@ def cmd_period(config: RunConfig, writer: Writer) -> int:
 
 
 def cmd_palindrome(config: RunConfig, writer: Writer) -> int:
-    prefix = _tm_prefix(config.m, config.length)
+    prefix = tm.tm_digit_sum_sequence(config.m).prefix(config.length)
     ladder = analysis.palindromic_prefixes(prefix)
     for n in ladder.indices:
         writer.emit({"kind": "palindromic_prefix", "index": n})
@@ -187,7 +176,7 @@ def cmd_palindrome(config: RunConfig, writer: Writer) -> int:
 
 
 def cmd_patterns(config: RunConfig, writer: Writer) -> int:
-    prefix = _tm_prefix(config.m, config.length)
+    prefix = tm.tm_digit_sum_sequence(config.m).prefix(config.length)
     if config.pattern:
         try:
             pattern = [int(x) for x in config.pattern.split(",")]
@@ -209,9 +198,8 @@ def _verify_suites(config: RunConfig) -> Iterable[tuple[str, str, bool, str]]:
     m, length = config.m, config.length
 
     # Termwise agreement of the two constructions.
-    ds = _tm_prefix(m, length)
+    ds = tm.tm_digit_sum_sequence(m).prefix(length)
     if config.inject_flip is not None and 0 <= config.inject_flip < length:
-        ds = list(ds)
         ds[config.inject_flip] = (ds[config.inject_flip] + 1) % m
     mo = tm.tm_morphic(m).prefix(length)
     mismatch = tm.first_mismatch(ds, mo)
@@ -364,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=_modulus, required=need_m, help="alphabet modulus (>= 2)")
         p.add_argument("--format", choices=["plain", "json-lines", "csv"], default="plain")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gen", help="emit the first L terms of the sequence")
     common(p)
@@ -452,7 +439,6 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
         convergent_count=getattr(args, "convergent_count", None),
         out_format=args.format,
         out_path=args.out,
-        seed=args.seed,
         pattern=getattr(args, "pattern", None),
         k_max=getattr(args, "k_max", None),
         inject_flip=getattr(args, "inject_flip", None),

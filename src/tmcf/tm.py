@@ -23,7 +23,7 @@ from .words import (
     value,
 )
 
-Word = Union[LazyWord, FiniteWord, Sequence[int]]
+Word = Union["TmSequence", LazyWord, FiniteWord, Sequence[int]]
 
 
 def _check_modulus(m: int) -> int:
@@ -105,14 +105,38 @@ def tm_morphic(m: int) -> TmSequence:
     return TmSequence(m, tm_morphism(m).fixed_point(0), "morphic")
 
 
-def tm_digit_sum_sequence(m: int) -> TmSequence:
-    """TM_m as a lazy word over the incremental digit-sum stream.
+def _digit_sum_blocks(m: int) -> Iterator[bytes]:
+    """Yield TM_m for m <= 256 as packed blocks, each a shifted copy of the prefix.
 
-    Streaming uses carry propagation; `tm_digit_sum` stays available for
-    random access without materializing a prefix.
+    For r < m^k and 0 < j < m the digit j sits above every digit of r, so
+    t_{j m^k + r} = t_r + j (mod m): after the first term, level k yields
+    the length-m^k prefix translated by each shift j = 1, ..., m-1.
+    """
+    shifts = [bytes((s + j) % m for s in range(m)) + bytes(256 - m) for j in range(1, m)]
+    prefix = bytes(1)
+    yield prefix
+    while True:
+        level = [prefix]
+        for shift in shifts:
+            level.append(prefix.translate(shift))
+            yield level[-1]
+        prefix = b"".join(level)
+
+
+def tm_digit_sum_sequence(m: int) -> TmSequence:
+    """TM_m as a lazy word built from digit sums.
+
+    For m <= 256 the word grows by block translation (`_digit_sum_blocks`),
+    using t_{j m^k + r} = t_r + j (mod m) for r < m^k; larger alphabets
+    fall back to the per-term carry-propagation `digit_sum_stream`.
+    `tm_digit_sum` stays available for random access without
+    materializing a prefix.
     """
     _check_modulus(m)
-    word = LazyWord.from_symbols(digit_sum_stream(m), m, chunk_size=8192)
+    if m <= 256:
+        word = LazyWord.from_chunks(_digit_sum_blocks(m), m)
+    else:
+        word = LazyWord.from_symbols(digit_sum_stream(m), m, chunk_size=8192)
     return TmSequence(m, word, "digit_sum")
 
 
@@ -225,12 +249,8 @@ def check_congruences(m: int, length: int, word: Word | None = None, max_report:
         raise ValueError("length must be at least m")
     if word is None:
         t = tm_digit_sum_sequence(m).prefix(length)
-    elif isinstance(word, LazyWord):
-        t = word.prefix(length)
-    elif isinstance(word, FiniteWord):
-        t = list(word.symbols[:length])
     else:
-        t = list(word[:length])
+        t, _ = _prefix_of(word, length)
 
     scaling = []
     for n in range(1, (length - 1) // m + 1):
@@ -261,7 +281,7 @@ def check_congruences(m: int, length: int, word: Word | None = None, max_report:
 
 def find_triple_repeat(word: Word, length: int | None = None) -> int | None:
     """First index j with t_j = t_{j+1} = t_{j+2}, or None (expected for TM_m)."""
-    symbols, m = _prefix_and_modulus(word, length)
+    symbols, m = _prefix_of(word, length)
     if m <= 256:
         data = bytes(symbols)
         best = None
@@ -276,15 +296,20 @@ def find_triple_repeat(word: Word, length: int | None = None) -> int | None:
     return None
 
 
-def _prefix_and_modulus(word: Word, length: int | None) -> tuple[list[int], int]:
+def _prefix_of(word: Word, length: int | None) -> tuple[list[int], int]:
+    """Materialize a prefix and report the alphabet modulus.
+
+    Infinite words need an explicit length; for a plain sequence the
+    modulus is inferred as max(symbols) + 1, and at least 2.
+    """
     if isinstance(word, TmSequence):
         word = word.word
     if isinstance(word, LazyWord):
         if length is None:
-            length = word.materialized_length
+            raise ValueError("an explicit prefix length is required for infinite words")
         return word.prefix(length), word.alphabet.m
     if isinstance(word, FiniteWord):
         syms = list(word.symbols if length is None else word.symbols[:length])
         return syms, word.alphabet.m
     syms = list(word if length is None else word[:length])
-    return syms, (max(syms) + 1 if syms else 2)
+    return syms, max(max(syms, default=0) + 1, 2)

@@ -367,18 +367,18 @@ class Morphism:
         image_symbols = [img.symbols for img in self.images]
 
         def chunks() -> Iterator[Sequence[int]]:
-            buf = list(image_symbols[symbol])
-            yield tuple(buf)
-            src = 1
-            while True:
-                if src >= len(buf):
+            # each yielded block is in the word's cache before the next is requested
+            yield image_symbols[symbol]
+            for src in itertools.count(1):
+                if src >= len(expanded):
                     raise WordRangeError("morphism erases the orbit; fixed point stalls")
-                block = image_symbols[buf[src]]
-                src += 1
-                buf.extend(block)
-                yield block
+                yield image_symbols[expanded[src]]
 
-        return LazyWord.from_chunks(chunks(), self.m)
+        word = LazyWord.from_chunks(chunks(), self.m)
+        # the source holds the cache, not the word, so the two form no
+        # reference cycle and a dropped word is freed at once
+        expanded = word._cache
+        return word
 
     def __repr__(self) -> str:
         shown = {j: list(img.symbols) for j, img in enumerate(self.images)}

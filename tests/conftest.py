@@ -40,7 +40,7 @@ def oracle_complexity(word: list[int], n: int) -> int:
 
 @pytest.fixture(scope="session")
 def tm_prefix_1e5():
-    """Digit-sum prefixes of length 10^5 for m in 2..8, built by the oracle path."""
+    """Digit-sum prefixes of length 10^5 for m in 2..8."""
     from tmcf.tm import tm_digit_sum_sequence
 
     return {m: tm_digit_sum_sequence(m).prefix(100_000) for m in range(2, 9)}

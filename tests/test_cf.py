@@ -212,6 +212,13 @@ def test_tail_intervals_need_enough_quotients():
         verify_tail_intervals(quots, 50)
 
 
+def test_tail_intervals_need_n_max_below_alpha_depth():
+    quots = list(itertools.islice(tm_quotients(2), 400))
+    assert verify_tail_intervals(quots, 59)
+    with pytest.raises(ValueError, match="n_max=60 must be below alpha_depth=60"):
+        verify_tail_intervals(quots, 60)
+
+
 def test_tail_value_folds_back_to_alpha():
     quots = list(itertools.islice(tm_quotients(2), 300))
     alpha_lo, alpha_hi = bracket(convergents(iter(quots), 60)[-1])

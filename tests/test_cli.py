@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from tmcf import prefix_cache
 from tmcf.cli import main, parse_map_spec
 from tmcf.cf import AlphabetMapError
 
@@ -192,76 +191,6 @@ def test_verify_all_json_roundtrip(capsys):
         record = json.loads(line)
         assert json.loads(json.dumps(record)) == record
         assert set(record) == {"suite", "property", "status", "detail"}
-
-
-def test_prefix_cache_roundtrip(tmp_path):
-    path = tmp_path / "prefix.tmw"
-    prefix_cache.write_prefix(path, 3, [0, 1, 2, 1, 2, 0])
-    m, symbols = prefix_cache.read_prefix(path)
-    assert (m, symbols) == (3, [0, 1, 2, 1, 2, 0])
-
-
-def test_prefix_cache_wide_symbols(tmp_path):
-    path = tmp_path / "wide.tmw"
-    prefix_cache.write_prefix(path, 1000, [0, 999, 500])
-    m, symbols = prefix_cache.read_prefix(path)
-    assert (m, symbols) == (1000, [0, 999, 500])
-
-
-def test_prefix_cache_rejects_bad_files(tmp_path):
-    bad = tmp_path / "bad.tmw"
-    bad.write_bytes(b"NOPE" + b"\x00" * 30)
-    with pytest.raises(prefix_cache.CacheFormatError):
-        prefix_cache.read_prefix(bad)
-    truncated = tmp_path / "short.tmw"
-    truncated.write_bytes(b"\x01\x02")
-    with pytest.raises(prefix_cache.CacheFormatError):
-        prefix_cache.read_prefix(truncated)
-    # header promises more payload than present
-    prefix_cache.write_prefix(bad, 2, [0, 1, 1, 0])
-    data = bad.read_bytes()
-    bad.write_bytes(data[:-2])
-    with pytest.raises(prefix_cache.CacheFormatError):
-        prefix_cache.read_prefix(bad)
-
-
-def test_cache_dir_round_trip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(prefix_cache.ENV_CACHE_DIR, str(tmp_path))
-    code, out1, _ = run_cli(capsys, "palindrome", "--m", "2", "--len", "2000", "--format", "json-lines")
-    assert code == 0
-    cache_file = prefix_cache.cache_path(tmp_path, 2)
-    assert cache_file.is_file()
-    stored_m, symbols = prefix_cache.read_prefix(cache_file)
-    assert stored_m == 2 and len(symbols) == 2000
-    # second run hits the cache and produces identical output
-    code, out2, _ = run_cli(capsys, "palindrome", "--m", "2", "--len", "2000", "--format", "json-lines")
-    assert code == 0
-    assert out1 == out2
-
-
-def test_cache_shorter_request_uses_stored(tmp_path, monkeypatch):
-    monkeypatch.setenv(prefix_cache.ENV_CACHE_DIR, str(tmp_path))
-    from tmcf.tm import tm_digit_sum_sequence
-
-    full = tm_digit_sum_sequence(5).prefix(512)
-    assert prefix_cache.store_prefix(5, full)
-    assert prefix_cache.load_cached_prefix(5, 100) == full[:100]
-    # storing a shorter prefix does not clobber the longer one
-    assert not prefix_cache.store_prefix(5, full[:10])
-    assert prefix_cache.load_cached_prefix(5, 512) == full
-
-
-def test_cache_disabled_without_env(monkeypatch):
-    monkeypatch.delenv(prefix_cache.ENV_CACHE_DIR, raising=False)
-    assert prefix_cache.load_cached_prefix(2, 10) is None
-    assert not prefix_cache.store_prefix(2, [0, 1])
-
-
-def test_prefix_cache_four_byte_width(tmp_path):
-    path = tmp_path / "huge.tmw"
-    prefix_cache.write_prefix(path, 1 << 20, [0, (1 << 20) - 1, 12345])
-    m, symbols = prefix_cache.read_prefix(path)
-    assert (m, symbols) == (1 << 20, [0, (1 << 20) - 1, 12345])
 
 
 def test_verify_all_byte_identical_runs(capsys):

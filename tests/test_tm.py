@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -46,6 +47,25 @@ def test_digit_sum_stream_matches_random_access():
     for m in (2, 3, 7):
         stream = list(itertools.islice(digit_sum_stream(m), 5000))
         assert stream == [tm_digit_sum(n, m) for n in range(5000)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7, 255, 256, 257])
+def test_digit_sum_sequence_matches_stream_at_block_edges(m):
+    # m <= 256 builds by block translation, m = 257 streams; lengths straddle
+    # every block boundary m^k up to 70000
+    powers = [m ** k for k in range(1, 17) if m ** k <= 70_000]
+    stream = list(itertools.islice(digit_sum_stream(m), powers[-1] + 1))
+    for power in powers:
+        for n in (power - 1, power, power + 1):
+            assert tm_digit_sum_sequence(m).prefix(n) == stream[:n], (m, n)
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_digit_sum_sequence_matches_random_access_at_scale(m):
+    prefix = tm_digit_sum_sequence(m).prefix(10 ** 5)
+    indices = random.Random(m).sample(range(10 ** 5), 2000) + [0, 10 ** 5 - 1]
+    for n in indices:
+        assert prefix[n] == tm_digit_sum(n, m), (m, n)
 
 
 def test_tm_morphism_images():
@@ -138,6 +158,12 @@ def test_no_triple_repeat():
         assert find_triple_repeat(tm_digit_sum_sequence(m).prefix(100_000)) is None
     assert find_triple_repeat([0, 1, 2, 2, 2, 0]) == 2
     assert find_triple_repeat([4] * 9) == 0
+
+
+def test_triple_repeat_needs_a_length_for_infinite_words():
+    with pytest.raises(ValueError, match="explicit prefix length"):
+        find_triple_repeat(tm_morphic(2))
+    assert find_triple_repeat(tm_morphic(2), 1000) is None
 
 
 def test_constructions_share_no_state():

@@ -170,6 +170,11 @@ def test_fixed_point_requires_prolongable_growth():
         Morphism({0: [0], 1: [1, 0]}, 2).fixed_point(0)
 
 
+def test_fixed_point_reports_an_erased_orbit():
+    with pytest.raises(WordRangeError, match="erases the orbit"):
+        Morphism({0: [0, 1], 1: []}, 2).fixed_point(0).prefix(3)
+
+
 def test_fixed_point_matches_power_images():
     for m in (2, 3):
         phi = tm_phi(m)
