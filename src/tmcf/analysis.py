@@ -104,6 +104,11 @@ class ComplexityProfile:
         return self.table[n]
 
     def max_ratio(self) -> Fraction:
+        """max over n of p(n)/n on the computed range, as an exact fraction.
+
+        Finite-scale evidence that the linear complexity bound holds; it
+        does not decide anything beyond the scanned prefix.
+        """
         return max(Fraction(p, n) for n, p in self.table.items())
 
 
@@ -134,15 +139,6 @@ def complexity_naive(word: Word, n_max: int, length: int | None = None) -> dict[
         seen = {tuple(symbols[i:i + n]) for i in range(len(symbols) - n + 1)}
         out[n] = len(seen)
     return out
-
-
-def complexity_ratio_diagnostic(word: Word, n_max: int, length: int | None = None) -> Fraction:
-    """max over n of p(n)/n on the computed range, as an exact fraction.
-
-    Finite-scale evidence that the linear complexity bound holds; it does
-    not decide anything beyond the scanned prefix.
-    """
-    return complexity(word, n_max, length).max_ratio()
 
 
 @dataclass(frozen=True)
@@ -229,7 +225,7 @@ def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: 
     if not pat:
         raise ValueError("pattern must be nonempty")
     if len(pat) > len(symbols):
-        raise WordRangeError("pattern longer than scanned prefix")
+        return []
     if m <= 256 and max(pat, default=0) < 256:
         data = bytes(symbols)
         needle = bytes(pat)

@@ -9,6 +9,7 @@ point enters any certified path.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -130,13 +131,7 @@ class CertifiedDecimal:
         return self.high - self.low
 
 
-def _floor_at_scale(x: Fraction, scale: int) -> int:
-    return (x.numerator * scale) // x.denominator
-
-
-def _round_half_even_at_scale(x: Fraction, scale: int) -> int:
-    num = x.numerator * scale
-    den = x.denominator
+def _round_half_even(num: int, den: int) -> int:
     whole, rem = divmod(num, den)
     twice = 2 * rem
     if twice > den or (twice == den and whole % 2 == 1):
@@ -144,9 +139,22 @@ def _round_half_even_at_scale(x: Fraction, scale: int) -> int:
     return whole
 
 
+def _digits_text(k: int, width: int) -> str:
+    """0 <= k < 10**width as exactly `width` decimal digits, zero-padded.
+
+    Splits at a power of ten so that no single str() call reaches
+    CPython's int -> str digit limit (4300 by default).
+    """
+    if width <= 4000:
+        return str(k).rjust(width, "0")
+    half = width // 2
+    high, low = divmod(k, 10 ** half)
+    return _digits_text(high, width - half) + _digits_text(low, half)
+
+
 def _format_scaled(k: int, digits: int) -> str:
-    s = str(k).rjust(digits + 1, "0")
-    return s[:-digits] + "." + s[-digits:]
+    whole, frac = divmod(k, 10 ** digits)
+    return f"{whole}.{_digits_text(frac, digits)}"
 
 
 def evaluate(quotients: Iterable[int], digits: int, half_even: bool = False) -> CertifiedDecimal:
@@ -161,21 +169,15 @@ def evaluate(quotients: Iterable[int], digits: int, half_even: bool = False) -> 
     if digits < 1:
         raise ValueError("digits must be >= 1")
     scale = 10 ** digits
-    gap_target = Fraction(1, 10 ** (digits + 2))
-    reducer = _round_half_even_at_scale if half_even else _floor_at_scale
-    prev_value: Fraction | None = None
+    limit = 10 ** (digits + 2)
+    reduce = _round_half_even if half_even else operator.floordiv
     for pair in convergent_stream(quotients):
-        cur = pair.value
-        if prev_value is None:
-            prev_value = cur
-            continue
-        lo, hi = (prev_value, cur) if prev_value <= cur else (cur, prev_value)
-        if hi - lo < gap_target:
-            k_lo = reducer(lo, scale)
-            k_hi = reducer(hi, scale)
-            if k_lo == k_hi:
-                return CertifiedDecimal(_format_scaled(k_lo, digits), digits, lo, hi, pair.index)
-        prev_value = cur
+        # consecutive convergents differ by exactly 1 / (q_{n-1} q_n)
+        if pair.index >= 2 and pair.q * pair.q_prev > limit:
+            k = reduce(pair.p * scale, pair.q)
+            if k == reduce(pair.p_prev * scale, pair.q_prev):
+                low, high = bracket(pair)
+                return CertifiedDecimal(_format_scaled(k, digits), digits, low, high, pair.index)
     raise ValueError("quotient stream ended before the decimal could be certified")
 
 

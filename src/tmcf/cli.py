@@ -10,32 +10,14 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from typing import IO, Iterable
 
 from . import analysis, cf, tm
-from .words import AlphabetError
+from .words import AlphabetError, ModAlphabet
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class RunConfig:
-    m: int
-    length: int = 1000
-    n_max: int = 100
-    a_max: int = 50
-    b_max: int = 200
-    map_spec: str | None = None
-    digits: int = 12
-    convergent_count: int | None = None
-    out_format: str = "plain"
-    out_path: str | None = None
-    pattern: str | None = None
-    k_max: int | None = None
-    inject_flip: int | None = None
 
 
 class Writer:
@@ -65,6 +47,13 @@ def _positive(text: str) -> int:
     return n
 
 
+def _nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return n
+
+
 def _modulus(text: str) -> int:
     m = int(text)
     if m < 2:
@@ -72,8 +61,11 @@ def _modulus(text: str) -> int:
     return m
 
 
-def parse_map_spec(spec: str, m: int) -> cf.AlphabetMap:
-    """Parse 'symbol:value,...'; unmapped symbols default to j -> j + 1."""
+def parse_map_spec(spec: str, m: int | None) -> cf.AlphabetMap:
+    """Parse 'symbol:value,...'; unmapped symbols default to j -> j + 1.
+
+    With m None the modulus is the largest mapped symbol + 1, at least 2.
+    """
     explicit: dict[int, int] = {}
     for part in spec.split(","):
         part = part.strip()
@@ -84,23 +76,22 @@ def parse_map_spec(spec: str, m: int) -> cf.AlphabetMap:
             sym, val = int(sym_text), int(val_text)
         except ValueError:
             raise cf.AlphabetMapError(f"bad map entry {part!r}, expected symbol:value")
-        if not 0 <= sym < m:
-            raise cf.AlphabetMapError(f"symbol {sym} outside alphabet of modulus {m}")
         if sym in explicit:
             raise cf.AlphabetMapError(f"symbol {sym} mapped twice")
         explicit[sym] = val
+    if m is None:
+        if not explicit:
+            raise cf.AlphabetMapError("--m is required (or derivable from --map)")
+        m = max(max(explicit) + 1, 2)
+    for sym in explicit:
+        if not 0 <= sym < m:
+            raise cf.AlphabetMapError(f"symbol {sym} outside alphabet of modulus {m}")
     return cf.AlphabetMap(m, tuple(explicit.get(j, j + 1) for j in range(m)))
 
 
-def _alphabet_map(config: RunConfig) -> cf.AlphabetMap:
-    if config.map_spec:
-        return parse_map_spec(config.map_spec, config.m)
-    return cf.AlphabetMap.identity_shift(config.m)
-
-
-def cmd_gen(config: RunConfig, writer: Writer) -> int:
-    amap = _alphabet_map(config) if config.map_spec is not None else None
-    stream = itertools.islice(tm.digit_sum_stream(config.m), config.length)
+def cmd_gen(args: argparse.Namespace, writer: Writer) -> int:
+    amap = parse_map_spec(args.map_spec, args.m) if args.map_spec is not None else None
+    stream = itertools.islice(tm.digit_sum_stream(args.m), args.length)
     for i, symbol in enumerate(stream):
         record = {"index": i, "symbol": symbol}
         if amap is not None:
@@ -109,34 +100,31 @@ def cmd_gen(config: RunConfig, writer: Writer) -> int:
     return EXIT_OK
 
 
-def cmd_cf(config: RunConfig, writer: Writer) -> int:
-    amap = _alphabet_map(config)
-    seq = tm.tm_digit_sum_sequence(config.m)
-    if config.convergent_count:
-        pairs = cf.convergents(cf.map_alphabet(seq, amap), config.convergent_count)
+def cmd_cf(args: argparse.Namespace, writer: Writer) -> int:
+    amap = parse_map_spec(args.map_spec or "", args.m)
+    seq = tm.tm_digit_sum_sequence(amap.m)
+    if args.convergent_count:
+        pairs = cf.convergents(cf.map_alphabet(seq, amap), args.convergent_count)
         for pair in pairs:
             writer.emit({"kind": "convergent", "n": pair.index, "p": pair.p, "q": pair.q})
-    if config.digits:
-        result = cf.evaluate(cf.map_alphabet(seq, amap), config.digits)
-        writer.emit(
-            {
-                "kind": "decimal",
-                "digits": result.digits,
-                "value": result.text,
-                "terms_used": result.terms_used,
-            }
-        )
+    result = cf.evaluate(cf.map_alphabet(seq, amap), args.digits)
+    writer.emit(
+        {
+            "kind": "decimal",
+            "digits": result.digits,
+            "value": result.text,
+            "terms_used": result.terms_used,
+        }
+    )
     return EXIT_OK
 
 
-def cmd_complexity(config: RunConfig, writer: Writer) -> int:
-    prefix = tm.tm_digit_sum_sequence(config.m).prefix(config.length)
-    n_max = min(config.n_max, config.length)
-    profile = analysis.complexity(prefix, n_max)
-    bound = config.m ** 3
+def cmd_complexity(args: argparse.Namespace, writer: Writer) -> int:
+    n_max = min(args.n_max, args.length)
+    profile = analysis.complexity(tm.tm_digit_sum_sequence(args.m), n_max, args.length)
+    bound = profile.bound_factor
     for n in range(1, n_max + 1):
-        p_n = profile.p(n)
-        writer.emit({"kind": "p", "n": n, "count": p_n, "bound": bound * n, "ok": p_n <= bound * n})
+        writer.emit({"kind": "p", "n": n, "count": profile.p(n), "bound": bound * n, "ok": n not in profile.violations})
     ratio = profile.max_ratio()
     writer.emit(
         {
@@ -149,18 +137,18 @@ def cmd_complexity(config: RunConfig, writer: Writer) -> int:
     return EXIT_OK
 
 
-def cmd_period(config: RunConfig, writer: Writer) -> int:
-    prefix = tm.tm_digit_sum_sequence(config.m).prefix(config.length)
-    witness = analysis.find_period(prefix, config.a_max, config.b_max)
+def cmd_period(args: argparse.Namespace, writer: Writer) -> int:
+    prefix = tm.tm_digit_sum_sequence(args.m).prefix(args.length)
+    witness = analysis.find_period(prefix, args.a_max, args.b_max)
     if witness is None:
-        writer.emit({"kind": "period", "found": False, "a_max": config.a_max, "b_max": config.b_max})
+        writer.emit({"kind": "period", "found": False, "a_max": args.a_max, "b_max": args.b_max})
     else:
         writer.emit({"kind": "period", "found": True, "preperiod": witness.preperiod, "period": witness.period})
     return EXIT_OK
 
 
-def cmd_palindrome(config: RunConfig, writer: Writer) -> int:
-    prefix = tm.tm_digit_sum_sequence(config.m).prefix(config.length)
+def cmd_palindrome(args: argparse.Namespace, writer: Writer) -> int:
+    prefix = tm.tm_digit_sum_sequence(args.m).prefix(args.length)
     ladder = analysis.palindromic_prefixes(prefix)
     for n in ladder.indices:
         writer.emit({"kind": "palindromic_prefix", "index": n})
@@ -175,32 +163,35 @@ def cmd_palindrome(config: RunConfig, writer: Writer) -> int:
     return EXIT_OK
 
 
-def cmd_patterns(config: RunConfig, writer: Writer) -> int:
-    prefix = tm.tm_digit_sum_sequence(config.m).prefix(config.length)
-    if config.pattern:
+def cmd_patterns(args: argparse.Namespace, writer: Writer) -> int:
+    if args.pattern:
         try:
-            pattern = [int(x) for x in config.pattern.split(",")]
+            pattern = [int(x) for x in args.pattern.split(",")]
         except ValueError:
-            raise AlphabetError(f"bad pattern {config.pattern!r}, expected comma-separated symbols")
+            raise AlphabetError(f"bad pattern {args.pattern!r}, expected comma-separated symbols")
+        alphabet = ModAlphabet(args.m)
+        for symbol in pattern:
+            alphabet.check(symbol)
+        prefix = tm.tm_digit_sum_sequence(args.m).prefix(args.length)
         occurrences = analysis.find_pattern(prefix, pattern)
         for pos in occurrences:
-            writer.emit({"kind": "occurrence", "pattern": config.pattern, "index": pos})
-        writer.emit({"kind": "occurrence_summary", "pattern": config.pattern, "count": len(occurrences)})
-    if config.m >= 3:
-        k_max = config.k_max if config.k_max is not None else config.m + 4
-        for pos in analysis.predicted_011_positions(config.m, k_max):
+            writer.emit({"kind": "occurrence", "pattern": args.pattern, "index": pos})
+        writer.emit({"kind": "occurrence_summary", "pattern": args.pattern, "count": len(occurrences)})
+    if args.m >= 3:
+        k_max = args.k_max if args.k_max is not None else args.m + 4
+        for pos in analysis.predicted_011_positions(args.m, k_max):
             writer.emit({"kind": "predicted_011", "index": pos})
     return EXIT_OK
 
 
-def _verify_suites(config: RunConfig) -> Iterable[tuple[str, str, bool, str]]:
+def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[tuple[str, str, bool, str]]:
     """Yield (suite, property, passed, detail) for every check in the run."""
-    m, length = config.m, config.length
+    m, length = args.m, args.length
 
     # Termwise agreement of the two constructions.
     ds = tm.tm_digit_sum_sequence(m).prefix(length)
-    if config.inject_flip is not None and 0 <= config.inject_flip < length:
-        ds[config.inject_flip] = (ds[config.inject_flip] + 1) % m
+    if args.inject_flip is not None:
+        ds[args.inject_flip] = (ds[args.inject_flip] + 1) % m
     mo = tm.tm_morphic(m).prefix(length)
     mismatch = tm.first_mismatch(ds, mo)
     yield (
@@ -241,8 +232,8 @@ def _verify_suites(config: RunConfig) -> Iterable[tuple[str, str, bool, str]]:
         "digit words of length <= 4",
     )
 
-    a_max = min(config.a_max, max(0, (length - 1) // 4))
-    b_max = min(config.b_max, max(1, (length - a_max - 2) // 2 - 1))
+    a_max = min(args.a_max, max(0, (length - 1) // 4))
+    b_max = min(args.b_max, max(1, (length - a_max - 2) // 2 - 1))
     witness = analysis.find_period(word, a_max, b_max)
     yield (
         "aperiodicity",
@@ -285,7 +276,7 @@ def _verify_suites(config: RunConfig) -> Iterable[tuple[str, str, bool, str]]:
             f"{len(in_range)} of {len(positions)} positions inside prefix",
         )
 
-    n_max = min(config.n_max, length)
+    n_max = min(args.n_max, length)
     profile = analysis.complexity(word, n_max)
     yield (
         "complexity",
@@ -296,7 +287,6 @@ def _verify_suites(config: RunConfig) -> Iterable[tuple[str, str, bool, str]]:
         else f"violated at n={profile.violations[:3]}",
     )
 
-    amap = _alphabet_map(config)
     seq = tm.tm_digit_sum_sequence(m)
     count = min(1000, max(2, length))
     pairs = cf.convergents(cf.map_alphabet(seq, amap), count)
@@ -308,8 +298,8 @@ def _verify_suites(config: RunConfig) -> Iterable[tuple[str, str, bool, str]]:
         det_ok and cop_ok,
         f"first {count} convergents",
     )
-    short = cf.evaluate(cf.map_alphabet(seq, amap), config.digits)
-    longer = cf.evaluate(cf.map_alphabet(seq, amap), config.digits + 6)
+    short = cf.evaluate(cf.map_alphabet(seq, amap), args.digits)
+    longer = cf.evaluate(cf.map_alphabet(seq, amap), args.digits + 6)
     yield (
         "convergents",
         "certified decimal is prefix-stable across digit targets",
@@ -318,9 +308,16 @@ def _verify_suites(config: RunConfig) -> Iterable[tuple[str, str, bool, str]]:
     )
 
 
-def cmd_verify_all(config: RunConfig, writer: Writer) -> int:
+def cmd_verify_all(args: argparse.Namespace, writer: Writer) -> int:
+    # the congruence scan needs m terms and the period search needs 3
+    min_length = max(args.m, 3)
+    if args.length < min_length:
+        raise ValueError(f"verify-all needs --len >= {min_length} at m={args.m}, got {args.length}")
+    if args.inject_flip is not None and not 0 <= args.inject_flip < args.length:
+        raise ValueError(f"--inject-flip must be in [0, {args.length}), got {args.inject_flip}")
+    amap = parse_map_spec(args.map_spec or "", args.m)
     failures = 0
-    for suite, prop, passed, detail in _verify_suites(config):
+    for suite, prop, passed, detail in _verify_suites(args, amap):
         record = {
             "suite": suite,
             "property": prop,
@@ -362,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--len", dest="length", type=_positive, default=100_000)
     p.add_argument("--n-max", type=_positive, default=200)
-    p.add_argument("--a-max", type=int, default=50)
+    p.add_argument("--a-max", type=_nonnegative, default=50)
     p.add_argument("--b-max", type=_positive, default=400)
     p.add_argument("--digits", type=_positive, default=12)
     p.add_argument("--map", dest="map_spec", default=None)
@@ -382,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="search for an eventual-period witness")
     common(p)
     p.add_argument("--len", dest="length", type=_positive, default=10_000)
-    p.add_argument("--a-max", type=int, default=50)
+    p.add_argument("--a-max", type=_nonnegative, default=50)
     p.add_argument("--b-max", type=_positive, default=200)
 
     p = sub.add_parser("palindrome", help="palindromic prefix ladder")
@@ -409,60 +406,22 @@ _COMMANDS = {
 }
 
 
-def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    m = getattr(args, "m", None)
-    map_spec = getattr(args, "map_spec", None)
-    if m is None:
-        if not map_spec:
-            parser.error("--m is required (or derivable from --map)")
-        symbols = []
-        for part in map_spec.split(","):
-            part = part.strip()
-            if part and ":" in part:
-                try:
-                    symbols.append(int(part.split(":")[0]))
-                except ValueError:
-                    parser.error(f"bad map entry {part!r}")
-        if not symbols:
-            parser.error("--m is required (or derivable from --map)")
-        m = max(symbols) + 1
-        if m < 2:
-            m = 2
-    return RunConfig(
-        m=m,
-        length=getattr(args, "length", 1000),
-        n_max=getattr(args, "n_max", 100),
-        a_max=getattr(args, "a_max", 50),
-        b_max=getattr(args, "b_max", 200),
-        map_spec=map_spec,
-        digits=getattr(args, "digits", 12),
-        convergent_count=getattr(args, "convergent_count", None),
-        out_format=args.format,
-        out_path=args.out,
-        pattern=getattr(args, "pattern", None),
-        k_max=getattr(args, "k_max", None),
-        inject_flip=getattr(args, "inject_flip", None),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args, parser)
+    args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
 
-    if config.out_path:
-        stream = open(config.out_path, "w", encoding="utf-8", newline="")
+    if args.out:
+        stream = open(args.out, "w", encoding="utf-8", newline="")
     else:
         stream = sys.stdout
-    writer = Writer(stream, config.out_format)
+    writer = Writer(stream, args.format)
     try:
-        return command(config, writer)
-    except (AlphabetError, cf.AlphabetMapError, ValueError) as exc:
+        return command(args, writer)
+    except ValueError as exc:  # AlphabetError, SymbolError and AlphabetMapError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        if config.out_path:
+        if args.out:
             stream.close()
 
 

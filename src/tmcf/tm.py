@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 from .words import (
-    AlphabetError,
     FiniteWord,
     LazyWord,
     ModAlphabet,
@@ -26,15 +25,9 @@ from .words import (
 Word = Union["TmSequence", LazyWord, FiniteWord, Sequence[int]]
 
 
-def _check_modulus(m: int) -> int:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise AlphabetError(f"modulus must be an integer >= 2, got {m!r}")
-    return m
-
-
 def tm_digit_sum(n: int, m: int) -> int:
     """Term n of TM_m: the base-m digit sum of n, reduced mod m."""
-    _check_modulus(m)
+    ModAlphabet(m)  # rejects a modulus below 2
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"index must be a nonnegative integer, got {n!r}")
     s = 0
@@ -51,7 +44,7 @@ def digit_sum_stream(m: int) -> Iterator[int]:
     below it, so the running digit sum changes by 1 - carries*(m-1).
     Amortized O(1) per term versus re-extracting all digits.
     """
-    _check_modulus(m)
+    ModAlphabet(m)  # rejects a modulus below 2
     yield 0
     digit_list = [0]
     total = 0
@@ -89,7 +82,7 @@ class TmSequence:
 
 def tm_morphism(m: int) -> Morphism:
     """The m-uniform morphism j -> j, j+1, ..., j+m-1 with addition mod m."""
-    _check_modulus(m)
+    ModAlphabet(m)  # rejects a modulus below 2
     return Morphism([[(j + i) % m for i in range(m)] for j in range(m)], m)
 
 
@@ -101,7 +94,6 @@ def _tm_power(m: int, k: int) -> Morphism:
 
 def tm_morphic(m: int) -> TmSequence:
     """TM_m as the fixed point of tm_morphism(m) based at 0."""
-    _check_modulus(m)
     return TmSequence(m, tm_morphism(m).fixed_point(0), "morphic")
 
 
@@ -132,21 +124,12 @@ def tm_digit_sum_sequence(m: int) -> TmSequence:
     `tm_digit_sum` stays available for random access without
     materializing a prefix.
     """
-    _check_modulus(m)
+    ModAlphabet(m)  # rejects a modulus below 2
     if m <= 256:
         word = LazyWord.from_chunks(_digit_sum_blocks(m), m)
     else:
         word = LazyWord.from_symbols(digit_sum_stream(m), m, chunk_size=8192)
     return TmSequence(m, word, "digit_sum")
-
-
-def tm_sequence(m: int, construction: str = "digit_sum") -> TmSequence:
-    """Build TM_m by the named construction ("digit_sum" or "morphic")."""
-    if construction == "digit_sum":
-        return tm_digit_sum_sequence(m)
-    if construction == "morphic":
-        return tm_morphic(m)
-    raise ValueError(f"unknown construction {construction!r}")
 
 
 @dataclass(frozen=True)
@@ -181,7 +164,7 @@ def verify_equivalence(
     Optionally verifies `lemma_samples` random instances of the indexing
     recursion as a side-check; the returned count is of verified instances.
     """
-    _check_modulus(m)
+    ModAlphabet(m)  # rejects a modulus below 2
     if length < 1:
         raise ValueError("length must be >= 1")
     ds = tm_digit_sum_sequence(m).prefix(length)
@@ -207,11 +190,10 @@ def check_lemma_recursion(c: Union[FiniteWord, Sequence[int]], m: int) -> bool:
     digit sum mod m.  This is the step that ties the morphic fixed point to
     digit sums.
     """
-    _check_modulus(m)
+    alphabet = ModAlphabet(m)
     syms = list(c)
     if len(syms) < 2:
         raise ValueError("digit word must have length >= 2")
-    alphabet = ModAlphabet(m)
     for s in syms:
         alphabet.check(s)
     head, last = syms[:-1], syms[-1]
@@ -244,7 +226,7 @@ def check_congruences(m: int, length: int, word: Word | None = None, max_report:
        (the implication form, scanned literally);
     3. t_{nm+r} = t_{nm} + r mod m for r in {1, ..., m-1}.
     """
-    _check_modulus(m)
+    ModAlphabet(m)  # rejects a modulus below 2
     if length < m:
         raise ValueError("length must be at least m")
     if word is None:

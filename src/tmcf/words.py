@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 
 class AlphabetError(ValueError):
@@ -90,9 +90,6 @@ class FiniteWord:
     def __repr__(self) -> str:
         return f"FiniteWord({list(self.symbols)}, m={self.alphabet.m})"
 
-    def is_palindrome(self) -> bool:
-        return self.symbols == self.symbols[::-1]
-
 
 def digits(n: int, m: int) -> FiniteWord:
     """Base-m digits of n, least significant first; digits(0, m) is the word [0]."""
@@ -139,35 +136,20 @@ def subword(word: Union[FiniteWord, "LazyWord", Sequence[int]], j1: int, j2: int
 class LazyWord:
     """A right-infinite word materialized on demand.
 
-    Backed either by a pure index -> symbol function or by an infinite
-    source of symbol chunks.  The materialized prefix only ever grows and
-    existing entries never change, so reads at already-materialized indices
-    are lock-free; extension is serialized by an internal lock and appends
-    monotonically, so a reader racing an extension still observes a
-    consistent prefix.  Growth is geometric (the cache at least doubles)
-    to keep random access amortized.
+    Backed by an infinite source of symbol chunks.  The materialized
+    prefix only ever grows and existing entries never change, so reads at
+    already-materialized indices are lock-free; extension is serialized by
+    an internal lock and appends monotonically, so a reader racing an
+    extension still observes a consistent prefix.
     """
 
-    __slots__ = ("alphabet", "_cache", "_lock", "_func", "_chunks")
+    __slots__ = ("alphabet", "_cache", "_lock", "_chunks")
 
-    def __init__(
-        self,
-        alphabet: ModAlphabet,
-        *,
-        term_function: Callable[[int], int] | None = None,
-        chunk_source: Iterator[Sequence[int]] | None = None,
-    ):
-        if (term_function is None) == (chunk_source is None):
-            raise ValueError("provide exactly one of term_function or chunk_source")
+    def __init__(self, alphabet: ModAlphabet, chunk_source: Iterator[Sequence[int]]):
         self.alphabet = alphabet
         self._cache: list[int] = []
         self._lock = threading.Lock()
-        self._func = term_function
         self._chunks = chunk_source
-
-    @classmethod
-    def from_function(cls, term_function: Callable[[int], int], m: int) -> "LazyWord":
-        return cls(ModAlphabet(m), term_function=term_function)
 
     @classmethod
     def from_symbols(cls, symbols: Iterable[int], m: int, chunk_size: int = 4096) -> "LazyWord":
@@ -181,11 +163,11 @@ class LazyWord:
                     return
                 yield block
 
-        return cls(ModAlphabet(m), chunk_source=chunks())
+        return cls(ModAlphabet(m), chunks())
 
     @classmethod
     def from_chunks(cls, chunk_source: Iterable[Sequence[int]], m: int) -> "LazyWord":
-        return cls(ModAlphabet(m), chunk_source=iter(chunk_source))
+        return cls(ModAlphabet(m), iter(chunk_source))
 
     @property
     def m(self) -> int:
@@ -197,25 +179,16 @@ class LazyWord:
 
     def _materialize(self, n: int) -> None:
         with self._lock:
-            have = len(self._cache)
-            if n <= have:
-                return
-            if self._func is not None:
-                # double the cache so scattered random access stays amortized
-                target = max(n, 2 * have, 64)
-                f = self._func
-                self._cache.extend([f(i) for i in range(have, target)])
-            else:
-                # chunk sources batch on their own; pull only what is needed
-                extend = self._cache.extend
-                while len(self._cache) < n:
-                    try:
-                        extend(next(self._chunks))
-                    except StopIteration:
-                        raise WordRangeError(
-                            f"backing source exhausted at length {len(self._cache)}; "
-                            "LazyWord sources must be infinite"
-                        ) from None
+            # chunk sources batch on their own; pull only what is needed
+            extend = self._cache.extend
+            while len(self._cache) < n:
+                try:
+                    extend(next(self._chunks))
+                except StopIteration:
+                    raise WordRangeError(
+                        f"backing source exhausted at length {len(self._cache)}; "
+                        "LazyWord sources must be infinite"
+                    ) from None
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -335,9 +308,6 @@ class Morphism:
         for _ in range(k - 1):
             result = Morphism([self.apply(img) for img in result.images], self.m)
         return result
-
-    def __pow__(self, k: int) -> "Morphism":
-        return self.power(k)
 
     def uniformity(self) -> int | None:
         """The common image length k when the morphism is k-uniform, else None."""

@@ -8,7 +8,6 @@ from tmcf.analysis import (
     SuffixAutomaton,
     complexity,
     complexity_naive,
-    complexity_ratio_diagnostic,
     find_pattern,
     find_period,
     palindromic_prefixes,
@@ -92,16 +91,16 @@ def test_complexity_bounds_errors():
 
 def test_ratio_diagnostic():
     word = tm_digit_sum_sequence(2).prefix(10_000)
-    ratio = complexity_ratio_diagnostic(word, 200)
+    ratio = complexity(word, 200).max_ratio()
     assert isinstance(ratio, Fraction)
     assert ratio <= 8
-    assert complexity_ratio_diagnostic([0, 1, 2, 3, 4], 1) == 5
+    assert complexity([0, 1, 2, 3, 4], 1).max_ratio() == 5
 
 
 def test_ratio_diagnostic_at_scale():
     for m, cube in ((2, 8), (3, 27)):
         word = tm_digit_sum_sequence(m).prefix(100_000)
-        assert complexity_ratio_diagnostic(word, 500) <= cube
+        assert complexity(word, 500).max_ratio() <= cube
 
 
 def test_find_period_trivial_examples():
@@ -162,6 +161,8 @@ def test_find_pattern():
     hits = find_pattern(word, [0, 1, 1], length=300)
     assert 7 in hits and 196 in hits
     assert find_pattern(word, word[:6])[0] == 0
+    # longer than the prefix: no room for an occurrence
+    assert find_pattern(word, [0, 1, 1], length=2) == []
     with pytest.raises(ValueError):
         find_pattern(word, [])
 

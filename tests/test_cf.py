@@ -169,6 +169,55 @@ def test_evaluate_rejects_bad_digits():
         evaluate(ones(), 0)
 
 
+def fraction_evaluate(quotients, digits, half_even):
+    """Reference certification in Fraction arithmetic: stop at the first
+    n >= 2 where convergents n-1 and n are closer than 10^-(digits+2) and
+    agree once scaled by 10^digits and truncated (or rounded half-even)."""
+    scale = 10 ** digits
+    gap = Fraction(1, 10 ** (digits + 2))
+
+    def reduce(x):
+        return round(x * scale) if half_even else math.floor(x * scale)
+
+    p_prev, p, q_prev, q = 1, 0, 0, 1
+    prev = None
+    for n, a in enumerate(quotients, start=1):
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        cur = Fraction(p, q)
+        if prev is not None and abs(cur - prev) < gap and reduce(cur) == reduce(prev):
+            k = reduce(cur)
+            text = f"{k // scale}." + str(k % scale).rjust(digits, "0")
+            return text, n, min(prev, cur), max(prev, cur)
+        prev = cur
+
+
+def test_evaluate_matches_fraction_reference():
+    maps = [
+        AlphabetMap.identity_shift(2),
+        AlphabetMap(2, (2, 1)),
+        AlphabetMap(2, (1, 9)),
+        AlphabetMap.identity_shift(3),
+        AlphabetMap(3, (3, 1, 7)),
+        AlphabetMap.identity_shift(5),
+        AlphabetMap(5, (4, 1, 5, 2, 3)),
+    ]
+    for amap in maps:
+        for digits in (1, 2, 5, 12, 41, 150):
+            for half_even in (False, True):
+                got = evaluate(tm_quotients(amap.m, amap), digits, half_even=half_even)
+                want = fraction_evaluate(tm_quotients(amap.m, amap), digits, half_even)
+                assert (got.text, got.terms_used, got.low, got.high) == want, (amap, digits, half_even)
+
+
+def test_evaluate_past_the_int_str_digit_limit():
+    # CPython refuses str() of ints above 4300 digits by default
+    d4000 = evaluate(tm_quotients(2), 4000)
+    d5000 = evaluate(tm_quotients(2), 5000)
+    assert len(d5000.text) == 5002
+    assert d5000.text.startswith(d4000.text)
+
+
 def test_moebius_basics():
     t = MoebiusMap(2, 1, 1, 1)
     assert t(Fraction(1, 2)) == Fraction(4, 3)

@@ -2,12 +2,23 @@ import json
 
 import pytest
 
+from tmcf import analysis
 from tmcf.cli import main, parse_map_spec
 from tmcf.cf import AlphabetMapError
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_cli_exit(capsys, *argv):
+    """Like run_cli, but an argparse rejection counts as its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -108,6 +119,14 @@ def test_cf_infers_modulus_from_map(capsys):
     assert record["kind"] == "decimal"
 
 
+def test_cf_digits_past_the_int_str_digit_limit(capsys):
+    code, out, _ = run_cli(capsys, "cf", "--m", "2", "--digits", "5000", "--format", "json-lines")
+    assert code == 0
+    record = json.loads(out)
+    assert len(record["value"]) == 5002
+    assert record["value"].startswith("0.703042687325")
+
+
 def test_complexity_command(capsys):
     code, out, _ = run_cli(
         capsys, "complexity", "--m", "2", "--len", "16384", "--n-max", "5", "--format", "json-lines"
@@ -118,6 +137,26 @@ def test_complexity_command(capsys):
     assert counts == [2, 4, 6, 10, 12]
     diagnostic = records[-1]
     assert diagnostic["violations"] == 0
+
+
+def test_complexity_bound_uses_the_full_alphabet(capsys, monkeypatch):
+    # three terms of TM_5 hold only 0, 1, 2, yet the bound is 5^3, and the
+    # violations must be counted against the bound that is printed
+    bounds = []
+    library_complexity = analysis.complexity
+
+    def recording(*args, **kwargs):
+        profile = library_complexity(*args, **kwargs)
+        bounds.append(profile.bound_factor)
+        return profile
+
+    monkeypatch.setattr(analysis, "complexity", recording)
+    code, out, _ = run_cli(capsys, "complexity", "--m", "5", "--len", "3", "--format", "json-lines")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert bounds == [125]
+    assert [r["bound"] for r in records if r["kind"] == "p"] == [125, 250, 375]
+    assert records[-1]["bound_factor"] == 125
 
 
 def test_period_command(capsys):
@@ -152,6 +191,49 @@ def test_patterns_command(capsys):
     assert summary["count"] == 0
     predicted = [r["index"] for r in records if r["kind"] == "predicted_011"]
     assert predicted[0] == 7
+
+
+def test_patterns_longer_than_the_prefix(capsys):
+    code, out, _ = run_cli(
+        capsys, "patterns", "--m", "3", "--len", "5", "--pattern", "1,1,1,1,1,1",
+        "--format", "json-lines",
+    )
+    assert code == 0
+    summary = [json.loads(line) for line in out.strip().splitlines()][0]
+    assert summary == {"kind": "occurrence_summary", "pattern": "1,1,1,1,1,1", "count": 0}
+
+
+def test_patterns_rejects_symbols_outside_the_alphabet(capsys):
+    code, out, err = run_cli(capsys, "patterns", "--m", "3", "--len", "100", "--pattern", "0,7")
+    assert code == 2
+    assert out == ""
+    assert "symbol 7" in err
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["verify-all", "--m", "2", "--len", "1"], "--len"),
+        (["verify-all", "--m", "2", "--len", "2"], "--len"),
+        (["verify-all", "--m", "5", "--len", "3"], "--len"),
+        (["verify-all", "--m", "2", "--len", "100", "--a-max", "-1"], "--a-max"),
+        (["period", "--m", "2", "--len", "100", "--a-max", "-1"], "--a-max"),
+        (["verify-all", "--m", "2", "--len", "100", "--inject-flip", "100"], "--inject-flip"),
+        (["verify-all", "--m", "2", "--len", "100", "--inject-flip", "-1"], "--inject-flip"),
+        (["verify-all", "--m", "2", "--len", "100", "--map", "0:1,1:1"], "injective"),
+    ],
+)
+def test_bad_arguments_rejected_before_any_record(capsys, argv, reason):
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert reason in err
+
+
+def test_verify_all_shortest_lengths_pass(capsys):
+    for m, length in ((2, 3), (3, 3), (5, 5)):
+        code, out, _ = run_cli(capsys, "verify-all", "--m", str(m), "--len", str(length))
+        assert code == 0, out
 
 
 def test_verify_all_passes(capsys):

@@ -14,7 +14,6 @@ from tmcf.tm import (
     tm_digit_sum_sequence,
     tm_morphic,
     tm_morphism,
-    tm_sequence,
     verify_equivalence,
 )
 from tmcf.words import AlphabetError
@@ -81,13 +80,6 @@ def test_tm_morphic_prefixes():
     assert tm_morphic(2).prefix(16) == [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]
     assert tm_morphic(3).prefix(12) == [0, 1, 2, 1, 2, 0, 2, 0, 1, 1, 2, 0]
     assert tm_morphic(5)[0] == 0
-
-
-def test_tm_sequence_constructions():
-    assert tm_sequence(3).construction == "digit_sum"
-    assert tm_sequence(3, "morphic").construction == "morphic"
-    with pytest.raises(ValueError):
-        tm_sequence(3, "other")
 
 
 def test_first_mismatch():

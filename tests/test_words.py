@@ -1,3 +1,4 @@
+import itertools
 import random
 import threading
 
@@ -191,8 +192,8 @@ def test_fixed_point_is_invariant_under_apply():
     assert image.prefix(500) == v.prefix(500)
 
 
-def test_lazyword_from_function_and_slicing():
-    w = LazyWord.from_function(lambda i: i % 3, 3)
+def test_lazyword_from_chunks_and_slicing():
+    w = LazyWord.from_chunks(itertools.repeat([0, 1, 2]), 3)
     assert w[5] == 2
     assert list(w[0:6]) == [0, 1, 2, 0, 1, 2]
     assert w.prefix(4) == [0, 1, 2, 0]
@@ -204,16 +205,6 @@ def test_lazyword_from_function_and_slicing():
         w[5:]
 
 
-def test_lazyword_geometric_growth():
-    w = LazyWord.from_function(lambda i: i % 2, 2)
-    w[0]
-    assert w.materialized_length == 64
-    w[65]
-    assert w.materialized_length == 128
-    w[129]
-    assert w.materialized_length == 256
-
-
 def test_lazyword_finite_source_errors():
     w = LazyWord.from_symbols(iter([0, 1, 0]), 2)
     assert w[1] == 1
@@ -222,22 +213,24 @@ def test_lazyword_finite_source_errors():
 
 
 def test_lazyword_repeated_reads_agree():
-    calls = []
+    pulled = []
 
-    def f(i):
-        calls.append(i)
-        return i % 5
+    def symbols():
+        for i in itertools.count():
+            pulled.append(i)
+            yield i % 5
 
-    w = LazyWord.from_function(f, 5)
+    w = LazyWord.from_symbols(symbols(), 5, chunk_size=16)
     first = [w[i] for i in range(200)]
-    count = len(calls)
+    count = len(pulled)
     second = [w[i] for i in range(200)]
     assert first == second
-    assert len(calls) == count  # cache hit, no recomputation
+    assert len(pulled) == count  # cache hit, no recomputation
 
 
 def test_lazyword_concurrent_reads_consistent():
-    w = LazyWord.from_function(lambda i: (i * i) % 7, 7)
+    # small chunks so that the readers race many extensions
+    w = LazyWord.from_symbols(((i * i) % 7 for i in itertools.count()), 7, chunk_size=16)
     expected = [(i * i) % 7 for i in range(3000)]
     results = {}
 
@@ -261,7 +254,7 @@ def test_lazyword_concurrent_reads_consistent():
 
 def test_morphism_apply_lazy_word():
     phi = tm_phi(2)
-    base = LazyWord.from_function(lambda i: i % 2, 2)
+    base = LazyWord.from_chunks(itertools.repeat([0, 1]), 2)
     image = phi.apply(base)
     # image of 0,1,0,1,... under 0->01, 1->10
     assert image.prefix(8) == [0, 1, 1, 0, 0, 1, 1, 0]
