@@ -219,14 +219,14 @@ def palindromic_prefixes(
 
 
 def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: int | None = None) -> list[int]:
-    """All start indices of a factor inside the prefix, ascending."""
+    """All start indices of a factor, over the word's alphabet, inside the prefix."""
     symbols, m = _prefix_of(word, length)
-    pat = list(pattern)
+    pat = tuple(_prefix_of(pattern, None, m)[0])
     if not pat:
         raise ValueError("pattern must be nonempty")
     if len(pat) > len(symbols):
         return []
-    if m <= 256 and max(pat, default=0) < 256:
+    if m <= 256:
         data = bytes(symbols)
         needle = bytes(pat)
         out = []
@@ -235,7 +235,7 @@ def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: 
             out.append(pos)
             pos = data.find(needle, pos + 1)
         return out
-    return [i for i in range(len(symbols) - len(pat) + 1) if symbols[i:i + len(pat)] == pat]
+    return [i for i in range(len(symbols) - len(pat) + 1) if tuple(symbols[i:i + len(pat)]) == pat]
 
 
 def predicted_011_positions(m: int, k_max: int) -> list[int]:

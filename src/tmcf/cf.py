@@ -257,17 +257,21 @@ def verify_tail_intervals(quotients: list[int], n_max: int, alpha_depth: int = 6
         raise ValueError(f"n_max={n_max} must be below alpha_depth={alpha_depth}")
     if n_max + alpha_depth + 2 > len(quotients):
         raise ValueError("not enough quotients for the requested check depth")
-    pairs = convergents(iter(quotients), alpha_depth)
-    alpha_lo, alpha_hi = bracket(pairs[-1])
-    for n in range(2, n_max + 1):
-        _, s_map = tail_transform(pairs[n - 2])
-        mapped_lo, mapped_hi = s_map.apply_interval(alpha_lo, alpha_hi)
-        reflected_lo, reflected_hi = -mapped_hi, -mapped_lo
-        tail_pairs = convergents(iter(quotients[n:]), len(quotients) - n)
-        frac_lo, frac_hi = bracket(tail_pairs[-1])
-        tail_lo, tail_hi = quotients[n - 1] + frac_lo, quotients[n - 1] + frac_hi
-        if not (reflected_lo <= tail_lo <= tail_hi <= reflected_hi):
-            return False
+    pairs = convergents(iter(quotients), len(quotients))  # validates every quotient
+    alpha_lo, alpha_hi = bracket(pairs[alpha_depth - 1])
+    # alpha_n lies between [a_n; ..., a_N] and [a_n; ..., a_{N-1}], folded
+    # back to front in one pass as num/den by [a; rest] = a + 1/[rest]
+    full, short = (quotients[-1], 1), (1, 0)
+    for n in range(len(quotients) - 1, 1, -1):
+        a = quotients[n - 1]
+        full = (a * full[0] + full[1], full[0])
+        short = (a * short[0] + short[1], short[0])
+        if n <= n_max:
+            _, s_map = tail_transform(pairs[n - 2])
+            mapped_lo, mapped_hi = s_map.apply_interval(alpha_lo, alpha_hi)
+            tail_lo, tail_hi = sorted((Fraction(*full), Fraction(*short)))
+            if not (-mapped_hi <= tail_lo <= tail_hi <= -mapped_lo):
+                return False
     return True
 
 

@@ -13,7 +13,7 @@ import sys
 from typing import IO, Iterable
 
 from . import analysis, cf, tm
-from .words import AlphabetError, ModAlphabet
+from .words import AlphabetError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -21,20 +21,22 @@ EXIT_USAGE = 2
 
 
 class Writer:
-    """Streams records in one of the three output formats."""
+    """Streams records in one of the three output formats; CSV writes a
+    header row before the first record and whenever the keys change."""
 
     def __init__(self, stream: IO[str], out_format: str):
         self.stream = stream
         self.format = out_format
-        self._csv = None
+        self._csv = csv.writer(stream, lineterminator="\n")
+        self._keys = None
 
     def emit(self, record: dict) -> None:
         if self.format == "json-lines":
             self.stream.write(json.dumps(record, sort_keys=True) + "\n")
         elif self.format == "csv":
-            if self._csv is None:
-                self._csv = csv.writer(self.stream, lineterminator="\n")
-                self._csv.writerow(record.keys())
+            if list(record) != self._keys:
+                self._keys = list(record)
+                self._csv.writerow(self._keys)
             self._csv.writerow(record.values())
         else:
             self.stream.write(" ".join(str(v) for v in record.values()) + "\n")
@@ -138,8 +140,7 @@ def cmd_complexity(args: argparse.Namespace, writer: Writer) -> int:
 
 
 def cmd_period(args: argparse.Namespace, writer: Writer) -> int:
-    prefix = tm.tm_digit_sum_sequence(args.m).prefix(args.length)
-    witness = analysis.find_period(prefix, args.a_max, args.b_max)
+    witness = analysis.find_period(tm.tm_digit_sum_sequence(args.m), args.a_max, args.b_max, args.length)
     if witness is None:
         writer.emit({"kind": "period", "found": False, "a_max": args.a_max, "b_max": args.b_max})
     else:
@@ -148,8 +149,7 @@ def cmd_period(args: argparse.Namespace, writer: Writer) -> int:
 
 
 def cmd_palindrome(args: argparse.Namespace, writer: Writer) -> int:
-    prefix = tm.tm_digit_sum_sequence(args.m).prefix(args.length)
-    ladder = analysis.palindromic_prefixes(prefix)
+    ladder = analysis.palindromic_prefixes(tm.tm_digit_sum_sequence(args.m), args.length)
     for n in ladder.indices:
         writer.emit({"kind": "palindromic_prefix", "index": n})
     writer.emit(
@@ -169,11 +169,7 @@ def cmd_patterns(args: argparse.Namespace, writer: Writer) -> int:
             pattern = [int(x) for x in args.pattern.split(",")]
         except ValueError:
             raise AlphabetError(f"bad pattern {args.pattern!r}, expected comma-separated symbols")
-        alphabet = ModAlphabet(args.m)
-        for symbol in pattern:
-            alphabet.check(symbol)
-        prefix = tm.tm_digit_sum_sequence(args.m).prefix(args.length)
-        occurrences = analysis.find_pattern(prefix, pattern)
+        occurrences = analysis.find_pattern(tm.tm_digit_sum_sequence(args.m), pattern, args.length)
         for pos in occurrences:
             writer.emit({"kind": "occurrence", "pattern": args.pattern, "index": pos})
         writer.emit({"kind": "occurrence_summary", "pattern": args.pattern, "count": len(occurrences)})
@@ -192,16 +188,15 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
     ds = tm.tm_digit_sum_sequence(m).prefix(length)
     if args.inject_flip is not None:
         ds[args.inject_flip] = (ds[args.inject_flip] + 1) % m
-    mo = tm.tm_morphic(m).prefix(length)
-    mismatch = tm.first_mismatch(ds, mo)
+    word = tm.tm_morphic(m).prefix(length)
+    mismatch = tm.first_mismatch(ds, word)
+    del ds  # the analyzers below read only the morphic prefix
     yield (
         "equivalence",
         "digit-sum and morphic constructions agree termwise",
         mismatch is None,
         f"checked {length} terms" if mismatch is None else f"first mismatch at index {mismatch}",
     )
-
-    word = mo  # the verified-equal prefix; congruence scans reuse it
     cong_len = min(length, 100_000)
     report = tm.check_congruences(m, cong_len, word)
     yield (
@@ -406,23 +401,37 @@ _COMMANDS = {
 }
 
 
+class _OutFile:
+    """The --out file, opened (and truncated) by the first write, so that a
+    run rejected before its first record leaves the file as it was."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.file = None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            self.file = open(self.path, "w", encoding="utf-8", newline="")
+            self.write = self.file.write  # later writes go straight to the file
+        return self.file.write(text)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
 
-    if args.out:
-        stream = open(args.out, "w", encoding="utf-8", newline="")
-    else:
-        stream = sys.stdout
-    writer = Writer(stream, args.format)
+    out = _OutFile(args.out) if args.out else None
     try:
-        return command(args, writer)
+        code = command(args, Writer(sys.stdout if out is None else out, args.format))
+        if out is not None:
+            out.write("")  # a run that succeeds without records still empties the file
+        return code
     except ValueError as exc:  # AlphabetError, SymbolError and AlphabetMapError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        if args.out:
-            stream.close()
+        if out is not None and out.file is not None:
+            out.file.close()
 
 
 def entry() -> None:

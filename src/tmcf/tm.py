@@ -9,6 +9,7 @@ the comparison is a genuine oracle.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,6 +20,7 @@ from .words import (
     LazyWord,
     ModAlphabet,
     Morphism,
+    SymbolError,
     value,
 )
 
@@ -190,12 +192,9 @@ def check_lemma_recursion(c: Union[FiniteWord, Sequence[int]], m: int) -> bool:
     digit sum mod m.  This is the step that ties the morphic fixed point to
     digit sums.
     """
-    alphabet = ModAlphabet(m)
-    syms = list(c)
+    syms, _ = _prefix_of(c, None, m)
     if len(syms) < 2:
         raise ValueError("digit word must have length >= 2")
-    for s in syms:
-        alphabet.check(s)
     head, last = syms[:-1], syms[-1]
     n = len(head) - 1
     image = _tm_power(m, n + 1).image(last)
@@ -230,9 +229,8 @@ def check_congruences(m: int, length: int, word: Word | None = None, max_report:
     if length < m:
         raise ValueError("length must be at least m")
     if word is None:
-        t = tm_digit_sum_sequence(m).prefix(length)
-    else:
-        t, _ = _prefix_of(word, length)
+        word = tm_digit_sum_sequence(m)
+    t, _ = _prefix_of(word, length, m)
 
     scaling = []
     for n in range(1, (length - 1) // m + 1):
@@ -278,20 +276,36 @@ def find_triple_repeat(word: Word, length: int | None = None) -> int | None:
     return None
 
 
-def _prefix_of(word: Word, length: int | None) -> tuple[list[int], int]:
-    """Materialize a prefix and report the alphabet modulus.
+def _prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Sequence[int], int]:
+    """The first `length` symbols of a word (all of a finite one) and their modulus.
 
-    Infinite words need an explicit length; for a plain sequence the
-    modulus is inferred as max(symbols) + 1, and at least 2.
+    A list or tuple that needs no cut is returned as it is, else cut by one
+    slice (an iterable that is no sequence is read, up to `length`, into a
+    list), so callers only read it.  Infinite words need a length.  A word's
+    modulus is its alphabet's and must equal a given `m`; a plain sequence's
+    is `m`, else max(symbols) + 1 and at least 2.  A symbol outside
+    {0, ..., modulus - 1} or a modulus mismatch raises SymbolError.
     """
     if isinstance(word, TmSequence):
         word = word.word
     if isinstance(word, LazyWord):
         if length is None:
             raise ValueError("an explicit prefix length is required for infinite words")
-        return word.prefix(length), word.alphabet.m
-    if isinstance(word, FiniteWord):
-        syms = list(word.symbols if length is None else word.symbols[:length])
-        return syms, word.alphabet.m
-    syms = list(word if length is None else word[:length])
-    return syms, max(max(syms, default=0) + 1, 2)
+        symbols, own = word.prefix(length), word.alphabet.m
+    elif isinstance(word, FiniteWord):
+        symbols, own = word.symbols, word.alphabet.m
+    else:
+        symbols, own = word, None
+        if not isinstance(word, Sequence):
+            symbols = list(itertools.islice(word, length))
+    if length is not None and length < len(symbols):
+        symbols = symbols[:length]
+    if own is None:
+        present = set(symbols)  # one pass, cheaper than min() and max()
+        alphabet = ModAlphabet(max(max(present, default=0) + 1, 2) if m is None else m)
+        for s in present:
+            alphabet.check(s)
+        own = alphabet.m
+    elif m is not None and m != own:
+        raise SymbolError(f"word over modulus {own} where modulus {m} was given")
+    return symbols, own

@@ -117,22 +117,6 @@ def value(word: Union[FiniteWord, Sequence[int]], m: int) -> int:
     return total
 
 
-def subword(word: Union[FiniteWord, "LazyWord", Sequence[int]], j1: int, j2: int) -> FiniteWord:
-    """The half-open factor w_{j1} ... w_{j2 - 1}; subword(w, j, j) is empty."""
-    if j1 < 0 or j2 < j1:
-        raise WordRangeError(f"invalid range [{j1}:{j2})")
-    if isinstance(word, LazyWord):
-        return word[j1:j2]
-    if isinstance(word, FiniteWord):
-        if j2 > len(word):
-            raise WordRangeError(f"range [{j1}:{j2}) exceeds word length {len(word)}")
-        return word[j1:j2]
-    if j2 > len(word):
-        raise WordRangeError(f"range [{j1}:{j2}) exceeds word length {len(word)}")
-    inferred = max(word, default=0) + 1 if word else 2
-    return FiniteWord(word[j1:j2], ModAlphabet(max(2, inferred)))
-
-
 class LazyWord:
     """A right-infinite word materialized on demand.
 
@@ -173,10 +157,6 @@ class LazyWord:
     def m(self) -> int:
         return self.alphabet.m
 
-    @property
-    def materialized_length(self) -> int:
-        return len(self._cache)
-
     def _materialize(self, n: int) -> None:
         with self._lock:
             # chunk sources batch on their own; pull only what is needed
@@ -191,6 +171,7 @@ class LazyWord:
                     ) from None
 
     def __getitem__(self, key):
+        """A symbol, or for a slice [i:j] with 0 <= i <= j the symbols as a list."""
         if isinstance(key, slice):
             if key.step not in (None, 1):
                 raise WordRangeError("LazyWord slices must have step 1")
@@ -199,8 +180,9 @@ class LazyWord:
                 raise WordRangeError("LazyWord slices need a finite stop")
             if start < 0 or key.stop < start:
                 raise WordRangeError(f"invalid range [{start}:{key.stop})")
-            self._materialize(key.stop)
-            return FiniteWord(self._cache[start:key.stop], self.alphabet)
+            if key.stop > len(self._cache):
+                self._materialize(key.stop)
+            return self._cache[start:key.stop]
         if key < 0:
             raise WordRangeError("LazyWord has no negative indices")
         if key >= len(self._cache):
@@ -208,12 +190,8 @@ class LazyWord:
         return self._cache[key]
 
     def prefix(self, n: int) -> list[int]:
-        """The first n symbols as a plain list."""
-        if n < 0:
-            raise WordRangeError("prefix length must be nonnegative")
-        if n > len(self._cache):
-            self._materialize(n)
-        return self._cache[:n]
+        """The first n symbols: the same list as self[0:n]."""
+        return self[0:n]
 
     def __repr__(self) -> str:
         head = self._cache[:8]
@@ -241,12 +219,11 @@ class Morphism:
                 raise SymbolError(f"expected {m} images, got {len(seq)}")
         built = []
         for img in seq:
-            if isinstance(img, FiniteWord):
-                if img.alphabet.m != m:
-                    raise SymbolError("image word over a different alphabet")
-                built.append(img)
-            else:
-                built.append(FiniteWord(img, alphabet))
+            if not isinstance(img, FiniteWord):
+                img = FiniteWord(img, alphabet)
+            if img.alphabet.m != m:
+                raise SymbolError("image word over a different alphabet")
+            built.append(img)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "images", tuple(built))
 
@@ -287,16 +264,12 @@ class Morphism:
                     yield image_symbols[word[i]]
 
             return LazyWord.from_chunks(chunks(), self.m)
-        if isinstance(word, FiniteWord):
-            if word.alphabet.m != self.m:
-                raise SymbolError("word alphabet does not match morphism alphabet")
-            syms = word.symbols
-        else:
-            syms = tuple(word)
-            for s in syms:
-                self.alphabet.check(s)
+        if not isinstance(word, FiniteWord):
+            word = FiniteWord(word, self.alphabet)
+        if word.alphabet.m != self.m:
+            raise SymbolError("word alphabet does not match morphism alphabet")
         out: list[int] = []
-        for s in syms:
+        for s in word.symbols:
             out.extend(self.images[s].symbols)
         return FiniteWord(out, self.alphabet)
 

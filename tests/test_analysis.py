@@ -15,7 +15,7 @@ from tmcf.analysis import (
     verify_complexity_surjection,
 )
 from tmcf.tm import tm_digit_sum_sequence, tm_morphic
-from tmcf.words import WordRangeError
+from tmcf.words import SymbolError, WordRangeError
 
 
 def test_automaton_membership():
@@ -165,6 +165,12 @@ def test_find_pattern():
     assert find_pattern(word, [0, 1, 1], length=2) == []
     with pytest.raises(ValueError):
         find_pattern(word, [])
+    # the pattern must be over the word's alphabet
+    with pytest.raises(SymbolError, match="symbol -1"):
+        find_pattern([0, 1, 0], [-1])
+    with pytest.raises(SymbolError, match="symbol 3"):
+        find_pattern(tm_digit_sum_sequence(3), [0, 3], length=100)
+    assert find_pattern(tm_digit_sum_sequence(3), [2, 0], length=2) == []
 
 
 def test_find_pattern_matches_naive_scan():

@@ -268,6 +268,44 @@ def test_tail_intervals_need_n_max_below_alpha_depth():
         verify_tail_intervals(quots, 60)
 
 
+def tail_intervals_from_scratch(quots, n_max, alpha_depth):
+    """verify_tail_intervals recomputed per n from nested-fraction folds:
+    alpha's bracket is mapped to alpha_n by the exact inverse
+    alpha_n = (p_{n-2} - q_{n-2} alpha) / (q_{n-1} alpha - p_{n-1}), and
+    alpha_n's own bracket comes from folding all remaining quotients."""
+    def convergent(k):
+        return Fraction(0) if k == 0 else oracle_cf_value(quots[:k])
+
+    ends = (convergent(alpha_depth - 1), convergent(alpha_depth))
+    for n in range(2, n_max + 1):
+        p2, q2 = convergent(n - 2).as_integer_ratio()
+        p1, q1 = convergent(n - 1).as_integer_ratio()
+        mapped = [(p2 - q2 * x) / (q1 * x - p1) for x in ends]
+        tail = [quots[n - 1] + oracle_cf_value(quots[n:stop]) for stop in (-1, None)]
+        if not min(mapped) <= min(tail) <= max(tail) <= max(mapped):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("length, n_max, alpha_depth", [(300, 50, 60), (120, 10, 20), (90, 29, 30), (40, 2, 3)])
+def test_tail_intervals_match_a_per_n_recomputation(length, n_max, alpha_depth):
+    rng = random.Random(length)
+    for quots in (
+        list(itertools.islice(tm_quotients(2), length)),
+        list(itertools.islice(tm_quotients(3, AlphabetMap(3, (5, 1, 2))), length)),
+        [rng.randint(1, 9) for _ in range(length)],
+    ):
+        expected = tail_intervals_from_scratch(quots, n_max, alpha_depth)
+        assert verify_tail_intervals(quots, n_max, alpha_depth) == expected
+
+
+def test_tail_intervals_validate_every_quotient():
+    quots = list(itertools.islice(tm_quotients(2), 300))
+    quots[-1] = 0
+    with pytest.raises(ValueError, match="a_300"):
+        verify_tail_intervals(quots, 50)
+
+
 def test_tail_value_folds_back_to_alpha():
     quots = list(itertools.islice(tm_quotients(2), 300))
     alpha_lo, alpha_hi = bracket(convergents(iter(quots), 60)[-1])

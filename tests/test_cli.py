@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -208,6 +209,12 @@ def test_patterns_rejects_symbols_outside_the_alphabet(capsys):
     assert code == 2
     assert out == ""
     assert "symbol 7" in err
+    # a symbol of the alphabet is accepted even where the prefix lacks it
+    code, out, _ = run_cli(
+        capsys, "patterns", "--m", "3", "--len", "2", "--pattern", "2,0", "--format", "json-lines"
+    )
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["count"] == 0
 
 
 @pytest.mark.parametrize(
@@ -223,11 +230,27 @@ def test_patterns_rejects_symbols_outside_the_alphabet(capsys):
         (["verify-all", "--m", "2", "--len", "100", "--map", "0:1,1:1"], "injective"),
     ],
 )
-def test_bad_arguments_rejected_before_any_record(capsys, argv, reason):
+def test_bad_arguments_rejected_before_any_record(capsys, tmp_path, argv, reason):
     code, out, err = run_cli_exit(capsys, *argv)
     assert code == 2
     assert out == ""
     assert reason in err
+    # nor is an existing --out file opened, so it keeps its bytes
+    target = tmp_path / "kept.txt"
+    target.write_bytes(b"earlier output\n")
+    code, _, err = run_cli_exit(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert reason in err
+    assert target.read_bytes() == b"earlier output\n"
+
+
+def test_out_file_emptied_by_a_run_without_records(tmp_path, capsys):
+    target = tmp_path / "none.txt"
+    target.write_text("earlier output\n")
+    code, out, _ = run_cli(capsys, "patterns", "--m", "2", "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_text() == ""
 
 
 def test_verify_all_shortest_lengths_pass(capsys):
@@ -289,3 +312,30 @@ def test_cf_csv_does_not_crash(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "kind,n,p,q"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complexity", "--m", "2", "--len", "64", "--n-max", "4"],
+        ["cf", "--m", "2", "--convergents", "3", "--digits", "4"],
+        ["palindrome", "--m", "2", "--len", "64"],
+        ["patterns", "--m", "3", "--len", "300", "--pattern", "0,1,1", "--k-max", "4"],
+    ],
+)
+def test_csv_rows_match_the_header_above_them(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0][0] == "kind"
+    header, records = None, []
+    for row in rows:
+        if row[0] == "kind":
+            header = row
+        else:
+            assert len(row) == len(header), (header, row)
+            records.append(dict(zip(header, row)))
+    # the same records, field by field, as the json-lines output
+    _, out, _ = run_cli(capsys, *argv, "--format", "json-lines")
+    expected = [json.loads(line) for line in out.splitlines()]
+    assert records == [{k: str(v) for k, v in r.items()} for r in expected]

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import oracle_digit_sum, oracle_tm2
 from tmcf.tm import (
+    _prefix_of,
     check_congruences,
     check_lemma_recursion,
     digit_sum_stream,
@@ -16,7 +17,7 @@ from tmcf.tm import (
     tm_morphism,
     verify_equivalence,
 )
-from tmcf.words import AlphabetError
+from tmcf.words import AlphabetError, FiniteWord, ModAlphabet, SymbolError
 
 
 def test_tm_digit_sum_examples():
@@ -78,7 +79,8 @@ def test_tm_morphism_images():
 
 def test_tm_morphic_prefixes():
     assert tm_morphic(2).prefix(16) == [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]
-    assert tm_morphic(3).prefix(12) == [0, 1, 2, 1, 2, 0, 2, 0, 1, 1, 2, 0]
+    w = tm_morphic(3)
+    assert w[0:12] == w.prefix(12) == [0, 1, 2, 1, 2, 0, 2, 0, 1, 1, 2, 0]
     assert tm_morphic(5)[0] == 0
 
 
@@ -143,6 +145,33 @@ def test_congruences_flag_corruption():
     word[600] = (word[600] + 2) % m
     report = check_congruences(m, 5000, word)
     assert not report.all_hold
+
+
+def test_congruences_reject_a_word_over_another_alphabet():
+    with pytest.raises(SymbolError):
+        check_congruences(5, 1000, tm_digit_sum_sequence(2))
+    with pytest.raises(SymbolError, match="symbol 3"):
+        check_congruences(3, 10, [0, 1, 2, 3, 1, 2, 0, 2, 0, 1])
+
+
+def test_prefix_of_reads_in_place():
+    symbols = [0, 1, 1, 0, 1]
+    for length in (None, 5, 9):
+        assert _prefix_of(symbols, length)[0] is symbols
+    assert _prefix_of(symbols, 3) == ([0, 1, 1], 2)
+    word = FiniteWord(symbols, ModAlphabet(3))
+    assert _prefix_of(word, None) == (word.symbols, 3)
+    assert _prefix_of(word, None)[0] is word.symbols
+    assert _prefix_of(tm_morphic(3), 4, 3) == ([0, 1, 2, 1], 3)
+    # the caller's modulus, or the largest symbol + 1 and at least 2
+    assert _prefix_of(symbols, None, 5) == (symbols, 5)
+    assert _prefix_of([0, 0], None) == ([0, 0], 2)
+    # an iterable that is no sequence is read once, up to the length
+    assert _prefix_of(iter([0, 2, 0]), None) == ([0, 2, 0], 3)
+    assert _prefix_of(itertools.count(), 4) == ([0, 1, 2, 3], 4)
+    for bad, m in (([0, 3], 3), ([0, -1], None), (word, 2), (tm_morphic(2), 3)):
+        with pytest.raises(SymbolError):
+            _prefix_of(bad, 2, m)
 
 
 def test_no_triple_repeat():

@@ -13,7 +13,6 @@ from tmcf.words import (
     SymbolError,
     WordRangeError,
     digits,
-    subword,
     value,
 )
 
@@ -62,21 +61,6 @@ def test_round_trip_random_large():
             assert value(digits(n, m), m) == n
 
 
-def test_subword_half_open():
-    w = FiniteWord([0, 1, 1, 0], ModAlphabet(2))
-    assert list(subword(w, 1, 3)) == [1, 1]
-    assert len(subword(w, 2, 2)) == 0
-    with pytest.raises(WordRangeError):
-        subword(w, 1, 5)
-    with pytest.raises(WordRangeError):
-        subword(w, 3, 2)
-
-
-def test_subword_of_lazy_word():
-    phi = tm_phi(2)
-    assert list(subword(phi.fixed_point(0), 0, 4)) == [0, 1, 1, 0]
-
-
 def test_finite_word_concat_and_equality():
     a2 = ModAlphabet(2)
     u = FiniteWord([0, 1], a2)
@@ -84,6 +68,9 @@ def test_finite_word_concat_and_equality():
     assert list(u + v) == [0, 1, 1, 0]
     assert u + v == FiniteWord([0, 1, 1, 0], a2)
     assert hash(u) == hash(FiniteWord([0, 1], ModAlphabet(2)))
+    w = u + v
+    assert w[1:3] == FiniteWord([1, 1], a2)
+    assert len(w[2:2]) == 0
     with pytest.raises(SymbolError):
         FiniteWord([0, 2], a2)
 
@@ -195,7 +182,8 @@ def test_fixed_point_is_invariant_under_apply():
 def test_lazyword_from_chunks_and_slicing():
     w = LazyWord.from_chunks(itertools.repeat([0, 1, 2]), 3)
     assert w[5] == 2
-    assert list(w[0:6]) == [0, 1, 2, 0, 1, 2]
+    assert w[0:6] == [0, 1, 2, 0, 1, 2]
+    assert w[2:2] == []
     assert w.prefix(4) == [0, 1, 2, 0]
     with pytest.raises(WordRangeError):
         w[-1]
