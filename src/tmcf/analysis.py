@@ -6,6 +6,7 @@ analyses can run concurrently over the same sequence.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,6 +24,11 @@ class SuffixAutomaton:
     so distinct-factor counts per length fall out of a difference array.
     Being an exact structure (no hashing), counts are collision-free by
     construction.
+
+    It is the reference that the window count in `complexity` is tested
+    against, and the path `complexity` takes when the input rules the
+    windows out.  It holds a dict per state, about 470 bytes per symbol
+    of a TM_2 prefix.
     """
 
     __slots__ = ("maxlen", "link", "trans", "last")
@@ -112,17 +118,70 @@ class ComplexityProfile:
         return max(Fraction(p, n) for n, p in self.table.items())
 
 
-def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityProfile:
-    """Exact p(n) for 1 <= n <= n_max over a prefix, via suffix automaton.
+# Windows longer than this cost more to copy and hash, one per position,
+# than the automaton's work per symbol.  On a constant word, the automaton's
+# cheapest input, the windows overtook it between n_max = 1000 and 1200 at
+# 10^6 symbols (0.83 s and 1.02 s against 0.96 s); 512 keeps a margin.
+_WINDOW_MAX = 512
 
-    Linear-size structure, so a 10^6 prefix with n_max in the thousands
-    stays interactive; `complexity_naive` is the quadratic cross-check.
+
+def _window_counts(symbols: Sequence[int], m: int, n_max: int) -> list[int] | None:
+    """counts[n] for 1 <= n <= n_max from the distinct length-n_max windows.
+
+    Every factor of length n <= n_max is a prefix of a window of length
+    n_max or of one of the last n_max - 1 suffixes.  In sorted order each
+    of those strings adds one new factor for each n in (lcp with its
+    predecessor, its length].  The count is exact.
+
+    Returns None when the input rules the windows out: an alphabet of more
+    than 256 symbols, n_max above _WINDOW_MAX, or distinct windows that
+    fill more than 7/8 of 8 bytes per symbol, what the caller's list of
+    symbols costs.  The windows are collected in chunks no larger than the room
+    left under 8 bytes per symbol, so no chunk overshoots it, and no
+    smaller than an eighth of it, so a word near the limit takes few chunks.
+    """
+    length = len(symbols)
+    room = 8 * length // n_max - (n_max - 1)  # the suffixes take n_max - 1 slots
+    if m > 256 or n_max > _WINDOW_MAX or room < 1:
+        return None
+    data = bytes(symbols)
+    windows: set[bytes] = set()
+    starts = length - n_max + 1
+    start = 0
+    while start < starts:
+        stop = min(starts, start + room - len(windows))
+        windows.update(map(data.__getitem__, map(slice, range(start, stop), range(start + n_max, stop + n_max))))
+        if 8 * len(windows) > 7 * room:
+            return None
+        start = stop
+    windows.update(data[i:] for i in range(starts, length))
+
+    diff = [0] * (n_max + 2)
+    prev = b""
+    for w in sorted(windows):
+        k = min(len(prev), len(w))
+        differ = int.from_bytes(prev[:k], "big") ^ int.from_bytes(w[:k], "big")
+        diff[k - (differ.bit_length() + 7) // 8 + 1] += 1
+        diff[len(w) + 1] -= 1
+        prev = w
+    return list(itertools.accumulate(diff[:n_max + 1]))
+
+
+def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityProfile:
+    """Exact p(n) for 1 <= n <= n_max over a prefix.
+
+    Counts the distinct factors from the distinct length-n_max windows of
+    the prefix; a Thue-Morse prefix has few of them, so a 10^6 prefix at
+    n_max = 200 takes a few MB beyond its symbols.  Falls back to a
+    `SuffixAutomaton` when the input rules the windows out (see
+    `_window_counts`).  `complexity_naive` is the quadratic cross-check.
     """
     symbols, m = _prefix_of(word, length)
     if not 1 <= n_max <= len(symbols):
         raise WordRangeError(f"n_max must be in [1, {len(symbols)}], got {n_max}")
-    sa = SuffixAutomaton(symbols)
-    counts = sa.factor_counts(n_max)
+    counts = _window_counts(symbols, m, n_max)
+    if counts is None:
+        counts = SuffixAutomaton(symbols).factor_counts(n_max)
     table = {n: counts[n] for n in range(1, n_max + 1)}
     bound = m ** 3
     violations = tuple(n for n, p in table.items() if p > bound * n)

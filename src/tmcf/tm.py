@@ -21,6 +21,7 @@ from .words import (
     ModAlphabet,
     Morphism,
     SymbolError,
+    WordRangeError,
     value,
 )
 
@@ -149,13 +150,17 @@ class EquivalenceReport:
 
 
 def first_mismatch(a: Sequence[int], b: Sequence[int]) -> int | None:
-    """Index of the first disagreement between two equal-length prefixes."""
-    if list(a) == list(b):
+    """Index of the first disagreement between two prefixes, or None if they are equal.
+
+    Compares in place, so a list and a tuple with the same terms are equal;
+    when one is a proper prefix of the other they disagree at its end.
+    """
+    if a == b:
         return None
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
             return i
-    return min(len(a), len(b))
+    return None if len(a) == len(b) else min(len(a), len(b))
 
 
 def verify_equivalence(
@@ -231,6 +236,8 @@ def check_congruences(m: int, length: int, word: Word | None = None, max_report:
     if word is None:
         word = tm_digit_sum_sequence(m)
     t, _ = _prefix_of(word, length, m)
+    if len(t) < length:
+        raise WordRangeError(f"length {length} exceeds the word's {len(t)} symbols")
 
     scaling = []
     for n in range(1, (length - 1) // m + 1):

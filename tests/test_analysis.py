@@ -1,9 +1,13 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_complexity
+from tmcf import analysis
 from tmcf.analysis import (
     SuffixAutomaton,
     complexity,
@@ -47,6 +51,70 @@ def test_complexity_against_naive_tm_words():
         profile = complexity(word, 50)
         naive = complexity_naive(word, 50)
         assert all(profile.p(n) == naive[n] for n in range(1, 51))
+
+
+def _automaton_counts(word, n_max):
+    counts = SuffixAutomaton(word).factor_counts(n_max)
+    return {n: counts[n] for n in range(1, n_max + 1)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_complexity_matches_automaton_and_naive(data):
+    m = data.draw(st.sampled_from((2, 3, 5)))
+    # repeating a drawn block gives low-complexity words, which take the
+    # windows path more often than uniform ones
+    block = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=80))
+    word = block * data.draw(st.integers(1, 4))
+    n_max = data.draw(st.integers(1, len(word)))
+    table = complexity(word, n_max).table
+    assert table == _automaton_counts(word, n_max)
+    assert table == complexity_naive(word, n_max)
+
+
+@pytest.fixture
+def automaton_calls(monkeypatch):
+    """Lengths of the words `complexity` hands to a SuffixAutomaton."""
+    calls = []
+
+    def recording(symbols):
+        calls.append(len(symbols))
+        return SuffixAutomaton(symbols)
+
+    monkeypatch.setattr(analysis, "SuffixAutomaton", recording)
+    return calls
+
+
+def test_complexity_paths_on_both_sides_of_the_window_budget(automaton_calls):
+    rng = random.Random(7)
+    cases = [  # (word, n_max, counted from the windows)
+        (tm_morphic(2).prefix(30_000), 100, True),
+        (tm_digit_sum_sequence(3).prefix(30_000), 60, True),
+        (tm_morphic(5).prefix(30_000), 60, True),
+        ([1] * 3000, 100, True),
+        ([rng.randrange(2) for _ in range(5000)], 200, False),
+        ([1] * 50_000, 600, False),                   # n_max above the window cap
+        ([256, 0, 1, 0, 256, 2] * 50, 20, False),     # m = 257: bytes cannot hold it
+    ]
+    for word, n_max, windows in cases:
+        automaton_calls.clear()
+        table = complexity(word, n_max).table
+        assert automaton_calls == ([] if windows else [len(word)]), (len(word), n_max)
+        assert table == _automaton_counts(word, n_max)
+        if len(word) <= 3000:
+            assert table == complexity_naive(word, n_max)
+
+
+def test_complexity_memory_stays_near_the_prefix():
+    tracemalloc.start()
+    try:
+        complexity(tm_morphic(2), 200, length=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Building the 200 000-symbol prefix alone peaks at ~3.1 MB and its 654
+    # distinct windows add ~0.4 MB; a suffix automaton takes ~90 MB here.
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_tm2_low_order_complexity_frozen():

@@ -17,7 +17,7 @@ from tmcf.tm import (
     tm_morphism,
     verify_equivalence,
 )
-from tmcf.words import AlphabetError, FiniteWord, ModAlphabet, SymbolError
+from tmcf.words import AlphabetError, FiniteWord, ModAlphabet, SymbolError, WordRangeError
 
 
 def test_tm_digit_sum_examples():
@@ -87,6 +87,9 @@ def test_tm_morphic_prefixes():
 def test_first_mismatch():
     assert first_mismatch([0, 1, 2], [0, 1, 2]) is None
     assert first_mismatch([0, 1, 2], [0, 2, 2]) == 1
+    assert first_mismatch((0, 1), [0, 1]) is None
+    assert first_mismatch((0, 1), [0, 2]) == 1
+    assert first_mismatch([0, 1], [0, 1, 0]) == 2
 
 
 def test_verify_equivalence_small_and_corrupt():
@@ -152,6 +155,11 @@ def test_congruences_reject_a_word_over_another_alphabet():
         check_congruences(5, 1000, tm_digit_sum_sequence(2))
     with pytest.raises(SymbolError, match="symbol 3"):
         check_congruences(3, 10, [0, 1, 2, 3, 1, 2, 0, 2, 0, 1])
+
+
+def test_congruences_reject_a_word_shorter_than_length():
+    with pytest.raises(WordRangeError, match=r"length 10 .* 4 symbols"):
+        check_congruences(2, 10, [0, 1, 1, 0])
 
 
 def test_prefix_of_reads_in_place():
