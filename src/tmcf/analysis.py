@@ -26,9 +26,9 @@ class SuffixAutomaton:
     construction.
 
     It is the reference that the window count in `complexity` is tested
-    against, and the path `complexity` takes when the input rules the
-    windows out.  It holds a dict per state, about 470 bytes per symbol
-    of a TM_2 prefix.
+    against, and the path `complexity` takes above 256 symbols or above
+    n_max = _WINDOW_MAX.  It holds a dict per state, 460-600 bytes per
+    symbol of a 10^6 prefix (TM_2, TM_256, a random binary word).
     """
 
     __slots__ = ("maxlen", "link", "trans", "last")
@@ -118,42 +118,25 @@ class ComplexityProfile:
         return max(Fraction(p, n) for n, p in self.table.items())
 
 
-# Windows longer than this cost more to copy and hash, one per position,
-# than the automaton's work per symbol.  On a constant word, the automaton's
-# cheapest input, the windows overtook it between n_max = 1000 and 1200 at
-# 10^6 symbols (0.83 s and 1.02 s against 0.96 s); 512 keeps a margin.
-_WINDOW_MAX = 512
+# Above this n_max the windows can cost more than the automaton.  They cost
+# most on a word whose windows are all distinct: on a random binary word of
+# 10^6 symbols they took as long as the automaton near n_max = 320-400 and
+# as much memory near 490 (n_max + ~75 bytes per symbol, against ~570); at
+# 256 they took 4.7-5.4 s and 339 MB against 5.4-5.8 s and 567 MB.
+_WINDOW_MAX = 256
 
 
-def _window_counts(symbols: Sequence[int], m: int, n_max: int) -> list[int] | None:
+def _window_counts(data: bytes, n_max: int) -> list[int]:
     """counts[n] for 1 <= n <= n_max from the distinct length-n_max windows.
 
     Every factor of length n <= n_max is a prefix of a window of length
     n_max or of one of the last n_max - 1 suffixes.  In sorted order each
     of those strings adds one new factor for each n in (lcp with its
     predecessor, its length].  The count is exact.
-
-    Returns None when the input rules the windows out: an alphabet of more
-    than 256 symbols, n_max above _WINDOW_MAX, or distinct windows that
-    fill more than 7/8 of 8 bytes per symbol, what the caller's list of
-    symbols costs.  The windows are collected in chunks no larger than the room
-    left under 8 bytes per symbol, so no chunk overshoots it, and no
-    smaller than an eighth of it, so a word near the limit takes few chunks.
     """
-    length = len(symbols)
-    room = 8 * length // n_max - (n_max - 1)  # the suffixes take n_max - 1 slots
-    if m > 256 or n_max > _WINDOW_MAX or room < 1:
-        return None
-    data = bytes(symbols)
-    windows: set[bytes] = set()
+    length = len(data)
     starts = length - n_max + 1
-    start = 0
-    while start < starts:
-        stop = min(starts, start + room - len(windows))
-        windows.update(map(data.__getitem__, map(slice, range(start, stop), range(start + n_max, stop + n_max))))
-        if 8 * len(windows) > 7 * room:
-            return None
-        start = stop
+    windows = set(map(data.__getitem__, map(slice, range(starts), range(n_max, length + 1))))
     windows.update(data[i:] for i in range(starts, length))
 
     diff = [0] * (n_max + 2)
@@ -172,15 +155,17 @@ def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityP
 
     Counts the distinct factors from the distinct length-n_max windows of
     the prefix; a Thue-Morse prefix has few of them, so a 10^6 prefix at
-    n_max = 200 takes a few MB beyond its symbols.  Falls back to a
-    `SuffixAutomaton` when the input rules the windows out (see
-    `_window_counts`).  `complexity_naive` is the quadratic cross-check.
+    n_max = 200 takes a few MB beyond its symbols.  A word over more than
+    256 symbols, or n_max above _WINDOW_MAX, is counted by a
+    `SuffixAutomaton` instead.  `complexity_naive` is the quadratic
+    cross-check.
     """
     symbols, m = _prefix_of(word, length)
     if not 1 <= n_max <= len(symbols):
         raise WordRangeError(f"n_max must be in [1, {len(symbols)}], got {n_max}")
-    counts = _window_counts(symbols, m, n_max)
-    if counts is None:
+    if m <= 256 and n_max <= _WINDOW_MAX:
+        counts = _window_counts(bytes(symbols), n_max)
+    else:
         counts = SuffixAutomaton(symbols).factor_counts(n_max)
     table = {n: counts[n] for n in range(1, n_max + 1)}
     bound = m ** 3

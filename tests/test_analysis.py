@@ -62,8 +62,8 @@ def _automaton_counts(word, n_max):
 @given(st.data())
 def test_complexity_matches_automaton_and_naive(data):
     m = data.draw(st.sampled_from((2, 3, 5)))
-    # repeating a drawn block gives low-complexity words, which take the
-    # windows path more often than uniform ones
+    # a repeated block gives low-complexity words as well as uniform ones;
+    # n_max reaches past the window cap on the longer words
     block = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=80))
     word = block * data.draw(st.integers(1, 4))
     n_max = data.draw(st.integers(1, len(word)))
@@ -85,15 +85,19 @@ def automaton_calls(monkeypatch):
     return calls
 
 
-def test_complexity_paths_on_both_sides_of_the_window_budget(automaton_calls):
+def test_complexity_paths_on_both_sides_of_the_window_cap(automaton_calls):
+    cap = analysis._WINDOW_MAX
     rng = random.Random(7)
+    noise = [rng.randrange(2) for _ in range(5000)]
     cases = [  # (word, n_max, counted from the windows)
         (tm_morphic(2).prefix(30_000), 100, True),
         (tm_digit_sum_sequence(3).prefix(30_000), 60, True),
         (tm_morphic(5).prefix(30_000), 60, True),
         ([1] * 3000, 100, True),
-        ([rng.randrange(2) for _ in range(5000)], 200, False),
-        ([1] * 50_000, 600, False),                   # n_max above the window cap
+        (noise, 200, True),                           # every window distinct
+        (noise, cap, True),
+        (noise, cap + 1, False),                      # n_max above the window cap
+        ([1] * 3000, cap + 1, False),
         ([256, 0, 1, 0, 256, 2] * 50, 20, False),     # m = 257: bytes cannot hold it
     ]
     for word, n_max, windows in cases:
