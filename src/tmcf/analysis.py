@@ -10,7 +10,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .tm import Word, _prefix_of, tm_digit_sum, tm_digit_sum_sequence, tm_morphism
 from .words import FiniteWord, WordRangeError
@@ -236,30 +236,54 @@ def palindromic_prefixes(
 ) -> PalindromeLadder:
     """All palindromic prefix ends below the prefix length.
 
-    Direct two-pointer checks with early exit per candidate end; on the
-    sparse ladders this stays near-linear.  `work_cap` bounds total symbol
-    comparisons for adversarial (e.g. constant) inputs; when it trips, the
-    ladder is truncated and marked incomplete.
+    Scans packed bytes (m <= 256): an end n >= _HEAD - 1 can close a
+    palindrome only where the reversed head, the first _HEAD symbols
+    backwards, ends at n, and `bytes.find` lists those places.  Each
+    candidate is then confirmed by comparing its first k symbols with its
+    last k reversed, for k doubling up to half its length, so a false
+    candidate costs about twice its agreement with the head.  Over more
+    than 256 symbols every end is a candidate.  `work_cap` bounds the
+    total symbols compared, so a constant word, where every end is a
+    palindrome, stops early; the ladder is then truncated and marked
+    incomplete.
     """
-    symbols, _ = _prefix_of(word, length)
+    symbols, m = _prefix_of(word, length)
+    data = bytes(symbols) if m <= 256 else symbols
     found = []
     budget = work_cap if work_cap is not None else -1
-    for n in range(len(symbols)):
-        k, j = 0, n
+    for n, k in _palindrome_candidates(data):
+        half = (n + 1) // 2
+        cost = 0
         ok = True
-        while k < j:
-            if symbols[k] != symbols[j]:
-                ok = False
-                break
-            k += 1
-            j -= 1
+        while ok and k < half:
+            k = min(2 * k or 1, half)
+            cost += k
+            ok = data[:k] == data[n:n - k:-1]  # n - k >= 0, since k <= half <= n
         if work_cap is not None:
-            budget -= (k if ok else k + 1) or 1
+            budget -= cost or 1
             if budget < 0:
                 return PalindromeLadder(tuple(found), n, complete=False)
         if ok:
             found.append(n)
-    return PalindromeLadder(tuple(found), len(symbols), complete=True)
+    return PalindromeLadder(tuple(found), len(data), complete=True)
+
+
+# Length of the reversed head that `palindromic_prefixes` looks for.
+_HEAD = 64
+
+
+def _palindrome_candidates(data: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Yield (n, k) in ascending n for every end n that may close a
+    palindromic prefix, with k symbols of it already known to match."""
+    if not isinstance(data, bytes) or len(data) < _HEAD:
+        yield from ((n, 0) for n in range(len(data)))
+        return
+    yield from ((n, 0) for n in range(_HEAD - 1))
+    reversed_head = data[_HEAD - 1::-1]
+    pos = data.find(reversed_head)
+    while pos >= 0:
+        yield pos + _HEAD - 1, _HEAD
+        pos = data.find(reversed_head, pos + 1)
 
 
 def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: int | None = None) -> list[int]:

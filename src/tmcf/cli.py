@@ -1,7 +1,8 @@
 """Command-line front end: sequence generation, analyzers, continued
 fractions, and a one-shot verification suite with machine-readable output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error (any other exception, reported in one line without a traceback).
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .words import AlphabetError
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class Writer:
@@ -184,13 +186,15 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
     """Yield (suite, property, passed, detail) for every check in the run."""
     m, length = args.m, args.length
 
-    # Termwise agreement of the two constructions.
-    ds = tm.tm_digit_sum_sequence(m).prefix(length)
+    # Termwise agreement of the two constructions, compared as packed
+    # prefixes (bytes for m <= 256); the analyzers below read only `morphic`.
+    morphic = tm.tm_morphic(m)
+    ds = tm.tm_digit_sum_sequence(m).word.symbols(length)
     if args.inject_flip is not None:
+        ds = bytearray(ds) if m <= 256 else ds  # a list is already a copy
         ds[args.inject_flip] = (ds[args.inject_flip] + 1) % m
-    word = tm.tm_morphic(m).prefix(length)
-    mismatch = tm.first_mismatch(ds, word)
-    del ds  # the analyzers below read only the morphic prefix
+    mismatch = tm.first_mismatch(ds, morphic.word.symbols(length))
+    del ds
     yield (
         "equivalence",
         "digit-sum and morphic constructions agree termwise",
@@ -198,7 +202,7 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
         f"checked {length} terms" if mismatch is None else f"first mismatch at index {mismatch}",
     )
     cong_len = min(length, 100_000)
-    report = tm.check_congruences(m, cong_len, word)
+    report = tm.check_congruences(m, cong_len, morphic)
     yield (
         "congruences",
         "index scaling, unit steps, and block offsets all hold",
@@ -207,7 +211,7 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
         if report.all_hold
         else f"violations: {report.scaling_violations[:3]} {report.step_violations[:3]} {report.block_violations[:3]}",
     )
-    triple = tm.find_triple_repeat(word, length)
+    triple = tm.find_triple_repeat(morphic, length)
     yield (
         "congruences",
         "no three consecutive equal terms",
@@ -229,7 +233,7 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
 
     a_max = min(args.a_max, max(0, (length - 1) // 4))
     b_max = min(args.b_max, max(1, (length - a_max - 2) // 2 - 1))
-    witness = analysis.find_period(word, a_max, b_max)
+    witness = analysis.find_period(morphic, a_max, b_max, length)
     yield (
         "aperiodicity",
         f"no eventual period with preperiod <= {a_max}, period <= {b_max}",
@@ -240,7 +244,7 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
     )
 
     if m == 2:
-        ladder = analysis.palindromic_prefixes(word)
+        ladder = analysis.palindromic_prefixes(morphic, length)
         got = [n for n in ladder.indices if n >= 3]
         expected = []
         power = 4
@@ -254,7 +258,7 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
             f"ladder {got}",
         )
     else:
-        occurrences = analysis.find_pattern(word, [1, 1, 0])
+        occurrences = analysis.find_pattern(morphic, [1, 1, 0], length)
         yield (
             "palindromes",
             "factor 1,1,0 never occurs",
@@ -263,7 +267,7 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
         )
         positions = analysis.predicted_011_positions(m, m + 4)
         in_range = [q for q in positions if q + 2 < length]
-        confirmed = all(word[q:q + 3] == [0, 1, 1] for q in in_range)
+        confirmed = all(morphic[q:q + 3] == [0, 1, 1] for q in in_range)
         yield (
             "palindromes",
             "every predicted 0,1,1 position within the prefix is confirmed",
@@ -272,7 +276,7 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
         )
 
     n_max = min(args.n_max, length)
-    profile = analysis.complexity(word, n_max)
+    profile = analysis.complexity(morphic, n_max, length)
     yield (
         "complexity",
         f"p(n) <= {profile.bound_factor} * n for n <= {n_max}",
@@ -429,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # AlphabetError, SymbolError and AlphabetMapError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # WordRangeError, RuntimeError, ...: a fault of the program
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if out is not None and out.file is not None:
             out.file.close()

@@ -174,8 +174,8 @@ def verify_equivalence(
     ModAlphabet(m)  # rejects a modulus below 2
     if length < 1:
         raise ValueError("length must be >= 1")
-    ds = tm_digit_sum_sequence(m).prefix(length)
-    mo = tm_morphic(m).prefix(length)
+    ds, _ = _prefix_of(tm_digit_sum_sequence(m), length)
+    mo, _ = _prefix_of(tm_morphic(m), length)
     mismatch = first_mismatch(ds, mo)
 
     verified = 0
@@ -270,9 +270,9 @@ def find_triple_repeat(word: Word, length: int | None = None) -> int | None:
     """First index j with t_j = t_{j+1} = t_{j+2}, or None (expected for TM_m)."""
     symbols, m = _prefix_of(word, length)
     if m <= 256:
-        data = bytes(symbols)
+        data = bytes(symbols)  # no copy for a packed word
         best = None
-        for s in set(symbols):
+        for s in range(m):
             pos = data.find(bytes((s, s, s)))
             if pos >= 0 and (best is None or pos < best):
                 best = pos
@@ -286,19 +286,21 @@ def find_triple_repeat(word: Word, length: int | None = None) -> int | None:
 def _prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Sequence[int], int]:
     """The first `length` symbols of a word (all of a finite one) and their modulus.
 
-    A list or tuple that needs no cut is returned as it is, else cut by one
-    slice (an iterable that is no sequence is read, up to `length`, into a
-    list), so callers only read it.  Infinite words need a length.  A word's
-    modulus is its alphabet's and must equal a given `m`; a plain sequence's
-    is `m`, else max(symbols) + 1 and at least 2.  A symbol outside
-    {0, ..., modulus - 1} or a modulus mismatch raises SymbolError.
+    A lazy word's symbols come from `LazyWord.symbols`: `bytes` for m <= 256,
+    which a byte scan takes as it is.  A list or tuple that needs no cut is
+    returned as it is, else cut by one slice (an iterable that is no
+    sequence is read, up to `length`, into a list), so callers only read
+    it.  Infinite words need a length.  A word's modulus is its alphabet's
+    and must equal a given `m`; a plain sequence's is `m`, else
+    max(symbols) + 1 and at least 2.  A symbol outside {0, ..., modulus - 1}
+    or a modulus mismatch raises SymbolError.
     """
     if isinstance(word, TmSequence):
         word = word.word
     if isinstance(word, LazyWord):
         if length is None:
             raise ValueError("an explicit prefix length is required for infinite words")
-        symbols, own = word.prefix(length), word.alphabet.m
+        symbols, own = word.symbols(length), word.alphabet.m
     elif isinstance(word, FiniteWord):
         symbols, own = word.symbols, word.alphabet.m
     else:

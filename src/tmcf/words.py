@@ -125,13 +125,20 @@ class LazyWord:
     already-materialized indices are lock-free; extension is serialized by
     an internal lock and appends monotonically, so a reader racing an
     extension still observes a consistent prefix.
+
+    For m <= 256 the prefix is packed one byte per symbol in a
+    `bytearray`, else kept in a `list`.  Every chunk is checked against
+    the alphabet before it is stored.  `prefix` and slices return a new
+    `list` either way; `symbols` returns the prefix in the cache's own
+    form, `bytes` when packed, which the analyzers scan without
+    converting.
     """
 
     __slots__ = ("alphabet", "_cache", "_lock", "_chunks")
 
     def __init__(self, alphabet: ModAlphabet, chunk_source: Iterator[Sequence[int]]):
         self.alphabet = alphabet
-        self._cache: list[int] = []
+        self._cache: bytearray | list[int] = bytearray() if alphabet.m <= 256 else []
         self._lock = threading.Lock()
         self._chunks = chunk_source
 
@@ -157,18 +164,36 @@ class LazyWord:
     def m(self) -> int:
         return self.alphabet.m
 
+    def _checked(self, chunk: Sequence[int]) -> Sequence[int]:
+        """The chunk, as bytes for a packed cache, once its symbols are in the alphabet."""
+        m = self.alphabet.m
+        try:
+            if isinstance(self._cache, list):
+                if not chunk or 0 <= min(chunk) and max(chunk) < m:
+                    return chunk
+            else:
+                # list() first: bytes(5) would be five zero bytes
+                block = chunk if isinstance(chunk, (bytes, bytearray)) else bytes(list(chunk))
+                if m == 256 or not block.translate(None, _ALPHABETS[m]):
+                    return block
+        except (TypeError, ValueError):
+            pass  # a symbol that is no int, or one outside range(256)
+        bad = next(s for s in chunk if s not in self.alphabet)
+        raise SymbolError(f"chunk symbol {bad!r} not in alphabet of modulus {m}")
+
     def _materialize(self, n: int) -> None:
         with self._lock:
             # chunk sources batch on their own; pull only what is needed
             extend = self._cache.extend
             while len(self._cache) < n:
                 try:
-                    extend(next(self._chunks))
+                    chunk = next(self._chunks)
                 except StopIteration:
                     raise WordRangeError(
                         f"backing source exhausted at length {len(self._cache)}; "
                         "LazyWord sources must be infinite"
                     ) from None
+                extend(self._checked(chunk))
 
     def __getitem__(self, key):
         """A symbol, or for a slice [i:j] with 0 <= i <= j the symbols as a list."""
@@ -182,7 +207,8 @@ class LazyWord:
                 raise WordRangeError(f"invalid range [{start}:{key.stop})")
             if key.stop > len(self._cache):
                 self._materialize(key.stop)
-            return self._cache[start:key.stop]
+            part = self._cache[start:key.stop]
+            return part if isinstance(part, list) else list(part)
         if key < 0:
             raise WordRangeError("LazyWord has no negative indices")
         if key >= len(self._cache):
@@ -193,9 +219,33 @@ class LazyWord:
         """The first n symbols: the same list as self[0:n]."""
         return self[0:n]
 
+    def symbols(self, n: int) -> bytes | list[int]:
+        """The first n symbols in the cache's form, as a copy no later growth touches.
+
+        `bytes` when m <= 256 (one copy of the packed cache), else the list
+        self[0:n].  The live cache is never handed out: a `memoryview` of
+        it would make the next extension fail.
+        """
+        if not isinstance(self._cache, bytearray):
+            return self[0:n]
+        if n < 0:
+            raise WordRangeError(f"invalid range [0:{n})")
+        if n > len(self._cache):
+            self._materialize(n)
+        with self._lock, memoryview(self._cache) as view:
+            return view[:n].tobytes()
+
     def __repr__(self) -> str:
-        head = self._cache[:8]
+        head = list(self._cache[:8])
         return f"LazyWord(m={self.alphabet.m}, prefix~{head}...)"
+
+
+# symbols produced per chunk by a column-wise fixed point
+_COLUMN_CHUNK = 1 << 16
+
+# bytes(range(m)) for each packed modulus: translate(None, _ALPHABETS[m]) keeps
+# exactly the bytes outside the alphabet
+_ALPHABETS = [bytes(range(m)) for m in range(257)]
 
 
 class Morphism:
@@ -297,17 +347,41 @@ class Morphism:
     def fixed_point(self, symbol: int) -> LazyWord:
         """The infinite fixed point based at a prolongable symbol.
 
-        Streams the word as the limit of iterated images: the output buffer
-        is itself the source being expanded, so each materialized prefix of
-        length |phi^k(symbol)| equals the k-th power image.
+        The word is the limit of iterated images: it is read back as the
+        source it expands, so each materialized prefix of length
+        |phi^k(symbol)| equals the k-th power image.  A k-uniform morphism
+        over m <= 256 symbols expands a run w of the packed word at once,
+        column by column: symbol i of each image is w.translate(column i),
+        stored at out[i::k].  Other morphisms expand one symbol per chunk
+        (`_streamed_fixed_point`), which also serves as the reference.
         """
-        if not self.is_prolongable(symbol):
-            raise ValueError(f"morphism is not prolongable on symbol {symbol}")
-        if len(self.image(symbol)) < 2:
-            raise ValueError(
-                f"fixed point needs |image({symbol})| >= 2 so the orbit grows"
-            )
-        image_symbols = [img.symbols for img in self.images]
+        k = self.uniformity()
+        if self.m > 256 or k is None:
+            return self._streamed_fixed_point(symbol)
+        self._check_orbit_grows(symbol)
+        columns = [bytes(img.symbols[i] for img in self.images) + bytes(256 - self.m) for i in range(k)]
+        batch = max(1, _COLUMN_CHUNK // k)
+
+        def chunks() -> Iterator[bytes]:
+            yield bytes(self.images[symbol].symbols)
+            src = 1
+            while True:
+                run = expanded[src:src + batch]  # a copy: the cache may grow below it
+                out = bytearray(k * len(run))
+                for i, column in enumerate(columns):
+                    out[i::k] = run.translate(column)
+                yield out
+                src += len(run)
+
+        word = LazyWord.from_chunks(chunks(), self.m)
+        expanded = word._cache  # no reference cycle; see _streamed_fixed_point
+        return word
+
+    def _streamed_fixed_point(self, symbol: int) -> LazyWord:
+        """The fixed point grown by one image per chunk; any morphism, any m."""
+        self._check_orbit_grows(symbol)
+        packed = self.m <= 256
+        image_symbols = [bytes(img.symbols) if packed else img.symbols for img in self.images]
 
         def chunks() -> Iterator[Sequence[int]]:
             # each yielded block is in the word's cache before the next is requested
@@ -322,6 +396,14 @@ class Morphism:
         # reference cycle and a dropped word is freed at once
         expanded = word._cache
         return word
+
+    def _check_orbit_grows(self, symbol: int) -> None:
+        if not self.is_prolongable(symbol):
+            raise ValueError(f"morphism is not prolongable on symbol {symbol}")
+        if len(self.image(symbol)) < 2:
+            raise ValueError(
+                f"fixed point needs |image({symbol})| >= 2 so the orbit grows"
+            )
 
     def __repr__(self) -> str:
         shown = {j: list(img.symbols) for j, img in enumerate(self.images)}

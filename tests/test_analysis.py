@@ -227,6 +227,58 @@ def test_palindromic_prefixes_work_cap():
     assert ladder.scanned_length < 4000
 
 
+def two_pointer_ladder(word):
+    """Palindromic prefix ends by the direct two-pointer check of each end."""
+    ends = []
+    for n in range(len(word)):
+        k, j = 0, n
+        while k < j and word[k] == word[j]:
+            k, j = k + 1, j - 1
+        if k >= j:
+            ends.append(n)
+    return tuple(ends)
+
+
+def test_palindrome_scan_matches_two_pointers_on_planted_prefixes():
+    rng = random.Random(13)
+    for trial in range(400):
+        m = rng.choice((2, 3, 4, 256, 300))
+        # a palindrome of 1-300 symbols, so the reversed head of 64 is found
+        # on both sides of its length, then noise or repeats of it
+        half = [rng.randrange(m) for _ in range(rng.randrange(1, 150))]
+        word = half + half[::-1][rng.randrange(2):]
+        word = word * rng.randrange(1, 4) + [rng.randrange(m) for _ in range(rng.randrange(80))]
+        if trial % 4 == 0:
+            word = (word + word[::-1]) * 2
+        ladder = palindromic_prefixes(word)
+        assert ladder.indices == two_pointer_ladder(word), word
+        assert ladder.complete and ladder.scanned_length == len(word)
+
+
+def test_palindrome_scan_matches_two_pointers_on_tm():
+    for m, length in ((2, 20_000), (3, 20_000)):
+        prefix = tm_morphic(m).prefix(length)
+        assert palindromic_prefixes(tm_morphic(m), length).indices == two_pointer_ladder(prefix)
+
+
+def test_palindrome_scan_on_constant_words():
+    for length in (1, 2, 63, 64, 65, 200):
+        word = [3] * length
+        ladder = palindromic_prefixes(word, work_cap=None)
+        assert ladder.indices == two_pointer_ladder(word) == tuple(range(length))
+        assert ladder.complete
+    reached = []
+    for cap in (0, 10, 500, 5000):
+        ladder = palindromic_prefixes([3] * 4000, work_cap=cap)
+        assert not ladder.complete
+        # a true ladder up to where the budget ran out, which a larger
+        # budget moves further, and never past 2 * cap + 2 symbols
+        assert ladder.indices == tuple(range(ladder.scanned_length))
+        assert ladder.scanned_length <= 2 * cap + 2
+        reached.append(ladder.scanned_length)
+    assert reached == sorted(reached) and reached[0] < reached[-1]
+
+
 def test_find_pattern():
     word = tm_digit_sum_sequence(3).prefix(10_000)
     assert find_pattern(word, [1, 1, 0]) == []

@@ -4,8 +4,9 @@ import json
 import pytest
 
 from tmcf import analysis
-from tmcf.cli import main, parse_map_spec
+from tmcf.cli import EXIT_INTERNAL, main, parse_map_spec
 from tmcf.cf import AlphabetMapError
+from tmcf.words import WordRangeError
 
 
 def run_cli(capsys, *argv):
@@ -339,3 +340,22 @@ def test_csv_rows_match_the_header_above_them(capsys, argv):
     _, out, _ = run_cli(capsys, *argv, "--format", "json-lines")
     expected = [json.loads(line) for line in out.splitlines()]
     assert records == [{k: str(v) for k, v in r.items()} for r in expected]
+
+
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        ("find_pattern", WordRangeError("slice [9:12) past the prefix")),
+        ("predicted_011_positions", RuntimeError("predicted position 7 fails validation")),
+        ("complexity", KeyError(3)),
+    ],
+)
+def test_internal_errors_exit_3_in_one_line(capsys, monkeypatch, name, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(analysis, name, broken)
+    code, _, err = run_cli(capsys, "verify-all", "--m", "3", "--len", "1000", "--format", "json-lines")
+    assert code == EXIT_INTERNAL == 3
+    assert err == f"internal error: {type(error).__name__}: {error}\n"
+    assert "Traceback" not in err

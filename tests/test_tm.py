@@ -17,7 +17,7 @@ from tmcf.tm import (
     tm_morphism,
     verify_equivalence,
 )
-from tmcf.words import AlphabetError, FiniteWord, ModAlphabet, SymbolError, WordRangeError
+from tmcf.words import AlphabetError, FiniteWord, LazyWord, ModAlphabet, SymbolError, WordRangeError
 
 
 def test_tm_digit_sum_examples():
@@ -170,7 +170,9 @@ def test_prefix_of_reads_in_place():
     word = FiniteWord(symbols, ModAlphabet(3))
     assert _prefix_of(word, None) == (word.symbols, 3)
     assert _prefix_of(word, None)[0] is word.symbols
-    assert _prefix_of(tm_morphic(3), 4, 3) == ([0, 1, 2, 1], 3)
+    # a packed lazy word hands out a bytes copy of its cache
+    assert _prefix_of(tm_morphic(3), 4, 3) == (bytes([0, 1, 2, 1]), 3)
+    assert _prefix_of(tm_morphic(300), 4) == ([0, 1, 2, 3], 300)
     # the caller's modulus, or the largest symbol + 1 and at least 2
     assert _prefix_of(symbols, None, 5) == (symbols, 5)
     assert _prefix_of([0, 0], None) == ([0, 0], 2)
@@ -187,6 +189,31 @@ def test_no_triple_repeat():
         assert find_triple_repeat(tm_digit_sum_sequence(m).prefix(100_000)) is None
     assert find_triple_repeat([0, 1, 2, 2, 2, 0]) == 2
     assert find_triple_repeat([4] * 9) == 0
+
+
+def first_triple_by_scan(word):
+    return next((j for j in range(len(word) - 2) if word[j] == word[j + 1] == word[j + 2]), None)
+
+
+def test_triple_repeat_on_packed_and_plain_words():
+    planted = tm_digit_sum_sequence(3).prefix(20_000)
+    planted[12_345:12_348] = [2, 2, 2]
+    rng = random.Random(4)
+    wide = [rng.randrange(300) for _ in range(5000)] + [299] * 3 + [0]
+    for word, length in (
+        (tm_digit_sum_sequence(2), 100_000),
+        (tm_morphic(5), 100_000),
+        (planted, None),
+        (FiniteWord(planted, ModAlphabet(3)), None),
+        (LazyWord.from_chunks([planted] + [[0]] * 10, 3), 20_000),
+        (wide, None),
+        (LazyWord.from_chunks([wide] + [[1]] * 10, 300), len(wide)),
+    ):
+        expected = first_triple_by_scan(_prefix_of(word, length)[0])
+        assert find_triple_repeat(word, length) == expected
+    assert find_triple_repeat(planted) == 12_345  # planted between a 0 and a 1
+    assert find_triple_repeat(wide) == 5000
+    assert find_triple_repeat(tm_morphic(2), 100_000) is None
 
 
 def test_triple_repeat_needs_a_length_for_infinite_words():

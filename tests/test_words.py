@@ -1,9 +1,13 @@
 import itertools
 import random
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tmcf import words as words_module
 from tmcf.words import (
     AlphabetError,
     FiniteWord,
@@ -240,6 +244,39 @@ def test_lazyword_concurrent_reads_consistent():
         assert results[t] == [expected[i] for i in plan]
 
 
+def test_packed_lazyword_under_racing_readers_and_copies():
+    # more threads than cores, switching often, while the cache grows in
+    # small chunks: a copy of the cache must never block an extension
+    w = LazyWord.from_symbols(((i * i) % 7 for i in itertools.count()), 7, chunk_size=16)
+    expected = [(i * i) % 7 for i in range(20_000)]
+    errors, done = [], []
+
+    def reader(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                n = rng.randrange(20_000)
+                assert w[n] == expected[n]
+                assert w.symbols(n) == bytes(expected[:n])
+                assert w[n // 2:n] == expected[n // 2:n]
+            done.append(seed)
+        except Exception as exc:  # reported below with the thread that hit it
+            errors.append((seed, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == [] and sorted(done) == list(range(8))
+
+
 def test_morphism_apply_lazy_word():
     phi = tm_phi(2)
     base = LazyWord.from_chunks(itertools.repeat([0, 1]), 2)
@@ -248,3 +285,97 @@ def test_morphism_apply_lazy_word():
     assert image.prefix(8) == [0, 1, 1, 0, 0, 1, 1, 0]
     with pytest.raises(SymbolError):
         tm_phi(3).apply(base)
+
+
+@st.composite
+def uniform_morphisms(draw):
+    """A k-uniform morphism over m symbols whose image of 0 starts with 0."""
+    m = draw(st.sampled_from((*range(2, 9), 255, 256)))
+    k = draw(st.integers(2, 4))
+    symbol = st.integers(0, m - 1)
+    images = [[0] + draw(st.lists(symbol, min_size=k - 1, max_size=k - 1))]
+    images += [draw(st.lists(symbol, min_size=k, max_size=k)) for _ in range(m - 1)]
+    return Morphism(images, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(uniform_morphisms(), st.data())
+def test_columnwise_fixed_point_matches_the_streamed_one(phi, data):
+    k = phi.uniformity()
+    j = data.draw(st.integers(1, 5 if k < 4 else 4))
+    fast, slow = phi.fixed_point(0), phi._streamed_fixed_point(0)
+    for n in (k ** j - 1, k ** j, k ** j + 1):
+        assert fast.prefix(n) == slow.prefix(n)
+        assert fast.symbols(n) == slow.symbols(n) == bytes(slow.prefix(n))
+    assert fast.prefix(k ** j) == list(phi.power(j)(0))
+
+
+def test_columnwise_fixed_point_crosses_its_chunks():
+    phi = tm_phi(3)
+    n = 3 * words_module._COLUMN_CHUNK + 5
+    assert phi.fixed_point(0).symbols(n) == phi._streamed_fixed_point(0).symbols(n)
+
+
+def test_large_alphabet_fixed_point_streams():
+    phi = tm_phi(300)
+    word = phi.fixed_point(0)
+    assert word.prefix(300) == list(range(300))
+    assert word.symbols(301) == list(range(300)) + [1]
+
+
+def _list_backed(chunks, m):
+    """A LazyWord over the same chunks that keeps a list cache whatever m is."""
+    word = LazyWord.from_chunks(chunks, m)
+    word._cache = []
+    return word
+
+
+def test_packed_lazyword_reads_like_a_list_backed_one():
+    rng = random.Random(9)
+    for m in (2, 5, 256):
+        source = [rng.randrange(m) for _ in range(5000)]
+        chunks = [source[i:i + 37] for i in range(0, len(source), 37)]
+        packed = LazyWord.from_chunks(iter(chunks + [[0]] * 10), m)
+        plain = _list_backed(iter(chunks + [[0]] * 10), m)
+        assert isinstance(packed._cache, bytearray) and isinstance(plain._cache, list)
+        for _ in range(200):
+            i = rng.randrange(4000)
+            j = i + rng.randrange(200)
+            assert packed[i] == plain[i] == source[i]
+            assert packed[i:j] == plain[i:j] == source[i:j]
+            assert type(packed[i:j]) is list
+        prefix = packed.prefix(4321)
+        assert type(prefix) is list and prefix == packed[0:4321] == plain.prefix(4321)
+        assert packed.symbols(4321) == bytes(source[:4321])
+        assert type(packed.symbols(4321)) is bytes
+        assert plain.symbols(4321) == source[:4321]
+
+
+def test_packed_symbols_are_a_copy_the_word_can_grow_past():
+    word = tm_phi(2).fixed_point(0)
+    head = word.symbols(8)
+    assert word.prefix(100_000)[:8] == list(head)  # the cache grew after the copy
+    assert head == bytes([0, 1, 1, 0, 1, 0, 0, 1])
+    with pytest.raises(WordRangeError):
+        word.symbols(-1)
+
+
+@pytest.mark.parametrize(
+    "m, chunk, bad",
+    [
+        (3, [0, 1, 3], 3),            # inside range(256), outside the alphabet
+        (3, [0, 300], 300),           # outside range(256): no bytearray ValueError
+        (3, [0, -1], -1),
+        (3, bytes([0, 2, 5]), 5),
+        (256, [255, 256], 256),
+        (300, [0, 299, 300], 300),    # the list cache
+        (300, [-2], -2),
+        (2, [0, "1"], "1"),
+    ],
+    ids=["past-m", "past-255", "negative", "bytes", "m256", "list-cache", "list-negative", "no-int"],
+)
+def test_chunk_symbols_outside_the_alphabet(m, chunk, bad):
+    word = LazyWord.from_chunks(itertools.chain([[0, 1]], [chunk], itertools.repeat([0])), m)
+    assert word[1] == 1
+    with pytest.raises(SymbolError, match=f"chunk symbol {bad!r} not in alphabet of modulus {m}"):
+        word[2]
