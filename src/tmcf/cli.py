@@ -2,7 +2,8 @@
 fractions, and a one-shot verification suite with machine-readable output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-error (any other exception, reported in one line without a traceback).
+error (any other exception but an OSError, reported in one line without a
+traceback).
 """
 from __future__ import annotations
 
@@ -433,6 +434,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # AlphabetError, SymbolError and AlphabetMapError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError:
+        # output that cannot be written (a closed pipe, an unwritable --out)
+        # is no fault of the program
+        raise
     except Exception as exc:  # WordRangeError, RuntimeError, ...: a fault of the program
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

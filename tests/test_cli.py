@@ -359,3 +359,13 @@ def test_internal_errors_exit_3_in_one_line(capsys, monkeypatch, name, error):
     assert code == EXIT_INTERNAL == 3
     assert err == f"internal error: {type(error).__name__}: {error}\n"
     assert "Traceback" not in err
+
+
+def test_output_errors_are_not_internal_errors(capsys, monkeypatch):
+    def closed_pipe(*args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(analysis, "complexity", closed_pipe)
+    with pytest.raises(BrokenPipeError):
+        main(["verify-all", "--m", "2", "--len", "1000"])
+    assert "internal error" not in capsys.readouterr().err
