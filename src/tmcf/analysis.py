@@ -16,87 +16,6 @@ from .tm import Word, _prefix_of, tm_digit_sum, tm_digit_sum_sequence, tm_morphi
 from .words import FiniteWord, WordRangeError
 
 
-class SuffixAutomaton:
-    """Online suffix automaton over integer symbols.
-
-    The automaton recognizes exactly the factors of the inserted word; each
-    non-root state represents the factor lengths in (link_len, state_len],
-    so distinct-factor counts per length fall out of a difference array.
-    Being an exact structure (no hashing), counts are collision-free by
-    construction.
-
-    It is the reference that the window count in `complexity` is tested
-    against, and the path `complexity` takes above 256 symbols or above
-    n_max = _WINDOW_MAX.  It holds a dict per state, 460-600 bytes per
-    symbol of a 10^6 prefix (TM_2, TM_256, a random binary word).
-    """
-
-    __slots__ = ("maxlen", "link", "trans", "last")
-
-    def __init__(self, symbols: Sequence[int] = ()):
-        self.maxlen = [0]
-        self.link = [-1]
-        self.trans: list[dict[int, int]] = [{}]
-        self.last = 0
-        for s in symbols:
-            self.add(s)
-
-    def add(self, symbol: int) -> None:
-        maxlen, link, trans = self.maxlen, self.link, self.trans
-        cur = len(maxlen)
-        maxlen.append(maxlen[self.last] + 1)
-        link.append(-1)
-        trans.append({})
-        p = self.last
-        while p != -1 and symbol not in trans[p]:
-            trans[p][symbol] = cur
-            p = link[p]
-        if p == -1:
-            link[cur] = 0
-        else:
-            q = trans[p][symbol]
-            if maxlen[p] + 1 == maxlen[q]:
-                link[cur] = q
-            else:
-                clone = len(maxlen)
-                maxlen.append(maxlen[p] + 1)
-                link.append(link[q])
-                trans.append(dict(trans[q]))
-                while p != -1 and trans[p].get(symbol) == q:
-                    trans[p][symbol] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        self.last = cur
-
-    def contains(self, factor: Sequence[int]) -> bool:
-        state = 0
-        for s in factor:
-            nxt = self.trans[state].get(s)
-            if nxt is None:
-                return False
-            state = nxt
-        return True
-
-    def factor_counts(self, n_max: int) -> list[int]:
-        """counts[n] = number of distinct factors of length n, for 1 <= n <= n_max."""
-        diff = [0] * (n_max + 2)
-        maxlen, link = self.maxlen, self.link
-        for v in range(1, len(maxlen)):
-            lo = maxlen[link[v]] + 1
-            if lo > n_max:
-                continue
-            hi = min(maxlen[v], n_max)
-            diff[lo] += 1
-            diff[hi + 1] -= 1
-        counts = [0] * (n_max + 1)
-        running = 0
-        for n in range(1, n_max + 1):
-            running += diff[n]
-            counts[n] = running
-        return counts
-
-
 @dataclass(frozen=True)
 class ComplexityProfile:
     """Distinct-factor counts of a prefix, annotated with the cubic bound."""
@@ -118,34 +37,28 @@ class ComplexityProfile:
         return max(Fraction(p, n) for n, p in self.table.items())
 
 
-# Above this n_max the windows can cost more than the automaton.  They cost
-# most on a word whose windows are all distinct: on a random binary word of
-# 10^6 symbols they took as long as the automaton near n_max = 320-400 and
-# as much memory near 490 (n_max + ~75 bytes per symbol, against ~570); at
-# 256 they took 4.7-5.4 s and 339 MB against 5.4-5.8 s and 567 MB.
-_WINDOW_MAX = 256
-
-
-def _window_counts(data: bytes, n_max: int) -> list[int]:
+def _window_counts(data: bytes, n_max: int, width: int) -> list[int]:
     """counts[n] for 1 <= n <= n_max from the distinct length-n_max windows.
 
-    Every factor of length n <= n_max is a prefix of a window of length
-    n_max or of one of the last n_max - 1 suffixes.  In sorted order each
-    of those strings adds one new factor for each n in (lcp with its
-    predecessor, its length].  The count is exact.
+    `data` holds the symbols `width` bytes each, big-endian, so that byte
+    order is symbol order.  Every factor of length n <= n_max is a prefix
+    of a window of length n_max or of one of the last n_max - 1 suffixes.
+    In sorted order each of those strings adds one new factor for each n
+    in (lcp with its predecessor, its length], counted in symbols: the
+    common bytes divided by `width`.  The count is exact.
     """
     length = len(data)
-    starts = length - n_max + 1
-    windows = set(map(data.__getitem__, map(slice, range(starts), range(n_max, length + 1))))
-    windows.update(data[i:] for i in range(starts, length))
+    ends = range(n_max * width, length + 1, width)
+    windows = set(map(data.__getitem__, map(slice, range(0, length, width), ends)))
+    windows.update(data[i:] for i in range(len(ends) * width, length, width))
 
     diff = [0] * (n_max + 2)
     prev = b""
     for w in sorted(windows):
         k = min(len(prev), len(w))
         differ = int.from_bytes(prev[:k], "big") ^ int.from_bytes(w[:k], "big")
-        diff[k - (differ.bit_length() + 7) // 8 + 1] += 1
-        diff[len(w) + 1] -= 1
+        diff[(k - (differ.bit_length() + 7) // 8) // width + 1] += 1
+        diff[len(w) // width + 1] -= 1
         prev = w
     return list(itertools.accumulate(diff[:n_max + 1]))
 
@@ -154,19 +67,26 @@ def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityP
     """Exact p(n) for 1 <= n <= n_max over a prefix.
 
     Counts the distinct factors from the distinct length-n_max windows of
-    the prefix; a Thue-Morse prefix has few of them, so a 10^6 prefix at
-    n_max = 200 takes a few MB beyond its symbols.  A word over more than
-    256 symbols, or n_max above _WINDOW_MAX, is counted by a
-    `SuffixAutomaton` instead.  `complexity_naive` is the quadratic
-    cross-check.
+    the prefix (`_window_counts`), for every alphabet and every n_max.  A
+    Thue-Morse prefix has few of them, so a 10^6 prefix at n_max = 200
+    takes a few MB beyond its symbols; a word whose windows are all
+    distinct, such as a random one, keeps every window.  Symbols are
+    packed ceil(bit_length(m - 1) / 8) bytes each, big-endian: a packed
+    prefix (m <= 256) is read as it is.  `complexity_naive` is the
+    quadratic cross-check.
     """
     symbols, m = _prefix_of(word, length)
     if not 1 <= n_max <= len(symbols):
         raise WordRangeError(f"n_max must be in [1, {len(symbols)}], got {n_max}")
-    if m <= 256 and n_max <= _WINDOW_MAX:
-        counts = _window_counts(bytes(symbols), n_max)
-    else:
-        counts = SuffixAutomaton(symbols).factor_counts(n_max)
+    width = ((m - 1).bit_length() + 7) // 8
+    if width == 1:
+        data = bytes(symbols)  # no copy for a packed word
+    else:  # 2^16 symbols at a time: a bytes object per symbol costs ~120 bytes while it lives
+        data = b"".join(
+            b"".join(map(int.to_bytes, symbols[i:i + 2 ** 16], itertools.repeat(width), itertools.repeat("big")))
+            for i in range(0, len(symbols), 2 ** 16)
+        )
+    counts = _window_counts(data, n_max, width)
     table = {n: counts[n] for n in range(1, n_max + 1)}
     bound = m ** 3
     violations = tuple(n for n, p in table.items() if p > bound * n)

@@ -1,9 +1,10 @@
 """Command-line front end: sequence generation, analyzers, continued
 fractions, and a one-shot verification suite with machine-readable output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-error (any other exception but an OSError, reported in one line without a
-traceback).
+Exit codes: 0 success, 1 verification failure, 2 usage error or output
+that cannot be written (one `error:` line), 3 internal error (any other
+exception, reported in one line without a traceback), 141 (128 + SIGPIPE)
+when the reader of standard output goes away, without a message.
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import argparse
 import csv
 import itertools
 import json
+import math
+import os
 import sys
 from typing import IO, Iterable
 
@@ -21,6 +24,12 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+
+# Most terms or digit words that verify-all scans one by one in Python: the
+# congruence scan reads at most this many terms, and the recursion suite
+# exhausts the digit words of length k only where m^k stays within it.
+SCAN_CAP = 100_000
 
 
 class Writer:
@@ -202,7 +211,7 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
         mismatch is None,
         f"checked {length} terms" if mismatch is None else f"first mismatch at index {mismatch}",
     )
-    cong_len = min(length, 100_000)
+    cong_len = min(length, SCAN_CAP)
     report = tm.check_congruences(m, cong_len, morphic)
     yield (
         "congruences",
@@ -220,16 +229,17 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
         f"checked {length} terms" if triple is None else f"triple repeat at index {triple}",
     )
 
+    word_lengths = [k for k in (2, 3, 4) if m ** k <= SCAN_CAP]
     exhaustive = all(
         tm.check_lemma_recursion(list(c), m)
-        for k in (2, 3, 4)
+        for k in word_lengths
         for c in itertools.product(range(m), repeat=k)
     )
     yield (
         "recursion",
         "power-image indexing equals digit sums on all short digit words",
         exhaustive,
-        "digit words of length <= 4",
+        f"digit words of length <= {word_lengths[-1]}",
     )
 
     a_max = min(args.a_max, max(0, (length - 1) // 4))
@@ -309,6 +319,8 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
 
 
 def cmd_verify_all(args: argparse.Namespace, writer: Writer) -> int:
+    if args.m ** 2 > SCAN_CAP:
+        raise ValueError(f"verify-all needs --m <= {math.isqrt(SCAN_CAP)} (m^2 <= {SCAN_CAP}), got {args.m}")
     # the congruence scan needs m terms and the period search needs 3
     min_length = max(args.m, 3)
     if args.length < min_length:
@@ -428,16 +440,24 @@ def main(argv: list[str] | None = None) -> int:
     out = _OutFile(args.out) if args.out else None
     try:
         code = command(args, Writer(sys.stdout if out is None else out, args.format))
-        if out is not None:
+        if out is None:
+            sys.stdout.flush()  # a closed pipe shows here, not at the interpreter's exit
+        else:
             out.write("")  # a run that succeeds without records still empties the file
+            out.file.close()
         return code
     except ValueError as exc:  # AlphabetError, SymbolError and AlphabetMapError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError:
-        # output that cannot be written (a closed pipe, an unwritable --out)
-        # is no fault of the program
-        raise
+    except BrokenPipeError:
+        # The reader went away (`tmcf gen ... | head -1`).  Point stdout at
+        # devnull, so that the interpreter's final flush of what is still
+        # buffered prints nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except OSError as exc:  # output that cannot be written, e.g. --out in a missing directory
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # WordRangeError, RuntimeError, ...: a fault of the program
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

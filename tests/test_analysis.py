@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_complexity
-from tmcf import analysis
 from tmcf.analysis import (
-    SuffixAutomaton,
     complexity,
     complexity_naive,
     find_pattern,
@@ -19,17 +17,7 @@ from tmcf.analysis import (
     verify_complexity_surjection,
 )
 from tmcf.tm import tm_digit_sum_sequence, tm_morphic
-from tmcf.words import SymbolError, WordRangeError
-
-
-def test_automaton_membership():
-    word = [0, 1, 1, 0, 1, 0, 0, 1]
-    sa = SuffixAutomaton(word)
-    for i in range(len(word)):
-        for j in range(i + 1, len(word) + 1):
-            assert sa.contains(word[i:j])
-    assert not sa.contains([1, 1, 1])
-    assert not sa.contains([2])
+from tmcf.words import FiniteWord, ModAlphabet, SymbolError, WordRangeError
 
 
 def test_complexity_against_naive_random_words():
@@ -53,72 +41,73 @@ def test_complexity_against_naive_tm_words():
         assert all(profile.p(n) == naive[n] for n in range(1, 51))
 
 
-def _automaton_counts(word, n_max):
-    counts = SuffixAutomaton(word).factor_counts(n_max)
-    return {n: counts[n] for n in range(1, n_max + 1)}
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_complexity_matches_automaton_and_naive(data):
-    m = data.draw(st.sampled_from((2, 3, 5)))
-    # a repeated block gives low-complexity words as well as uniform ones;
-    # n_max reaches past the window cap on the longer words
-    block = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=80))
-    word = block * data.draw(st.integers(1, 4))
-    n_max = data.draw(st.integers(1, len(word)))
-    table = complexity(word, n_max).table
-    assert table == _automaton_counts(word, n_max)
-    assert table == complexity_naive(word, n_max)
+def test_complexity_matches_naive(data):
+    # one, two and three bytes a symbol; a FiniteWord keeps the modulus m
+    # even where the word lacks its large symbols
+    m = data.draw(st.sampled_from((2, 3, 5, 257, 300, 65536, 65537)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    length = data.draw(st.integers(1, 320) | st.integers(257, 320))
+    if data.draw(st.booleans()):
+        # a repeated block gives low-complexity words as well as uniform ones
+        block = [rng.randrange(m) for _ in range(data.draw(st.integers(1, 80)))]
+        word = (block * length)[:length]
+    else:
+        # over a large alphabet every window of a random word is distinct
+        word = [rng.randrange(m) for _ in range(length)]
+    # anywhere, or counted down from the length, so past 256 on the longer words
+    n_max = data.draw(st.integers(1, length) | st.integers(0, length - 1).map(length.__sub__))
+    word = FiniteWord(word, ModAlphabet(m))
+    assert complexity(word, n_max).table == complexity_naive(word, n_max)
 
 
-@pytest.fixture
-def automaton_calls(monkeypatch):
-    """Lengths of the words `complexity` hands to a SuffixAutomaton."""
-    calls = []
-
-    def recording(symbols):
-        calls.append(len(symbols))
-        return SuffixAutomaton(symbols)
-
-    monkeypatch.setattr(analysis, "SuffixAutomaton", recording)
-    return calls
-
-
-def test_complexity_paths_on_both_sides_of_the_window_cap(automaton_calls):
-    cap = analysis._WINDOW_MAX
+def test_complexity_tables_of_the_former_cap_inputs():
+    """Inputs on both sides of the old n_max = 256 and m = 256 cap give the
+    same tables as before: the naive oracle checks words up to 3000
+    symbols, and longer ones keep p(n) values a suffix automaton counted."""
     rng = random.Random(7)
     noise = [rng.randrange(2) for _ in range(5000)]
-    cases = [  # (word, n_max, counted from the windows)
-        (tm_morphic(2).prefix(30_000), 100, True),
-        (tm_digit_sum_sequence(3).prefix(30_000), 60, True),
-        (tm_morphic(5).prefix(30_000), 60, True),
-        ([1] * 3000, 100, True),
-        (noise, 200, True),                           # every window distinct
-        (noise, cap, True),
-        (noise, cap + 1, False),                      # n_max above the window cap
-        ([1] * 3000, cap + 1, False),
-        ([256, 0, 1, 0, 256, 2] * 50, 20, False),     # m = 257: bytes cannot hold it
+    noise_pins = {1: 2, 2: 4, 10: 1014, 20: 4969, 128: 4873}
+    cases = [  # (word, n_max, pinned p(n), or None to ask the naive oracle)
+        (tm_morphic(2).prefix(30_000), 100, {1: 2, 2: 4, 10: 28, 20: 60, 50: 162, 100: 326}),
+        (tm_digit_sum_sequence(3).prefix(30_000), 60, {1: 3, 2: 9, 10: 63, 20: 141, 30: 207, 60: 435}),
+        (tm_morphic(5).prefix(30_000), 60, {1: 5, 2: 25, 10: 205, 20: 405, 30: 589, 60: 1069}),
+        ([1] * 3000, 100, None),
+        (noise, 200, {**noise_pins, 100: 4901, 200: 4801}),  # every long window distinct
+        (noise, 256, {**noise_pins, 256: 4745}),
+        (noise, 257, {**noise_pins, 257: 4744}),
+        ([1] * 3000, 257, None),
+        ([256, 0, 1, 0, 256, 2] * 50, 20, None),  # m = 257: two bytes a symbol
     ]
-    for word, n_max, windows in cases:
-        automaton_calls.clear()
+    for word, n_max, pins in cases:
         table = complexity(word, n_max).table
-        assert automaton_calls == ([] if windows else [len(word)]), (len(word), n_max)
-        assert table == _automaton_counts(word, n_max)
-        if len(word) <= 3000:
-            assert table == complexity_naive(word, n_max)
+        assert sorted(table) == list(range(1, n_max + 1))
+        if pins is None:
+            assert table == complexity_naive(word, n_max), (len(word), n_max)
+        else:
+            assert {n: table[n] for n in pins} == pins, (len(word), n_max)
 
 
 def test_complexity_memory_stays_near_the_prefix():
-    tracemalloc.start()
-    try:
-        complexity(tm_morphic(2), 200, length=200_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # Building the 200 000-symbol prefix alone peaks at ~3.1 MB and its 654
-    # distinct windows add ~0.4 MB; a suffix automaton takes ~90 MB here.
-    assert peak < 8 * 2 ** 20, peak
+    cases = [  # (m, n_max, length, MB)
+        # building the prefix alone peaks at ~0.8 MB and its 654 distinct
+        # windows of length 200 add ~0.4 MB
+        (2, 200, 200_000, 8),
+        # a suffix automaton took ~90 MB here
+        (2, 600, 200_000, 8),
+        # two bytes a symbol; the list prefix and its ~50 000 distinct
+        # windows peak at ~8 MB, where a suffix automaton took ~30 MB
+        (300, 50, 50_000, 16),
+    ]
+    for m, n_max, length, budget_mb in cases:
+        tracemalloc.start()
+        try:
+            complexity(tm_morphic(m), n_max, length=length)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget_mb * 2 ** 20, (m, n_max, peak)
 
 
 def test_tm2_low_order_complexity_frozen():

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tmcf
 from tmcf import analysis
-from tmcf.cli import EXIT_INTERNAL, main, parse_map_spec
+from tmcf.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, main, parse_map_spec
 from tmcf.cf import AlphabetMapError
 from tmcf.words import WordRangeError
 
@@ -229,6 +233,7 @@ def test_patterns_rejects_symbols_outside_the_alphabet(capsys):
         (["verify-all", "--m", "2", "--len", "100", "--inject-flip", "100"], "--inject-flip"),
         (["verify-all", "--m", "2", "--len", "100", "--inject-flip", "-1"], "--inject-flip"),
         (["verify-all", "--m", "2", "--len", "100", "--map", "0:1,1:1"], "injective"),
+        (["verify-all", "--m", "317", "--len", "1000"], "--m <= 316"),
     ],
 )
 def test_bad_arguments_rejected_before_any_record(capsys, tmp_path, argv, reason):
@@ -258,6 +263,15 @@ def test_verify_all_shortest_lengths_pass(capsys):
     for m, length in ((2, 3), (3, 3), (5, 5)):
         code, out, _ = run_cli(capsys, "verify-all", "--m", str(m), "--len", str(length))
         assert code == 0, out
+
+
+def test_verify_all_at_a_large_modulus(capsys):
+    # the recursion suite exhausts only the digit words it can afford: 300^3
+    # words of length 3 would be too many
+    code, out, _ = run_cli(capsys, "verify-all", "--m", "300", "--len", "5000", "--format", "json-lines")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["detail"] for r in records if r["suite"] == "recursion"] == ["digit words of length <= 2"]
 
 
 def test_verify_all_passes(capsys):
@@ -361,11 +375,34 @@ def test_internal_errors_exit_3_in_one_line(capsys, monkeypatch, name, error):
     assert "Traceback" not in err
 
 
-def test_output_errors_are_not_internal_errors(capsys, monkeypatch):
+def test_output_errors_are_not_internal_errors(capsys, monkeypatch, tmp_path):
     def closed_pipe(*args, **kwargs):
         raise BrokenPipeError(32, "Broken pipe")
 
+    # a closed pipe ends the run quietly, with stdout pointed at devnull
     monkeypatch.setattr(analysis, "complexity", closed_pipe)
-    with pytest.raises(BrokenPipeError):
-        main(["verify-all", "--m", "2", "--len", "1000"])
-    assert "internal error" not in capsys.readouterr().err
+    with open(tmp_path / "stdout.txt", "w") as stdout, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        code = main(["verify-all", "--m", "2", "--len", "1000"])
+    assert code == EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+    # any other output that cannot be written is one error line naming the path
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, out, err = run_cli(capsys, "gen", "--m", "2", "--out", str(target))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    src = os.path.dirname(os.path.dirname(tmcf.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tmcf.cli", "gen", "--m", "2", "--len", "1000000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"0 0\n"
+    proc.stdout.close()  # the reader goes away, as `| head -1` does
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert err == b""
