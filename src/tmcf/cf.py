@@ -5,9 +5,17 @@ the partial quotients a_1, a_2, ... of alpha = [0; a_1, a_2, ...].  All
 certified outputs come from exact integer convergents and the bracketing
 property (alpha always lies between consecutive convergents); no floating
 point enters any certified path.
+
+Certified decimals follow one rule (`_Certification`) on two engines:
+`evaluate` steps the convergent recurrence term by term over any quotient
+stream, and `evaluate_tm` reaches the same convergent of a TM_m stream
+through products over the morphism's blocks phi^k(j), built once and
+reused, in a few large multiplications per level instead of one step
+per term.  `evaluate` is the reference the tests hold `evaluate_tm` to.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -15,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator
 
-from .tm import TmSequence
+from .tm import TmSequence, tm_digit_sum
 
 
 class AlphabetMapError(ValueError):
@@ -157,27 +165,55 @@ def _format_scaled(k: int, digits: int) -> str:
     return f"{whole}.{_digits_text(frac, digits)}"
 
 
+class _Certification:
+    """The rule behind every certified decimal: convergents are extended
+    until consecutive ones differ by less than 10^-(digits+2) and both
+    interval endpoints agree on the emitted digits once reduced, so every
+    printed digit is guaranteed.  The default reduction truncates, which
+    makes shorter outputs prefixes of longer ones; half_even rounds the
+    last digit half to even instead."""
+
+    def __init__(self, digits: int, half_even: bool):
+        if digits < 1:
+            raise ValueError("digits must be >= 1")
+        self.digits = digits
+        self.scale = 10 ** digits
+        self.limit = 10 ** (digits + 2)
+        self.limit_bits = self.limit.bit_length()
+        self.reduce = _round_half_even if half_even else operator.floordiv
+
+    def close(self, q: int, q_prev: int) -> bool:
+        # Consecutive convergents differ by exactly 1 / (q_{n-1} q_n).  For
+        # positive factors of x and y bits the product has x + y - 1 or
+        # x + y bits, so the bit lengths decide unless they meet the limit's.
+        bits = q.bit_length() + q_prev.bit_length()
+        if not self.limit_bits <= bits <= self.limit_bits + 1:
+            return bits > self.limit_bits
+        return q * q_prev > self.limit
+
+    def certify(self, pair: ConvergentPair) -> CertifiedDecimal | None:
+        """The certified decimal at this convergent, or None if it does not certify yet."""
+        if pair.index < 2 or not self.close(pair.q, pair.q_prev):
+            return None
+        k = self.reduce(pair.p * self.scale, pair.q)
+        if k != self.reduce(pair.p_prev * self.scale, pair.q_prev):
+            return None
+        low, high = bracket(pair)
+        return CertifiedDecimal(_format_scaled(k, self.digits), self.digits, low, high, pair.index)
+
+
 def evaluate(quotients: Iterable[int], digits: int, half_even: bool = False) -> CertifiedDecimal:
     """Certified decimal expansion of alpha = [0; a_1, a_2, ...] to `digits` places.
 
-    Convergents are extended until consecutive ones differ by less than
-    10^-(digits+2) and both interval endpoints agree on the emitted digits,
-    so every printed digit is guaranteed.  The default emits the exact
-    (truncated) expansion, which makes shorter outputs prefixes of longer
-    ones; half_even applies round-half-to-even at the last digit instead.
+    Steps the convergent recurrence one term at a time and stops at the
+    first convergent that certifies (see `_Certification`); it serves any
+    quotient stream and is the reference for `evaluate_tm`.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    scale = 10 ** digits
-    limit = 10 ** (digits + 2)
-    reduce = _round_half_even if half_even else operator.floordiv
+    rule = _Certification(digits, half_even)
     for pair in convergent_stream(quotients):
-        # consecutive convergents differ by exactly 1 / (q_{n-1} q_n)
-        if pair.index >= 2 and pair.q * pair.q_prev > limit:
-            k = reduce(pair.p * scale, pair.q)
-            if k == reduce(pair.p_prev * scale, pair.q_prev):
-                low, high = bracket(pair)
-                return CertifiedDecimal(_format_scaled(k, digits), digits, low, high, pair.index)
+        result = rule.certify(pair)
+        if result is not None:
+            return result
     raise ValueError("quotient stream ended before the decimal could be certified")
 
 
@@ -225,6 +261,63 @@ class MoebiusMap:
                 raise ValueError("interval straddles the pole of the map")
         x, y = self(lo), self(hi)
         return (x, y) if x <= y else (y, x)
+
+
+def evaluate_tm(amap: AlphabetMap, digits: int, half_even: bool = False) -> CertifiedDecimal:
+    """`evaluate` of the quotients amap(t_0), amap(t_1), ... of TM_m, from block products.
+
+    TM_m is the fixed point of the m-uniform morphism phi, so the block
+    t[i m^k : (i+1) m^k] is phi^k(t_i), and phi^(k+1)(j) is phi^k(j)
+    phi^k(j+1) ... phi^k(j+m-1) (mod m).  The convergents are products of
+    the matrices [[a, 1], [1, 0]] along the word, so the product over
+    phi^k(j) is built once, from m products of level k - 1, and reused.
+
+    Starting from [[p_0, p_-1], [q_0, q_-1]], aligned blocks are appended
+    while consecutive convergents stay 10^-(digits+2) or more apart.  The
+    level climbs each time the position reaches a multiple of the next
+    block length; once a block would close the gap, the level descends
+    until single terms remain.  q_n q_(n-1) grows with n, so this reaches
+    the same first n as the term-by-term loop.  From there terms are
+    added one at a time until the bracket certifies, and the result equals
+    `evaluate`'s in every field.  Level k is built only once the walk has
+    passed m^k terms, so even a large m builds about as many terms as the
+    certificate needs.
+    """
+    rule = _Certification(digits, half_even)
+    m = amap.m
+    blocks: dict[tuple[int, int], MoebiusMap] = {}
+
+    def block(k: int, j: int) -> MoebiusMap:
+        """The product over phi^k(j)."""
+        if (k, j) not in blocks:
+            if k == 0:
+                blocks[k, j] = MoebiusMap(amap(j), 1, 1, 0)
+            else:
+                parts = [block(k - 1, (j + r) % m) for r in range(m)]
+                blocks[k, j] = functools.reduce(MoebiusMap.compose, parts)
+        return blocks[k, j]
+
+    product, pos, k = MoebiusMap(0, 1, 1, 0), 0, 0
+    while True:
+        size = m ** k
+        longer = product.compose(block(k, tm_digit_sum(pos // size, m)))
+        if not rule.close(longer.c, longer.d):
+            product, pos = longer, pos + size
+            # after a descent fewer than m blocks fit, so this only climbs
+            if pos % (size * m) == 0:
+                k += 1
+        elif k == 0:
+            break
+        else:
+            k -= 1
+    # the next term closes the gap; step on until both ends agree
+    n = pos
+    while True:
+        product = product.compose(block(0, tm_digit_sum(n, m)))
+        n += 1
+        result = rule.certify(ConvergentPair(n, product.a, product.c, product.b, product.d))
+        if result is not None:
+            return result
 
 
 def tail_transform(pair: ConvergentPair) -> tuple[MoebiusMap, MoebiusMap]:

@@ -4,7 +4,10 @@ fractions, and a one-shot verification suite with machine-readable output.
 Exit codes: 0 success, 1 verification failure, 2 usage error or output
 that cannot be written (one `error:` line), 3 internal error (any other
 exception, reported in one line without a traceback), 141 (128 + SIGPIPE)
-when the reader of standard output goes away, without a message.
+when the reader of standard output goes away, without a message.  A usage
+error is an argument rejected by argparse or by the checks here
+(`UsageError`), which run before the library is called; an exception the
+library raises, `ValueError` included, is an internal error.
 """
 from __future__ import annotations
 
@@ -18,7 +21,6 @@ import sys
 from typing import IO, Iterable
 
 from . import analysis, cf, tm
-from .words import AlphabetError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -30,6 +32,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal
 # congruence scan reads at most this many terms, and the recursion suite
 # exhausts the digit words of length k only where m^k stays within it.
 SCAN_CAP = 100_000
+
+
+class UsageError(Exception):
+    """Arguments the command cannot run with: one `error:` line and exit 2."""
 
 
 class Writer:
@@ -103,8 +109,16 @@ def parse_map_spec(spec: str, m: int | None) -> cf.AlphabetMap:
     return cf.AlphabetMap(m, tuple(explicit.get(j, j + 1) for j in range(m)))
 
 
+def _map_arg(spec: str, m: int | None) -> cf.AlphabetMap:
+    """The --map option, checked like any other argument."""
+    try:
+        return parse_map_spec(spec, m)
+    except cf.AlphabetMapError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_gen(args: argparse.Namespace, writer: Writer) -> int:
-    amap = parse_map_spec(args.map_spec, args.m) if args.map_spec is not None else None
+    amap = _map_arg(args.map_spec, args.m) if args.map_spec is not None else None
     stream = itertools.islice(tm.digit_sum_stream(args.m), args.length)
     for i, symbol in enumerate(stream):
         record = {"index": i, "symbol": symbol}
@@ -115,13 +129,12 @@ def cmd_gen(args: argparse.Namespace, writer: Writer) -> int:
 
 
 def cmd_cf(args: argparse.Namespace, writer: Writer) -> int:
-    amap = parse_map_spec(args.map_spec or "", args.m)
-    seq = tm.tm_digit_sum_sequence(amap.m)
+    amap = _map_arg(args.map_spec or "", args.m)
     if args.convergent_count:
-        pairs = cf.convergents(cf.map_alphabet(seq, amap), args.convergent_count)
-        for pair in pairs:
+        quotients = cf.map_alphabet(tm.tm_digit_sum_sequence(amap.m), amap)
+        for pair in cf.convergents(quotients, args.convergent_count):
             writer.emit({"kind": "convergent", "n": pair.index, "p": pair.p, "q": pair.q})
-    result = cf.evaluate(cf.map_alphabet(seq, amap), args.digits)
+    result = cf.evaluate_tm(amap, args.digits)
     writer.emit(
         {
             "kind": "decimal",
@@ -152,6 +165,10 @@ def cmd_complexity(args: argparse.Namespace, writer: Writer) -> int:
 
 
 def cmd_period(args: argparse.Namespace, writer: Writer) -> int:
+    if args.a_max + 2 * args.b_max >= args.length:
+        raise UsageError(
+            f"period needs --a-max + 2 * --b-max < --len, got {args.a_max} + 2 * {args.b_max} >= {args.length}"
+        )
     witness = analysis.find_period(tm.tm_digit_sum_sequence(args.m), args.a_max, args.b_max, args.length)
     if witness is None:
         writer.emit({"kind": "period", "found": False, "a_max": args.a_max, "b_max": args.b_max})
@@ -180,7 +197,10 @@ def cmd_patterns(args: argparse.Namespace, writer: Writer) -> int:
         try:
             pattern = [int(x) for x in args.pattern.split(",")]
         except ValueError:
-            raise AlphabetError(f"bad pattern {args.pattern!r}, expected comma-separated symbols")
+            raise UsageError(f"bad pattern {args.pattern!r}, expected comma-separated symbols") from None
+        outside = [s for s in pattern if not 0 <= s < args.m]
+        if outside:
+            raise UsageError(f"--pattern symbol {outside[0]} not in alphabet of modulus {args.m}")
         occurrences = analysis.find_pattern(tm.tm_digit_sum_sequence(args.m), pattern, args.length)
         for pos in occurrences:
             writer.emit({"kind": "occurrence", "pattern": args.pattern, "index": pos})
@@ -297,9 +317,8 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
         else f"violated at n={profile.violations[:3]}",
     )
 
-    seq = tm.tm_digit_sum_sequence(m)
     count = min(1000, max(2, length))
-    pairs = cf.convergents(cf.map_alphabet(seq, amap), count)
+    pairs = cf.convergents(cf.map_alphabet(tm.tm_digit_sum_sequence(m), amap), count)
     det_ok = all(p.determinant == (-1) ** (p.index - 1) for p in pairs)
     cop_ok = all(cf.coprime(p) for p in pairs)
     yield (
@@ -308,8 +327,8 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
         det_ok and cop_ok,
         f"first {count} convergents",
     )
-    short = cf.evaluate(cf.map_alphabet(seq, amap), args.digits)
-    longer = cf.evaluate(cf.map_alphabet(seq, amap), args.digits + 6)
+    short = cf.evaluate_tm(amap, args.digits)
+    longer = cf.evaluate_tm(amap, args.digits + 6)
     yield (
         "convergents",
         "certified decimal is prefix-stable across digit targets",
@@ -320,14 +339,14 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
 
 def cmd_verify_all(args: argparse.Namespace, writer: Writer) -> int:
     if args.m ** 2 > SCAN_CAP:
-        raise ValueError(f"verify-all needs --m <= {math.isqrt(SCAN_CAP)} (m^2 <= {SCAN_CAP}), got {args.m}")
+        raise UsageError(f"verify-all needs --m <= {math.isqrt(SCAN_CAP)} (m^2 <= {SCAN_CAP}), got {args.m}")
     # the congruence scan needs m terms and the period search needs 3
     min_length = max(args.m, 3)
     if args.length < min_length:
-        raise ValueError(f"verify-all needs --len >= {min_length} at m={args.m}, got {args.length}")
+        raise UsageError(f"verify-all needs --len >= {min_length} at m={args.m}, got {args.length}")
     if args.inject_flip is not None and not 0 <= args.inject_flip < args.length:
-        raise ValueError(f"--inject-flip must be in [0, {args.length}), got {args.inject_flip}")
-    amap = parse_map_spec(args.map_spec or "", args.m)
+        raise UsageError(f"--inject-flip must be in [0, {args.length}), got {args.inject_flip}")
+    amap = _map_arg(args.map_spec or "", args.m)
     failures = 0
     for suite, prop, passed, detail in _verify_suites(args, amap):
         record = {
@@ -446,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
             out.write("")  # a run that succeeds without records still empties the file
             out.file.close()
         return code
-    except ValueError as exc:  # AlphabetError, SymbolError and AlphabetMapError among them
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
@@ -458,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # output that cannot be written, e.g. --out in a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # WordRangeError, RuntimeError, ...: a fault of the program
+    except Exception as exc:  # ValueError, WordRangeError, RuntimeError, ...: a fault of the program
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:

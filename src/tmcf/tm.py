@@ -100,6 +100,11 @@ def tm_morphic(m: int) -> TmSequence:
     return TmSequence(m, tm_morphism(m).fixed_point(0), "morphic")
 
 
+def _shift_table(m: int, j: int) -> bytes:
+    """A `bytes.translate` table taking each symbol s < m <= 256 to s + j (mod m)."""
+    return bytes((s + j) % m for s in range(m)) + bytes(256 - m)
+
+
 def _digit_sum_blocks(m: int) -> Iterator[bytes]:
     """Yield TM_m for m <= 256 as packed blocks, each a shifted copy of the prefix.
 
@@ -107,7 +112,7 @@ def _digit_sum_blocks(m: int) -> Iterator[bytes]:
     t_{j m^k + r} = t_r + j (mod m): after the first term, level k yields
     the length-m^k prefix translated by each shift j = 1, ..., m-1.
     """
-    shifts = [bytes((s + j) % m for s in range(m)) + bytes(256 - m) for j in range(1, m)]
+    shifts = [_shift_table(m, j) for j in range(1, m)]
     prefix = bytes(1)
     yield prefix
     while True:
@@ -229,6 +234,10 @@ def check_congruences(m: int, length: int, word: Word | None = None, max_report:
     2. whenever t_{n+1} - t_n is not 1 mod m, then n is m-1 mod m
        (the implication form, scanned literally);
     3. t_{nm+r} = t_{nm} + r mod m for r in {1, ..., m-1}.
+
+    A packed prefix (bytes, m <= 256) is first checked whole by
+    `_congruences_hold`; the term-by-term scans run, and name the
+    violations, only for a word that fails that check or is not packed.
     """
     ModAlphabet(m)  # rejects a modulus below 2
     if length < m:
@@ -238,6 +247,8 @@ def check_congruences(m: int, length: int, word: Word | None = None, max_report:
     t, _ = _prefix_of(word, length, m)
     if len(t) < length:
         raise WordRangeError(f"length {length} exceeds the word's {len(t)} symbols")
+    if isinstance(t, (bytes, bytearray)) and _congruences_hold(t, m, length):
+        return CongruenceReport(m, length, (), (), ())
 
     scaling = []
     for n in range(1, (length - 1) // m + 1):
@@ -264,6 +275,19 @@ def check_congruences(m: int, length: int, word: Word | None = None, max_report:
             break
 
     return CongruenceReport(m, length, tuple(scaling), tuple(step), tuple(block))
+
+
+def _congruences_hold(t: bytes, m: int, length: int) -> bool:
+    """Whether a packed prefix has the properties of `check_congruences`,
+    by comparing strided slices: t_1 .. t_K against t_m, t_2m, .. t_Km,
+    and each residue class n = r (mod m), r < m - 1, stepped by +1 against
+    the class r + 1.  Inside a whole block these unit steps are exactly
+    the block offsets, so they settle property 3 as well."""
+    top = (length - 1) // m
+    if t[1:top + 1] != t[m:(top + 1) * m:m]:
+        return False
+    up = t.translate(_shift_table(m, 1))
+    return all(up[r:length - 1:m] == t[r + 1:length:m] for r in range(m - 1))
 
 
 def find_triple_repeat(word: Word, length: int | None = None) -> int | None:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_cf_value
 from tmcf.cf import (
@@ -16,6 +18,7 @@ from tmcf.cf import (
     convergents,
     coprime,
     evaluate,
+    evaluate_tm,
     map_alphabet,
     tail_transform,
     verify_tail_intervals,
@@ -167,6 +170,9 @@ def test_evaluate_half_even_rounds_up():
 def test_evaluate_rejects_bad_digits():
     with pytest.raises(ValueError):
         evaluate(ones(), 0)
+    for digits in (0, -3):
+        with pytest.raises(ValueError, match="digits must be >= 1"):
+            evaluate_tm(AlphabetMap.identity_shift(2), digits)
 
 
 def fraction_evaluate(quotients, digits, half_even):
@@ -192,22 +198,72 @@ def fraction_evaluate(quotients, digits, half_even):
         prev = cur
 
 
+REFERENCE_MAPS = [
+    AlphabetMap.identity_shift(2),
+    AlphabetMap(2, (2, 1)),
+    AlphabetMap(2, (1, 9)),
+    AlphabetMap.identity_shift(3),
+    AlphabetMap(3, (3, 1, 7)),
+    AlphabetMap.identity_shift(5),
+    AlphabetMap(5, (4, 1, 5, 2, 3)),
+]
+
+
+def fields(result):
+    return result.text, result.terms_used, result.low, result.high
+
+
 def test_evaluate_matches_fraction_reference():
-    maps = [
-        AlphabetMap.identity_shift(2),
-        AlphabetMap(2, (2, 1)),
-        AlphabetMap(2, (1, 9)),
-        AlphabetMap.identity_shift(3),
-        AlphabetMap(3, (3, 1, 7)),
-        AlphabetMap.identity_shift(5),
-        AlphabetMap(5, (4, 1, 5, 2, 3)),
-    ]
-    for amap in maps:
+    for amap in REFERENCE_MAPS:
         for digits in (1, 2, 5, 12, 41, 150):
             for half_even in (False, True):
                 got = evaluate(tm_quotients(amap.m, amap), digits, half_even=half_even)
                 want = fraction_evaluate(tm_quotients(amap.m, amap), digits, half_even)
-                assert (got.text, got.terms_used, got.low, got.high) == want, (amap, digits, half_even)
+                assert fields(got) == want, (amap, digits, half_even)
+
+
+def test_evaluate_tm_matches_evaluate_and_fraction_reference():
+    for amap in REFERENCE_MAPS:
+        for digits in (1, 2, 5, 12, 41, 150):
+            for half_even in (False, True):
+                got = fields(evaluate_tm(amap, digits, half_even=half_even))
+                assert got == fields(evaluate(tm_quotients(amap.m, amap), digits, half_even=half_even))
+                assert got == fraction_evaluate(tm_quotients(amap.m, amap), digits, half_even)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_evaluate_tm_matches_evaluate_on_random_maps(data):
+    m = data.draw(st.integers(2, 7), label="m")
+    image = data.draw(st.lists(st.integers(1, 60), min_size=m, max_size=m, unique=True), label="image")
+    digits = data.draw(st.integers(1, 300), label="digits")
+    half_even = data.draw(st.booleans(), label="half_even")
+    amap = AlphabetMap(m, tuple(image))
+    got = evaluate_tm(amap, digits, half_even=half_even)
+    assert fields(got) == fields(evaluate(tm_quotients(m, amap), digits, half_even=half_even))
+
+
+def test_evaluate_tm_past_the_int_str_digit_limit():
+    amap = AlphabetMap(3, (3, 1, 7))
+    got = evaluate_tm(amap, 5000)
+    assert len(got.text) == 5002
+    assert fields(got) == fields(evaluate(tm_quotients(3, amap), 5000))
+
+
+def test_evaluate_tm_prefix_stable_at_scale():
+    tm2 = AlphabetMap.identity_shift(2)
+    d4000 = evaluate_tm(tm2, 4000)
+    d100000 = evaluate_tm(tm2, 10 ** 5)
+    assert len(d100000.text) == 10 ** 5 + 2
+    assert d100000.text.startswith(d4000.text)
+    assert d4000.text == evaluate(tm_quotients(2), 4000).text
+
+
+def test_evaluate_tm_at_a_large_modulus():
+    # levels are built only as far as the terms reach, so m = 300 stays cheap
+    amap = AlphabetMap(300, tuple(range(300, 0, -1)))
+    for digits in (1, 700, 2000):
+        assert fields(evaluate_tm(amap, digits)) == fields(evaluate(tm_quotients(300, amap), digits))
 
 
 def test_evaluate_past_the_int_str_digit_limit():

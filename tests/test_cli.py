@@ -234,6 +234,10 @@ def test_patterns_rejects_symbols_outside_the_alphabet(capsys):
         (["verify-all", "--m", "2", "--len", "100", "--inject-flip", "-1"], "--inject-flip"),
         (["verify-all", "--m", "2", "--len", "100", "--map", "0:1,1:1"], "injective"),
         (["verify-all", "--m", "317", "--len", "1000"], "--m <= 316"),
+        (["period", "--m", "2", "--len", "100", "--a-max", "50", "--b-max", "25"], "--len"),
+        (["patterns", "--m", "3", "--pattern", "0,3"], "symbol 3"),
+        (["patterns", "--m", "3", "--pattern", "0,x"], "bad pattern"),
+        (["gen", "--m", "2", "--map", "0:1,1:x"], "bad map entry"),
     ],
 )
 def test_bad_arguments_rejected_before_any_record(capsys, tmp_path, argv, reason):
@@ -362,6 +366,8 @@ def test_csv_rows_match_the_header_above_them(capsys, argv):
         ("find_pattern", WordRangeError("slice [9:12) past the prefix")),
         ("predicted_011_positions", RuntimeError("predicted position 7 fails validation")),
         ("complexity", KeyError(3)),
+        # a library ValueError on arguments the CLI checked is the program's fault
+        ("find_period", ValueError("prefix of length 1000 too short for a_max=50, b_max=400")),
     ],
 )
 def test_internal_errors_exit_3_in_one_line(capsys, monkeypatch, name, error):

@@ -150,6 +150,26 @@ def test_congruences_flag_corruption():
     assert not report.all_hold
 
 
+def test_congruences_packed_check_reports_what_the_scans_report():
+    # a packed prefix is checked whole first; a list goes through the scans
+    rng = random.Random(8)
+    for m in (2, 3, 5, 16, 256):
+        for trial in range(40):
+            length = rng.randint(m, 4000)
+            word = bytearray(tm_digit_sum_sequence(m).word.symbols(length + 3))
+            for _ in range(trial % 4):
+                i = rng.randrange(len(word))
+                word[i] = (word[i] + rng.randrange(1, m)) % m
+            if trial % 8 == 7:
+                # blocks b, b+1, ..., b+m-1 on random bases b: unit steps hold, scaling fails
+                bases = [rng.randrange(m) for _ in range(length // m + 1)]
+                word = bytearray((b + r) % m for b in bases for r in range(m))
+            packed = check_congruences(m, length, bytes(word))
+            assert packed == check_congruences(m, length, list(word)), (m, length)
+            if trial % 4 == 0:
+                assert packed.all_hold
+
+
 def test_congruences_reject_a_word_over_another_alphabet():
     with pytest.raises(SymbolError):
         check_congruences(5, 1000, tm_digit_sum_sequence(2))
