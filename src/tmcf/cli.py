@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
 import os
 import sys
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, Sequence
 
 from . import analysis, cf, tm
 
@@ -42,22 +43,74 @@ class Writer:
     """Streams records in one of the three output formats; CSV writes a
     header row before the first record and whenever the keys change."""
 
+    BATCH = 8192  # most records `emit_indexed` writes at once
+    _json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True) without a new encoder per call
+
     def __init__(self, stream: IO[str], out_format: str):
         self.stream = stream
         self.format = out_format
-        self._csv = csv.writer(stream, lineterminator="\n")
+        self._buffer = io.StringIO()
+        self._csv = csv.writer(self._buffer, lineterminator="\n")
         self._keys = None
 
     def emit(self, record: dict) -> None:
+        self.stream.write(self._header(record) + self._line(record))
+
+    def emit_indexed(self, record: Callable[[int, int], dict], chunks: Iterable[Sequence[int]], count: int) -> None:
+        """Write record(i, t_i) for i < count, where t_0, t_1, ... are the
+        symbols of `chunks`, as `emit` would write each, at most BATCH
+        records a write.
+
+        The records must share their keys, begin with "index": i (it sorts
+        first, so json-lines keeps it there), and otherwise depend on the
+        symbol alone.  Then every line is head + str(i) + tail, and `_line`
+        renders the tail of each distinct symbol once, at index 0.
+        """
+        zero, one = (self._line(record(i, 0)) for i in (0, 1))
+        head = os.path.commonprefix([zero, one])
+        if one != f"{head}1{zero[len(head) + 1:]}":
+            raise ValueError(f"records must begin with their index, got {zero!r}")
+        tails: dict[int, str] = {}
+        header = self._header(record(0, 0))  # written with the first batch
+        start = 0
+        for chunk in chunks:
+            for lo in range(0, min(len(chunk), count - start), self.BATCH):
+                block = chunk[lo:lo + min(self.BATCH, count - start)]
+                new = set(block).difference(tails)
+                if len(tails) + len(new) > self.BATCH:  # a wide alphabet: keep this batch's tails only
+                    tails.clear()
+                    new = set(block)
+                for symbol in new:
+                    line = self._line(record(0, symbol))
+                    if not line.startswith(f"{head}0"):
+                        raise ValueError(f"records must begin with their index, got {line!r}")
+                    tails[symbol] = line[len(head) + 1:]
+                self.stream.write(header + "".join([f"{head}{i}{tails[s]}" for i, s in enumerate(block, start)]))
+                header = ""
+                start += len(block)
+            if start == count:
+                return
+
+    def _header(self, record: dict) -> str:
+        """The CSV header row if the record's keys differ from the last ones, else ""."""
+        if self.format != "csv" or list(record) == self._keys:
+            return ""
+        self._keys = list(record)
+        return self._csv_row(self._keys)
+
+    def _line(self, record: dict) -> str:
         if self.format == "json-lines":
-            self.stream.write(json.dumps(record, sort_keys=True) + "\n")
-        elif self.format == "csv":
-            if list(record) != self._keys:
-                self._keys = list(record)
-                self._csv.writerow(self._keys)
-            self._csv.writerow(record.values())
-        else:
-            self.stream.write(" ".join(str(v) for v in record.values()) + "\n")
+            return self._json(record) + "\n"
+        if self.format == "csv":
+            return self._csv_row(record.values())
+        return " ".join(str(v) for v in record.values()) + "\n"
+
+    def _csv_row(self, values: Iterable) -> str:
+        self._csv.writerow(values)
+        row = self._buffer.getvalue()
+        self._buffer.seek(0)
+        self._buffer.truncate()
+        return row
 
 
 def _positive(text: str) -> int:
@@ -119,12 +172,13 @@ def _map_arg(spec: str, m: int | None) -> cf.AlphabetMap:
 
 def cmd_gen(args: argparse.Namespace, writer: Writer) -> int:
     amap = _map_arg(args.map_spec, args.m) if args.map_spec is not None else None
-    stream = itertools.islice(tm.digit_sum_stream(args.m), args.length)
-    for i, symbol in enumerate(stream):
-        record = {"index": i, "symbol": symbol}
-        if amap is not None:
-            record["quotient"] = amap(symbol)
-        writer.emit(record)
+
+    def record(i: int, symbol: int) -> dict:
+        if amap is None:
+            return {"index": i, "symbol": symbol}
+        return {"index": i, "symbol": symbol, "quotient": amap(symbol)}
+
+    writer.emit_indexed(record, tm.digit_sum_chunks(args.m), args.length)
     return EXIT_OK
 
 

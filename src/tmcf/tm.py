@@ -105,39 +105,48 @@ def _shift_table(m: int, j: int) -> bytes:
     return bytes((s + j) % m for s in range(m)) + bytes(256 - m)
 
 
-def _digit_sum_blocks(m: int) -> Iterator[bytes]:
-    """Yield TM_m for m <= 256 as packed blocks, each a shifted copy of the prefix.
+# The chunks of digit_sum_chunks: blocks of the largest power of m up to
+# _BLOCK_MAX terms (m <= 256), or lists of _WIDE_CHUNK terms (m > 256).
+_BLOCK_MAX = 1 << 16
+_WIDE_CHUNK = 8192
 
-    For r < m^k and 0 < j < m the digit j sits above every digit of r, so
-    t_{j m^k + r} = t_r + j (mod m): after the first term, level k yields
-    the length-m^k prefix translated by each shift j = 1, ..., m-1.
+
+def digit_sum_chunks(m: int) -> Iterator[Sequence[int]]:
+    """Yield TM_m from digit sums in consecutive chunks: `bytes` for m <= 256.
+
+    For r < m^k, t_{a m^k + r} = t_r + s_m(a) (mod m), since the digits of
+    a sit above every digit of r.  So, after the first term, level k yields
+    the length-m^k prefix translated by each shift j = 1, ..., m-1, up to
+    the largest power B = m^k <= 2^16; from there on, block a (the terms
+    from a B) is those first B terms shifted by tm_digit_sum(a, m), and
+    only they are kept.  Above 256 symbols the chunks are lists of 8192
+    terms of `digit_sum_stream`.
     """
-    shifts = [_shift_table(m, j) for j in range(1, m)]
-    prefix = bytes(1)
-    yield prefix
-    while True:
-        level = [prefix]
-        for shift in shifts:
-            level.append(prefix.translate(shift))
+    ModAlphabet(m)  # rejects a modulus below 2
+    if m > 256:
+        stream = digit_sum_stream(m)
+        while True:
+            yield list(itertools.islice(stream, _WIDE_CHUNK))
+    shifts = [_shift_table(m, j) for j in range(m)]
+    base = bytes(1)
+    yield base
+    while len(base) * m <= _BLOCK_MAX:
+        level = [base]
+        for shift in shifts[1:]:
+            level.append(base.translate(shift))
             yield level[-1]
-        prefix = b"".join(level)
+        base = b"".join(level)
+    for a in itertools.count(1):
+        yield base.translate(shifts[tm_digit_sum(a, m)])
 
 
 def tm_digit_sum_sequence(m: int) -> TmSequence:
-    """TM_m as a lazy word built from digit sums.
+    """TM_m as a lazy word read from `digit_sum_chunks`.
 
-    For m <= 256 the word grows by block translation (`_digit_sum_blocks`),
-    using t_{j m^k + r} = t_r + j (mod m) for r < m^k; larger alphabets
-    fall back to the per-term carry-propagation `digit_sum_stream`.
     `tm_digit_sum` stays available for random access without
     materializing a prefix.
     """
-    ModAlphabet(m)  # rejects a modulus below 2
-    if m <= 256:
-        word = LazyWord.from_chunks(_digit_sum_blocks(m), m)
-    else:
-        word = LazyWord.from_symbols(digit_sum_stream(m), m, chunk_size=8192)
-    return TmSequence(m, word, "digit_sum")
+    return TmSequence(m, LazyWord.from_chunks(digit_sum_chunks(m), m), "digit_sum")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ import pytest
 
 import tmcf
 from tmcf import analysis
-from tmcf.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, main, parse_map_spec
+from tmcf.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, Writer, main, parse_map_spec
 from tmcf.cf import AlphabetMapError
+from tmcf.tm import digit_sum_stream
 from tmcf.words import WordRangeError
 
 
@@ -80,6 +82,56 @@ def test_gen_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines() == ["0 0", "1 1", "2 1", "3 0"]
+
+
+def emitted(fmt: str, m: int, length: int, reverse_map: bool) -> list[str]:
+    """The oracle for `gen`: the lines `Writer.emit` writes record by record
+    over `digit_sum_stream` (a CSV header line first)."""
+    out = io.StringIO()
+    writer = Writer(out, fmt)
+    for i, symbol in zip(range(length), digit_sum_stream(m)):
+        record = {"index": i, "symbol": symbol}
+        if reverse_map:
+            record["quotient"] = m - symbol
+        writer.emit(record)
+    return out.getvalue().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 256, 257])
+def test_gen_writes_what_emit_writes(capsys, m):
+    # the fixed chunks of `digit_sum_chunks`: the largest power of m <= 2^16, or 8192 terms above m = 256
+    block = 8192 if m > 256 else max(m ** k for k in range(17) if m ** k <= 1 << 16)
+    lengths = [1, block - 1, block, block + 1, 3 * block + 7]
+    for fmt in ("plain", "json-lines", "csv"):
+        for reverse_map in (False, True):
+            lines = emitted(fmt, m, lengths[-1], reverse_map)
+            header = fmt == "csv"
+            argv = ["gen", "--m", str(m), "--format", fmt]
+            if reverse_map:
+                argv += ["--map", ",".join(f"{j}:{m - j}" for j in range(m))]
+            for length in lengths:
+                code, out, _ = run_cli(capsys, *argv, "--len", str(length))
+                assert code == 0
+                assert out == "".join(lines[:header + length]), (fmt, reverse_map, length)
+
+
+def test_gen_at_a_huge_modulus(capsys):
+    # the tail of each distinct symbol is kept in a dict, not a table of size
+    # m; past 8192 distinct symbols only the current batch's (at m = 10 000
+    # the second batch holds 1808 new symbols and 6384 seen in the first)
+    for m, length in ((10 ** 9, 5), (10_000, 20_000)):
+        for fmt in ("plain", "json-lines", "csv"):
+            code, out, _ = run_cli(capsys, "gen", "--m", str(m), "--len", str(length), "--format", fmt)
+            assert code == 0
+            assert out == "".join(emitted(fmt, m, length, False)), (m, fmt)
+
+
+def test_emit_indexed_rejects_records_that_do_not_begin_with_the_index():
+    # "digit" sorts before "index", so json-lines puts it first as well
+    for fmt in ("plain", "json-lines", "csv"):
+        writer = Writer(io.StringIO(), fmt)
+        with pytest.raises(ValueError, match="begin with their index"):
+            writer.emit_indexed(lambda i, s: {"digit": s, "index": i}, [bytes([0, 1, 1, 0])], 4)
 
 
 def test_parse_map_spec():

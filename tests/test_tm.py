@@ -8,6 +8,7 @@ from tmcf.tm import (
     _prefix_of,
     check_congruences,
     check_lemma_recursion,
+    digit_sum_chunks,
     digit_sum_stream,
     find_triple_repeat,
     first_mismatch,
@@ -66,6 +67,23 @@ def test_digit_sum_sequence_matches_random_access_at_scale(m):
     indices = random.Random(m).sample(range(10 ** 5), 2000) + [0, 10 ** 5 - 1]
     for n in indices:
         assert prefix[n] == tm_digit_sum(n, m), (m, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 255, 256, 257])
+def test_digit_sum_chunks_concatenate_to_the_digit_sums(m):
+    # m <= 256: whole levels up to the largest power B = m^k <= 2^16, then
+    # blocks of B terms; m = 257: lists of 8192 terms
+    block = 8192 if m > 256 else max(m ** k for k in range(17) if m ** k <= 1 << 16)
+    length = 3 * block + 7
+    terms, offset = bytearray() if m <= 256 else [], 0
+    for chunk in digit_sum_chunks(m):
+        if offset >= block:
+            assert len(chunk) == block, (m, offset)
+        terms.extend(chunk)
+        offset += len(chunk)
+        if offset >= length:
+            break
+    assert list(terms[:length]) == [tm_digit_sum(n, m) for n in range(length)]
 
 
 def test_tm_morphism_images():
