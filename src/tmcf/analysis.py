@@ -12,18 +12,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .tm import Word, _prefix_of, tm_digit_sum, tm_digit_sum_sequence, tm_morphism
-from .words import FiniteWord, WordRangeError
+from .tm import Word, _prefix_of, _shift_table, tm_digit_sum, tm_digit_sum_sequence, tm_morphism
+from .words import FiniteWord, ModAlphabet, WordRangeError
 
 
 @dataclass(frozen=True)
 class ComplexityProfile:
-    """Distinct-factor counts of a prefix, annotated with the cubic bound."""
+    """Distinct-factor counts, annotated with the cubic bound: of a prefix
+    (`complexity`), or of all of TM_m (`tm_complexity`)."""
 
-    prefix_length: int
+    prefix_length: int | None          # None: counted on the whole word
     table: dict[int, int]              # n -> p(n)
     bound_factor: int                  # modulus cubed
     violations: tuple[int, ...]        # n with p(n) > bound_factor * n
+    windows: int                       # distinct windows the counts were read from
+    power: int | None = None           # r of the power images tm_complexity read
 
     def p(self, n: int) -> int:
         return self.table[n]
@@ -31,27 +34,54 @@ class ComplexityProfile:
     def max_ratio(self) -> Fraction:
         """max over n of p(n)/n on the computed range, as an exact fraction.
 
-        Finite-scale evidence that the linear complexity bound holds; it
-        does not decide anything beyond the scanned prefix.
+        On a prefix this is finite-scale evidence that the linear
+        complexity bound holds; it does not decide anything beyond the
+        scanned prefix.
         """
         return max(Fraction(p, n) for n, p in self.table.items())
 
 
-def _window_counts(data: bytes, n_max: int, width: int) -> list[int]:
-    """counts[n] for 1 <= n <= n_max from the distinct length-n_max windows.
+def _profile(table: dict[int, int], m: int, prefix_length: int | None, windows: int,
+             power: int | None = None) -> ComplexityProfile:
+    bound = m ** 3
+    violations = tuple(n for n, p in table.items() if p > bound * n)
+    return ComplexityProfile(prefix_length, table, bound, violations, windows, power)
 
-    `data` holds the symbols `width` bytes each, big-endian, so that byte
-    order is symbol order.  Every factor of length n <= n_max is a prefix
-    of a window of length n_max or of one of the last n_max - 1 suffixes.
-    In sorted order each of those strings adds one new factor for each n
-    in (lcp with its predecessor, its length], counted in symbols: the
-    common bytes divided by `width`.  The count is exact.
-    """
+
+def _packed(symbols: Sequence[int], width: int) -> bytes:
+    """Symbols `width` bytes each, big-endian, so that byte order is symbol order."""
+    if width == 1:
+        return bytes(symbols)  # no copy for packed bytes
+    # 2^16 symbols at a time: a bytes object per symbol costs ~120 bytes while it lives
+    return b"".join(
+        b"".join(map(int.to_bytes, symbols[i:i + 2 ** 16], itertools.repeat(width), itertools.repeat("big")))
+        for i in range(0, len(symbols), 2 ** 16)
+    )
+
+
+def _width(m: int) -> int:
+    return ((m - 1).bit_length() + 7) // 8
+
+
+def _prefix_windows(data: bytes, n_max: int, width: int) -> set[bytes]:
+    """The distinct length-n_max windows of a packed prefix and its last
+    n_max - 1 suffixes: every factor of length n <= n_max is a prefix of
+    one of them."""
     length = len(data)
     ends = range(n_max * width, length + 1, width)
     windows = set(map(data.__getitem__, map(slice, range(0, length, width), ends)))
     windows.update(data[i:] for i in range(len(ends) * width, length, width))
+    return windows
 
+
+def _factor_counts(windows: set[bytes], n_max: int, width: int) -> list[int]:
+    """counts[n] for 1 <= n <= n_max: the distinct length-n prefixes of `windows`.
+
+    The windows hold their symbols `width` bytes each, big-endian, so that
+    byte order is symbol order.  In sorted order each window adds one new
+    prefix for each n in (lcp with its predecessor, its length], counted in
+    symbols: the common bytes divided by `width`.  The count is exact.
+    """
     diff = [0] * (n_max + 2)
     prev = b""
     for w in sorted(windows):
@@ -67,30 +97,60 @@ def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityP
     """Exact p(n) for 1 <= n <= n_max over a prefix.
 
     Counts the distinct factors from the distinct length-n_max windows of
-    the prefix (`_window_counts`), for every alphabet and every n_max.  A
-    Thue-Morse prefix has few of them, so a 10^6 prefix at n_max = 200
-    takes a few MB beyond its symbols; a word whose windows are all
-    distinct, such as a random one, keeps every window.  Symbols are
-    packed ceil(bit_length(m - 1) / 8) bytes each, big-endian: a packed
-    prefix (m <= 256) is read as it is.  `complexity_naive` is the
-    quadratic cross-check.
+    the prefix (`_prefix_windows`, `_factor_counts`), for every alphabet
+    and every n_max.  A Thue-Morse prefix has few of them, so a 10^6
+    prefix at n_max = 200 takes a few MB beyond its symbols; a word whose
+    windows are all distinct, such as a random one, keeps every window.
+    Symbols are packed ceil(bit_length(m - 1) / 8) bytes each, big-endian:
+    a packed prefix (m <= 256) is read as it is.  `complexity_naive` is
+    the quadratic cross-check; `tm_complexity` counts all of TM_m.
     """
     symbols, m = _prefix_of(word, length)
     if not 1 <= n_max <= len(symbols):
         raise WordRangeError(f"n_max must be in [1, {len(symbols)}], got {n_max}")
-    width = ((m - 1).bit_length() + 7) // 8
-    if width == 1:
-        data = bytes(symbols)  # no copy for a packed word
-    else:  # 2^16 symbols at a time: a bytes object per symbol costs ~120 bytes while it lives
-        data = b"".join(
-            b"".join(map(int.to_bytes, symbols[i:i + 2 ** 16], itertools.repeat(width), itertools.repeat("big")))
-            for i in range(0, len(symbols), 2 ** 16)
-        )
-    counts = _window_counts(data, n_max, width)
-    table = {n: counts[n] for n in range(1, n_max + 1)}
-    bound = m ** 3
-    violations = tuple(n for n, p in table.items() if p > bound * n)
-    return ComplexityProfile(len(symbols), table, bound, violations)
+    width = _width(m)
+    windows = _prefix_windows(_packed(symbols, width), n_max, width)
+    counts = _factor_counts(windows, n_max, width)
+    return _profile({n: counts[n] for n in range(1, n_max + 1)}, m, len(symbols), len(windows))
+
+
+def tm_complexity(m: int, n_max: int) -> ComplexityProfile:
+    """Exact p(n) of TM_m itself for 1 <= n <= n_max.
+
+    TM_m = phi^r(TM_m).  With r the least r >= 0 with m^r >= n_max - 1,
+    every length-n_max factor is a window of P_a ++ P_b, for a 2-factor
+    ab, at an offset s < m^r, where P_a = phi^r(a) = B + a (mod m) and B
+    is the first m^r digit sums.  Every pair ab is a 2-factor (t_{n+1} - t_n = 1 + k mod m, with
+    k the number of trailing digits m - 1 of n, takes every value), and
+    adding c to every symbol maps the factors onto themselves.  So p(n) is
+    m times the number of distinct length-n factors that begin with 0:
+    the prefixes of the windows at each s of P_a ++ P_b with a = -B[s],
+    for every b; a window that ends inside P_a is counted once.  That is
+    at most (m^r - n_max + 1) + (n_max - 1) * m windows of n_max symbols,
+    packed and counted like a prefix's (`_factor_counts`): ~0.2 s and
+    ~40 MB at (m, n_max) = (300, 200).
+    """
+    ModAlphabet(m)  # rejects a modulus below 2
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    r = 0
+    while m ** r < n_max - 1:
+        r += 1
+    size, width = m ** r, _width(m)
+    base = tm_digit_sum_sequence(m).word.symbols(size)
+    if m <= 256:
+        images = [base.translate(_shift_table(m, a)) for a in range(m)]
+    else:
+        images = [_packed([(x + a) % m for x in base], width) for a in range(m)]
+    leading_zero = [images[-c % m] for c in range(m)]  # leading_zero[B[s]][s] == 0
+    inside = max(size - n_max + 1, 0)  # offsets whose window ends inside P_a
+    windows = {leading_zero[base[s]][s * width:(s + n_max) * width] for s in range(inside)}
+    for s in range(inside, size):
+        head = leading_zero[base[s]][s * width:]
+        tail = (s + n_max - size) * width
+        windows.update(head + image[:tail] for image in images)
+    counts = _factor_counts(windows, n_max, width)
+    return _profile({n: m * counts[n] for n in range(1, n_max + 1)}, m, None, len(windows), r)
 
 
 def complexity_naive(word: Word, n_max: int, length: int | None = None) -> dict[int, int]:

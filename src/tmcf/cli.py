@@ -304,11 +304,7 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
     )
 
     word_lengths = [k for k in (2, 3, 4) if m ** k <= SCAN_CAP]
-    exhaustive = all(
-        tm.check_lemma_recursion(list(c), m)
-        for k in word_lengths
-        for c in itertools.product(range(m), repeat=k)
-    )
+    exhaustive = all(tm.lemma_recursion_holds(m, k) for k in word_lengths)
     yield (
         "recursion",
         "power-image indexing equals digit sums on all short digit words",
@@ -361,14 +357,28 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
         )
 
     n_max = min(args.n_max, length)
-    profile = analysis.complexity(morphic, n_max, length)
+    exact = analysis.tm_complexity(m, n_max)
+    # a prefix that holds phi^r of every pair holds every factor, so its
+    # counts must equal the exact ones; a shorter prefix can only miss factors
+    covering = _covering_length(morphic, m ** exact.power, length)
+    prefix = analysis.complexity(morphic, n_max, covering or length)
+    if covering:
+        relation, off = "==", [n for n, p in prefix.table.items() if p != exact.p(n)]
+    else:
+        relation, off = "<=", [n for n, p in prefix.table.items() if p > exact.p(n)]
+    detail = (
+        f"r={exact.power}, {exact.windows} windows, max ratio {exact.max_ratio()}; "
+        f"{prefix.prefix_length}-term prefix counts {relation} exact"
+    )
+    if exact.violations:
+        detail += f"; violated at n={exact.violations[:3]}"
+    if off:
+        detail += f"; prefix counts off at n={off[:3]}"
     yield (
         "complexity",
-        f"p(n) <= {profile.bound_factor} * n for n <= {n_max}",
-        not profile.violations,
-        f"max ratio {profile.max_ratio()}"
-        if not profile.violations
-        else f"violated at n={profile.violations[:3]}",
+        f"p(n) <= {exact.bound_factor} * n for n <= {n_max}, exact on TM_{m}",
+        not exact.violations and not off,
+        detail,
     )
 
     count = min(1000, max(2, length))
@@ -389,6 +399,29 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
         longer.text.startswith(short.text),
         f"{short.text} vs {longer.text}",
     )
+
+
+def _covering_length(word: tm.TmSequence, block: int, length: int) -> int | None:
+    """(i + 2) * block, where i is the last first occurrence of any of the
+    m^2 pairs in the first `length` terms, if that is at most `length`.
+
+    With block = m^r, phi^r(t_i t_{i+1}) ends there, so that prefix holds
+    every factor of length <= block + 1.  None when a pair is missing from
+    the first `length` terms, when the prefix would be longer, or when
+    m > 256, whose terms are not packed.
+    """
+    m = word.m
+    if m > 256:
+        return None
+    data = word.word.symbols(length)
+    last = 0
+    for pair in itertools.product(range(m), repeat=2):  # (0, 0) first: a repeat shows up last
+        pos = data.find(bytes(pair))
+        if pos < 0:
+            return None
+        last = max(last, pos)
+    covering = (last + 2) * block
+    return covering if covering <= length else None
 
 
 def cmd_verify_all(args: argparse.Namespace, writer: Writer) -> int:

@@ -221,6 +221,27 @@ def check_lemma_recursion(c: Union[FiniteWord, Sequence[int]], m: int) -> bool:
     return image[idx] == sum(syms) % m
 
 
+def lemma_recursion_holds(m: int, k: int) -> bool:
+    """`check_lemma_recursion` on all m^k digit words of length k at once.
+
+    As the leading k - 1 digits of c run over every digit word, their
+    value runs over range(m^(k-1)) once each, and their sum is the digit
+    sum of that value.  So for each last digit the check on all its words
+    compares one power image, phi^(k-1)(last), with those digit sums plus
+    last.  The sums are built from the digits, one digit at a time.
+    """
+    ModAlphabet(m)  # rejects a modulus below 2
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"digit words must have length >= 2, got {k!r}")
+    sums = [0]
+    for _ in range(k - 1):
+        sums = [s + d for s in sums for d in range(m)]  # s_m(i * m + d) = s_m(i) + d
+    power = _tm_power(m, k - 1)
+    return all(
+        power.image(last).symbols == tuple((s + last) % m for s in sums) for last in range(m)
+    )
+
+
 @dataclass(frozen=True)
 class CongruenceReport:
     """Violations (if any) of the three index congruences on [0, N)."""

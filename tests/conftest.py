@@ -38,6 +38,27 @@ def oracle_complexity(word: list[int], n: int) -> int:
     return len({tuple(word[i:i + n]) for i in range(len(word) - n + 1)})
 
 
+def oracle_tm2_complexity(n: int) -> int:
+    """p(n) of TM_2 by Brlek's closed form ("Enumeration of factors in the
+    Thue-Morse word", 1989): p(1) = 2, p(2) = 4 and, for n = 2^r + q + 1
+    with 0 < q <= 2^r, 3 * 2^r + 4q when q <= 2^(r-1), else 4 * 2^r + 2q."""
+    if n <= 2:
+        return 2 * n
+    r = (n - 2).bit_length() - 1  # 2^r <= n - 2 < 2^(r+1), so 0 < q <= 2^r
+    q = n - 1 - 2 ** r
+    return 3 * 2 ** r + 4 * q if 2 * q <= 2 ** r else 4 * 2 ** r + 2 * q
+
+
+def oracle_pair_cover(word: list[int], m: int, block: int) -> int:
+    """(i + 2) * block, for i the last first occurrence of any of the m^2
+    pairs in the word, which must hold them all."""
+    first: dict[tuple[int, int], int] = {}
+    for j in range(len(word) - 1):
+        first.setdefault((word[j], word[j + 1]), j)
+    assert len(first) == m * m, "the word misses a pair"
+    return (max(first.values()) + 2) * block
+
+
 @pytest.fixture(scope="session")
 def tm_prefix_1e5():
     """Digit-sum prefixes of length 10^5 for m in 2..8."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_complexity
+from conftest import oracle_complexity, oracle_pair_cover, oracle_tm2_complexity
 from tmcf.analysis import (
     complexity,
     complexity_naive,
@@ -14,10 +14,11 @@ from tmcf.analysis import (
     find_period,
     palindromic_prefixes,
     predicted_011_positions,
+    tm_complexity,
     verify_complexity_surjection,
 )
 from tmcf.tm import tm_digit_sum_sequence, tm_morphic
-from tmcf.words import FiniteWord, ModAlphabet, SymbolError, WordRangeError
+from tmcf.words import AlphabetError, FiniteWord, ModAlphabet, SymbolError, WordRangeError
 
 
 def test_complexity_against_naive_random_words():
@@ -162,6 +163,72 @@ def test_ratio_diagnostic_at_scale():
     for m, cube in ((2, 8), (3, 27)):
         word = tm_digit_sum_sequence(m).prefix(100_000)
         assert complexity(word, 500).max_ratio() <= cube
+
+
+def _covering_prefix(m: int, n_max: int) -> list[int]:
+    """A digit-sum prefix that holds every factor of TM_m of length <= n_max:
+    phi^r of every pair, with m^r >= n_max - 1."""
+    r = 0
+    while m ** r < n_max - 1:
+        r += 1
+    seq = tm_digit_sum_sequence(m)
+    return seq.prefix(oracle_pair_cover(seq.prefix(10_000), m, m ** r))  # every pair for m <= 5
+
+
+def test_tm_complexity_matches_brlek_on_tm2():
+    profile = tm_complexity(2, 2000)
+    assert profile.table == {n: oracle_tm2_complexity(n) for n in range(1, 2001)}
+    assert profile.prefix_length is None and profile.power == 11 and not profile.violations
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_tm_complexity_equals_a_covering_prefix(m):
+    prefix, exact = _covering_prefix(m, 100), tm_complexity(m, 100)
+    assert exact.table == complexity(prefix, 100).table
+    # half of that prefix can miss factors, but never has more
+    half = complexity(prefix[:len(prefix) // 2], 100)
+    assert all(p <= exact.p(n) for n, p in half.table.items())
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_tm_complexity_bounds_a_prefix(tm_prefix_1e5, m):
+    exact = tm_complexity(m, 200)
+    prefix = complexity(tm_prefix_1e5[m], 200)
+    assert all(prefix.p(n) <= exact.p(n) for n in range(1, 201))
+    assert exact.p(2) == m * m and not exact.violations
+    if m >= 7:  # a repeat needs m - 1 trailing digits m - 1: past 10^5 terms
+        assert prefix.p(2) < m * m
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_tm_complexity_equals_naive_counts(m):
+    assert tm_complexity(m, 8).table == complexity_naive(_covering_prefix(m, 8), 8)
+
+
+@pytest.mark.parametrize("m", [257, 300])
+def test_tm_complexity_on_two_byte_symbols(m):
+    profile = tm_complexity(m, 3)
+    # the steps 1 + k take every value mod m, and a step above 1 is followed by 1
+    assert [profile.p(n) for n in (1, 2, 3)] == [m, m * m, m * (2 * m - 1)]
+    assert profile.power == 1 and not profile.violations
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_tm_complexity_at_the_edges_of_a_power(m):
+    # n_max = 1 and 2 read phi^0, m^2 and m^2 + 1 the last lengths phi^2 covers
+    for n_max, r in ((1, 0), (2, 0), (m ** 2, 2), (m ** 2 + 1, 2)):
+        profile = tm_complexity(m, n_max)
+        assert profile.power == r, n_max
+        assert profile.table == complexity(_covering_prefix(m, n_max), n_max).table, n_max
+        assert profile.windows <= max(m ** r - n_max + 1, 0) + min(m ** r, n_max - 1) * m
+
+
+def test_tm_complexity_errors():
+    for n_max in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="n_max must be a positive integer"):
+            tm_complexity(2, n_max)
+    with pytest.raises(AlphabetError, match="modulus must be an integer >= 2"):
+        tm_complexity(1, 10)
 
 
 def test_find_period_trivial_examples():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -355,6 +356,45 @@ def test_verify_all_detects_injected_fault(capsys):
     assert failed
     assert failed[0]["suite"] == "equivalence"
     assert "137" in failed[0]["detail"]
+
+
+@pytest.mark.parametrize(
+    "m, length, n_max, detail",
+    [
+        # phi^6 of every pair lies in the first 448 terms: the counts must be equal
+        ("2", "20000", "50", "r=6, 81 windows, max ratio 160/49; 448-term prefix counts == exact"),
+        # a repeated symbol first shows up past 7^6 terms: the prefix misses factors
+        ("7", "100000", "200", "r=3, 1243 windows, max ratio 4165/92; 100000-term prefix counts <= exact"),
+    ],
+)
+def test_verify_all_counts_factors_exactly(capsys, m, length, n_max, detail):
+    code, out, _ = run_cli(capsys, "verify-all", "--m", m, "--len", length, "--n-max", n_max, "--format", "json-lines")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["detail"] for r in records if r["suite"] == "complexity"] == [detail]
+
+
+@pytest.mark.parametrize("length", ["20000", "100"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_verify_all_fails_on_a_wrong_exact_count(capsys, monkeypatch, length, delta):
+    exact = analysis.tm_complexity
+
+    def miscount(m, n_max):
+        profile = exact(m, n_max)
+        return dataclasses.replace(profile, table={n: p + delta for n, p in profile.table.items()})
+
+    monkeypatch.setattr(analysis, "tm_complexity", miscount)
+    code, out, _ = run_cli(capsys, "verify-all", "--m", "2", "--len", length, "--n-max", "50", "--format", "json-lines")
+    records = [json.loads(line) for line in out.splitlines()]
+    failed = [r for r in records if r["status"] == "FAIL"]
+    if length == "100" and delta == 1:
+        # a 100-term prefix is shorter than the 448 that hold every factor:
+        # it can only bound the counts from below, and an overcount passes
+        assert code == 0 and not failed
+        return
+    assert code == 1
+    assert [r["suite"] for r in failed] == ["complexity", "summary"]
+    assert "prefix counts off at n=[1, 2, 3]" in failed[0]["detail"]
 
 
 def test_verify_all_json_roundtrip(capsys):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import oracle_digit_sum, oracle_tm2
+from tmcf import tm
 from tmcf.tm import (
     _prefix_of,
     check_congruences,
@@ -12,13 +13,14 @@ from tmcf.tm import (
     digit_sum_stream,
     find_triple_repeat,
     first_mismatch,
+    lemma_recursion_holds,
     tm_digit_sum,
     tm_digit_sum_sequence,
     tm_morphic,
     tm_morphism,
     verify_equivalence,
 )
-from tmcf.words import AlphabetError, FiniteWord, LazyWord, ModAlphabet, SymbolError, WordRangeError
+from tmcf.words import AlphabetError, FiniteWord, LazyWord, ModAlphabet, Morphism, SymbolError, WordRangeError
 
 
 def test_tm_digit_sum_examples():
@@ -144,6 +146,32 @@ def test_lemma_recursion_exhaustive_short():
         for k in (2, 3, 4):
             for c in itertools.product(range(m), repeat=k):
                 assert check_lemma_recursion(list(c), m), (m, c)
+
+
+@pytest.mark.parametrize("m, k", [(2, 2), (2, 5), (3, 4), (5, 3), (17, 2)])
+def test_lemma_recursion_holds_on_all_words(m, k):
+    assert lemma_recursion_holds(m, k)
+    assert all(check_lemma_recursion(list(c), m) for c in itertools.product(range(m), repeat=k))
+
+
+def test_lemma_recursion_holds_sees_every_word(monkeypatch):
+    # one wrong symbol in one power image breaks exactly one digit word, and
+    # the check on all words fails with the per-word oracle, wherever it sits
+    m, k = 3, 3
+    power = tm._tm_power(m, k - 1)
+    for last, idx in itertools.product(range(m), range(m ** (k - 1))):
+        images = [list(img.symbols) for img in power.images]
+        images[last][idx] = (images[last][idx] + 1) % m
+        monkeypatch.setattr(tm, "_tm_power", lambda m_, k_, wrong=Morphism(images, m): wrong)
+        broken = [c for c in itertools.product(range(m), repeat=k) if not check_lemma_recursion(list(c), m)]
+        assert len(broken) == 1 and not lemma_recursion_holds(m, k), (last, idx)
+
+
+def test_lemma_recursion_holds_errors():
+    with pytest.raises(ValueError, match="length >= 2"):
+        lemma_recursion_holds(3, 1)
+    with pytest.raises(AlphabetError):
+        lemma_recursion_holds(1, 2)
 
 
 def test_congruences_hold():
