@@ -83,8 +83,13 @@ class TmSequence:
         return self.word.prefix(n)
 
 
+@lru_cache(maxsize=16, typed=True)
 def tm_morphism(m: int) -> Morphism:
-    """The m-uniform morphism j -> j, j+1, ..., j+m-1 with addition mod m."""
+    """The m-uniform morphism j -> j, j+1, ..., j+m-1 with addition mod m.
+
+    Built once per m, since it is immutable: `tm_morphic` and `_tm_power`
+    share it instead of each checking its m^2 symbols again.
+    """
     ModAlphabet(m)  # rejects a modulus below 2
     return Morphism([[(j + i) % m for i in range(m)] for j in range(m)], m)
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_complexity, oracle_pair_cover, oracle_tm2_complexity
+from tmcf import analysis
 from tmcf.analysis import (
+    ComplexityProfile,
     complexity,
     complexity_naive,
     find_pattern,
@@ -17,7 +19,7 @@ from tmcf.analysis import (
     tm_complexity,
     verify_complexity_surjection,
 )
-from tmcf.tm import tm_digit_sum_sequence, tm_morphic
+from tmcf.tm import _prefix_of, tm_digit_sum_sequence, tm_morphic
 from tmcf.words import AlphabetError, FiniteWord, ModAlphabet, SymbolError, WordRangeError
 
 
@@ -163,6 +165,98 @@ def test_ratio_diagnostic_at_scale():
     for m, cube in ((2, 8), (3, 27)):
         word = tm_digit_sum_sequence(m).prefix(100_000)
         assert complexity(word, 500).max_ratio() <= cube
+
+
+# the general path of `complexity`, held here so that a test can wrap analysis._prefix_windows
+_scan_every_window = analysis._prefix_windows
+
+
+def _full_scan(word, n_max: int) -> ComplexityProfile:
+    """The profile of `complexity` from every window of the prefix, sliced
+    and hashed one by one: the general path, without the block pairs."""
+    symbols, m = _prefix_of(word, None)
+    width = analysis._width(m)
+    windows = _scan_every_window(analysis._packed(symbols, width), n_max, width)
+    counts = analysis._factor_counts(windows, n_max, width)
+    return analysis._profile({n: counts[n] for n in range(1, n_max + 1)}, m, len(symbols), len(windows))
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The byte lengths of the prefixes or tails whose windows `complexity`
+    slices one by one."""
+    lengths = []
+
+    def recording(data, n_max, width):
+        lengths.append(len(data))
+        return _scan_every_window(data, n_max, width)
+
+    monkeypatch.setattr(analysis, "_prefix_windows", recording)
+    return lengths
+
+
+def _assert_counts_like_the_full_scan(word, n_max: int) -> None:
+    profile = complexity(word, n_max)
+    assert profile == _full_scan(word, n_max), (len(word), n_max)  # table and windows
+    if len(word) * n_max <= 20_000:
+        assert profile.table == complexity_naive(word, n_max), (len(word), n_max)
+
+
+@pytest.mark.parametrize("construction", [tm_digit_sum_sequence, tm_morphic])
+@pytest.mark.parametrize("m, k", [(2, 4), (3, 3), (5, 2), (7, 2), (17, 2), (257, 1), (300, 1)])
+def test_complexity_from_block_pairs_equals_the_full_scan(scanned, construction, m, k):
+    width = analysis._width(m)
+    # n_max = B and B + 1 read blocks of B = m^k symbols; 1 and 2 read one symbol a block
+    block = m ** k
+    symbols = construction(m).prefix(7 * block + 2)
+    for length in (block - 1, block, 2 * block - 1, 2 * block, 2 * block + 1, 5 * block - 1, 5 * block + 1, 7 * block + 1):
+        for n_max in (1, 2, block, block + 1):
+            if n_max <= length:
+                scanned.clear()
+                _assert_counts_like_the_full_scan(FiniteWord(symbols[:length], ModAlphabet(m)), n_max)
+                # from two whole blocks on, only the tail from the last whole block is scanned
+                pairs = n_max > 2 and length >= 2 * block
+                tail = length - (length // block - 1) * block if pairs else length
+                assert scanned == [tail * width], (length, n_max)
+    # one flipped symbol in the first block, a middle block and the tail
+    length = 5 * block + 1
+    for i in (block // 2, 2 * block + block // 2, length - 1):
+        flipped = symbols[:length]
+        flipped[i] = (flipped[i] + 1) % m
+        for n_max in (block, block + 1):
+            _assert_counts_like_the_full_scan(FiniteWord(flipped, ModAlphabet(m)), n_max)
+
+
+def test_complexity_from_block_pairs_on_other_words():
+    rng = random.Random(11)
+    noise = [rng.randrange(2) for _ in range(3000)]
+    for word in (noise, [0] * 3000, [2] * 500 + [0]):  # the last one breaks its last block
+        for n_max in (3, 16, 17, 64, 65):
+            _assert_counts_like_the_full_scan(word, n_max)
+
+
+# a flip where the block's label t_q showed up before, past the first 2^16 bytes
+@pytest.mark.parametrize("m, n_max, block, flips", [(2, 17, 16, (2 ** 16 + 7, 2 ** 17 + 3)), (300, 3, 300, (97_700,))])
+def test_complexity_checks_every_block_past_the_first_bytes(scanned, m, n_max, block, flips):
+    # the blocks are checked 2^16 bytes at a time
+    width = analysis._width(m)
+    symbols = tm_morphic(m).prefix(3 * 2 ** 16 // width + 5)
+    _assert_counts_like_the_full_scan(FiniteWord(symbols, ModAlphabet(m)), n_max)
+    assert max(scanned) < 2 * block * width
+    for i in flips:
+        flipped = list(symbols)
+        flipped[i] = (flipped[i] + 1) % m
+        scanned.clear()
+        _assert_counts_like_the_full_scan(FiniteWord(flipped, ModAlphabet(m)), n_max)
+        assert scanned[0] == len(symbols) * width  # the check fails: every window is scanned
+
+
+def test_complexity_of_tm5_scans_only_the_tail(scanned):
+    """On 10^6 terms of TM_5 at n_max = 200 (B = 5^4) only the tail from
+    the last whole block has its windows sliced one by one."""
+    profile = complexity(tm_morphic(5), 200, 10 ** 6)
+    assert scanned and all(size <= 2 * 5 ** 4 + 200 for size in scanned)
+    assert profile.windows == 4674 and profile.p(200) == 4475
 
 
 def _covering_prefix(m: int, n_max: int) -> list[int]:

@@ -365,6 +365,10 @@ def test_verify_all_detects_injected_fault(capsys):
         ("2", "20000", "50", "r=6, 81 windows, max ratio 160/49; 448-term prefix counts == exact"),
         # a repeated symbol first shows up past 7^6 terms: the prefix misses factors
         ("7", "100000", "200", "r=3, 1243 windows, max ratio 4165/92; 100000-term prefix counts <= exact"),
+        # the records of 10^6-term runs, whose prefixes are counted from block pairs
+        ("2", "1000000", "200", "r=8, 327 windows, max ratio 640/193; 1792-term prefix counts == exact"),
+        ("5", "1000000", "200", "r=4, 895 windows, max ratio 179/8; 1000000-term prefix counts <= exact"),
+        ("7", "1000000", "200", "r=3, 1243 windows, max ratio 4165/92; 1000000-term prefix counts <= exact"),
     ],
 )
 def test_verify_all_counts_factors_exactly(capsys, m, length, n_max, detail):

@@ -97,6 +97,15 @@ def test_tm_morphism_images():
     assert all(phi.is_prolongable(j) for j in range(6))
 
 
+def test_tm_morphism_is_built_once_per_modulus():
+    assert tm_morphism(300) is tm_morphism(300)
+    assert tm._tm_power(300, 1).images == tm_morphism(300).images
+    assert tm_morphism(2) is not tm_morphism(3)
+    for m in (1, 0, -2, 2.0, True):  # an equal float or bool is no cached modulus
+        with pytest.raises(AlphabetError):
+            tm_morphism(m)
+
+
 def test_tm_morphic_prefixes():
     assert tm_morphic(2).prefix(16) == [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]
     w = tm_morphic(3)
