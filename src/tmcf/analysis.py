@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .tm import Word, _prefix_of, _shift_table, tm_digit_sum, tm_digit_sum_sequence, tm_morphism
 from .words import FiniteWord, ModAlphabet, WordRangeError
@@ -279,22 +279,34 @@ def palindromic_prefixes(
 ) -> PalindromeLadder:
     """All palindromic prefix ends below the prefix length.
 
-    Scans packed bytes (m <= 256): an end n >= _HEAD - 1 can close a
-    palindrome only where the reversed head, the first _HEAD symbols
-    backwards, ends at n, and `bytes.find` lists those places.  Each
-    candidate is then confirmed by comparing its first k symbols with its
-    last k reversed, for k doubling up to half its length, so a false
-    candidate costs about twice its agreement with the head.  Over more
-    than 256 symbols every end is a candidate.  `work_cap` bounds the
-    total symbols compared, so a constant word, where every end is a
-    palindrome, stops early; the ladder is then truncated and marked
-    incomplete.
+    If x[0..l) and x[0..e] are palindromes with e >= l, then x[e-l+1..e] =
+    x[0..l), since x[e-i] = x[i] = x[l-1-i] for i < l.  So over packed
+    bytes (m <= 256) only the end of an occurrence of a needle, listed by
+    `bytes.find`, can close a palindrome, with the needle's k symbols known
+    to match: the reversed head, then each confirmed palindrome x[0..n]
+    with n + 1 >= 2 * |needle|, as a view (no copy) searched again from
+    offset 1, since it may overlap its next occurrence.  Ends below
+    _HEAD - 1, and all over 256 symbols, are candidates with k = 0.  A
+    candidate's first k symbols are compared with its last k reversed, k
+    doubling up to half its length.  `work_cap` bounds the work, charging
+    a candidate the symbols it compares (at least 1) and a new needle its
+    length: a constant word stops within 2 * work_cap + 2 symbols, and the
+    ladder holds every end below `scanned_length` and is marked incomplete.
     """
     symbols, m = _prefix_of(word, length)
     data = bytes(symbols) if m <= 256 else symbols
     found = []
     budget = work_cap if work_cap is not None else -1
-    for n, k in _palindrome_candidates(data):
+    needle = data[_HEAD - 1::-1] if m <= 256 and len(data) >= _HEAD else b""
+    stop = _HEAD - 1 if needle else len(data)  # ends below stop are all candidates
+    n = pos = -1
+    while True:
+        if n + 1 < stop:
+            n, k = n + 1, 0
+        elif needle and (pos := data.find(needle, pos + 1)) >= 0:
+            n, k = pos + len(needle) - 1, len(needle)
+        else:
+            return PalindromeLadder(tuple(found), len(data), complete=True)
         half = (n + 1) // 2
         cost = 0
         ok = True
@@ -302,31 +314,19 @@ def palindromic_prefixes(
             k = min(2 * k or 1, half)
             cost += k
             ok = data[:k] == data[n:n - k:-1]  # n - k >= 0, since k <= half <= n
+        grow = ok and needle and n + 1 >= 2 * len(needle)
         if work_cap is not None:
-            budget -= cost or 1
+            budget -= (cost or 1) + (n + 1 if grow else 0)
             if budget < 0:
                 return PalindromeLadder(tuple(found), n, complete=False)
         if ok:
             found.append(n)
-    return PalindromeLadder(tuple(found), len(data), complete=True)
+        if grow:
+            needle, pos = memoryview(data)[:n + 1], 0
 
 
-# Length of the reversed head that `palindromic_prefixes` looks for.
+# Length of the reversed head that `palindromic_prefixes` looks for first.
 _HEAD = 64
-
-
-def _palindrome_candidates(data: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Yield (n, k) in ascending n for every end n that may close a
-    palindromic prefix, with k symbols of it already known to match."""
-    if not isinstance(data, bytes) or len(data) < _HEAD:
-        yield from ((n, 0) for n in range(len(data)))
-        return
-    yield from ((n, 0) for n in range(_HEAD - 1))
-    reversed_head = data[_HEAD - 1::-1]
-    pos = data.find(reversed_head)
-    while pos >= 0:
-        yield pos + _HEAD - 1, _HEAD
-        pos = data.find(reversed_head, pos + 1)
 
 
 def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: int | None = None) -> list[int]:

@@ -429,6 +429,66 @@ def test_palindrome_scan_on_constant_words():
     assert reached == sorted(reached) and reached[0] < reached[-1]
 
 
+def needle_switches(ends):
+    """How often the scan replaces its needle on a word with these
+    palindromic ends: at each end n with n + 1 >= 2 * |needle|."""
+    size, switches = analysis._HEAD, 0
+    for n in ends:
+        if n + 1 >= 2 * size:
+            size, switches = n + 1, switches + 1
+    return switches
+
+
+def test_palindrome_scan_matches_two_pointers_on_nested_ladders():
+    rng = random.Random(29)
+    for trial in range(60):
+        m = rng.choice((2, 3, 4, 256))
+        # w_{k+1} = w_k c w_k over a palindromic w_0 keeps every w_k a
+        # palindrome of about twice the length of w_{k-1}
+        half = [rng.randrange(m) for _ in range(rng.randrange(1, 6))]
+        word = half + half[::-1][rng.randrange(2):]
+        while len(word) < 1024:
+            word = word + [rng.randrange(m)] + word
+        word += [rng.randrange(m) for _ in range(rng.randrange(200))]
+        expected = two_pointer_ladder(word)
+        assert needle_switches(expected) >= 3
+        ladder = palindromic_prefixes(word)
+        assert ladder.indices == expected, word
+        assert ladder.complete and ladder.scanned_length == len(word)
+
+
+def test_palindrome_scan_restarts_on_overlapping_needles():
+    # the next palindromic end of a periodic word is the end of an
+    # occurrence that overlaps the needle, one period after its start
+    for period in ((0,), (0, 1), (0, 0, 1), (1, 0, 0), (0, 1, 1, 0, 2), (5, 5, 9, 5, 5, 7)):
+        for length in (63, 64, 127, 128, 129, 255, 256, 511, 700, 1500):
+            word = (list(period) * length)[:length]
+            expected = two_pointer_ladder(word)
+            assert palindromic_prefixes(word, work_cap=None).indices == expected, (period, length)
+    assert needle_switches(two_pointer_ladder([0, 0, 1] * 500)) >= 3
+
+
+def test_palindrome_scan_matches_two_pointers_on_long_tm2():
+    # 2^20 terms: the needle grows from 256 to 2^20 symbols, the last
+    # switch at the prefix's own last end
+    length = 2 ** 20
+    expected = two_pointer_ladder(tm_morphic(2).prefix(length))
+    assert expected[-1] == length - 1 and needle_switches(expected) >= 2
+    assert palindromic_prefixes(tm_morphic(2), length).indices == expected
+
+
+def test_palindrome_scan_work_cap_on_tm2():
+    true_ends = (0,) + tuple(4 ** j - 1 for j in range(1, 11))
+    reached = []
+    for cap in (0, 100, 1000, 10_000, 100_000):
+        ladder = palindromic_prefixes(tm_morphic(2), 10 ** 6, work_cap=cap)
+        assert not ladder.complete
+        # the 4^j - 1 ladder, cut at the end the budget ran out on
+        assert ladder.indices == tuple(n for n in true_ends if n < ladder.scanned_length)
+        reached.append(ladder.scanned_length)
+    assert reached == sorted(reached) and reached[-1] > 16_383
+
+
 def test_find_pattern():
     word = tm_digit_sum_sequence(3).prefix(10_000)
     assert find_pattern(word, [1, 1, 0]) == []
