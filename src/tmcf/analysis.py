@@ -387,23 +387,20 @@ def verify_complexity_surjection(
     r: int,
     n: int,
     sample_count: int | None = None,
-    prefix_length: int | None = None,
     seed: int = 0,
 ) -> SurjectionCheck:
     """Exhibit every length-n factor of TM_m as a window of a power image.
 
     Windows f(s, v) slice the r-th power image of a length-2 factor v at
     offsets s < m^r.  Counting those windows is what caps p(n) at m^3 * n,
-    so this check samples (or exhausts) the length-n factors and confirms
-    each one is covered.
+    so this check samples (or exhausts) the length-n factors of the first
+    max(4 m^(r+1), 20 000) terms and confirms each one is covered.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError("r must be a positive integer")
     if not (m ** (r - 1) <= n < m ** r):
         raise ValueError(f"need m^(r-1) <= n < m^r, got m={m}, r={r}, n={n}")
-    if prefix_length is None:
-        prefix_length = max(4 * m ** (r + 1), 20_000)
-    t = tm_digit_sum_sequence(m).prefix(prefix_length)
+    t = tm_digit_sum_sequence(m).prefix(max(4 * m ** (r + 1), 20_000))
 
     pairs = {(t[i], t[i + 1]) for i in range(len(t) - 1)}
     power = tm_morphism(m).power(r)

@@ -18,12 +18,14 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .tm import TmSequence, tm_digit_sum
+from .words import ModAlphabet, SymbolError
 
 
 class AlphabetMapError(ValueError):
@@ -32,43 +34,53 @@ class AlphabetMapError(ValueError):
 
 @dataclass(frozen=True)
 class AlphabetMap:
-    """Injective map from symbols {0, ..., m-1} to positive integer quotients."""
+    """Injective map from symbols {0, ..., m-1} to positive integer quotients.
+
+    Only m and the explicit entries {symbol: quotient} are stored; a symbol
+    without an entry maps to j + 1.  So the map and its checks cost
+    O(entries), whatever m: the values must be positive and distinct, and
+    none may be the default j + 1 of a symbol j without an entry.
+    """
 
     m: int
-    image: tuple[int, ...]
+    entries: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if len(self.image) != self.m:
-            raise AlphabetMapError(f"map must cover all {self.m} symbols")
-        for v in self.image:
+        alphabet = ModAlphabet(self.m)  # rejects a modulus below 2
+        entries = dict(self.entries)
+        seen: dict[int, int] = {}  # value -> symbol
+        for symbol, v in entries.items():
+            if symbol not in alphabet:
+                raise AlphabetMapError(f"symbol {symbol!r} outside alphabet of modulus {self.m}")
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise AlphabetMapError(f"quotient values must be positive integers, got {v!r}")
-        if len(set(self.image)) != self.m:
-            raise AlphabetMapError(f"map is not injective: {self.image}")
+            if v in seen or (v <= self.m and v - 1 not in entries):
+                other = seen.get(v, v - 1)
+                raise AlphabetMapError(f"map is not injective: symbols {other} and {symbol} both map to {v}")
+            seen[v] = symbol
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
-    @classmethod
-    def from_dict(cls, m: int, mapping: dict[int, int]) -> "AlphabetMap":
-        if sorted(mapping) != list(range(m)):
-            raise AlphabetMapError(f"map must define exactly the symbols 0..{m - 1}")
-        return cls(m, tuple(mapping[s] for s in range(m)))
+    def __hash__(self) -> int:
+        return hash((self.m, frozenset(self.entries.items())))
 
     @classmethod
     def identity_shift(cls, m: int) -> "AlphabetMap":
         """The canonical map j -> j + 1."""
-        return cls(m, tuple(range(1, m + 1)))
+        return cls(m)
 
     def __call__(self, symbol: int) -> int:
-        return self.image[symbol]
+        if not 0 <= symbol < self.m:
+            raise SymbolError(f"symbol {symbol!r} not in alphabet of modulus {self.m}")
+        return self.entries.get(symbol, symbol + 1)
 
 
 def map_alphabet(seq: TmSequence, amap: AlphabetMap) -> Iterator[int]:
     """Partial quotients a_k = amap(t_{k-1}) for k >= 1 (a_0 = 0 implicit)."""
     if amap.m != seq.m:
         raise AlphabetMapError(f"map modulus {amap.m} does not match sequence modulus {seq.m}")
-    image = amap.image
     word = seq.word
     for k in itertools.count():
-        yield image[word[k]]
+        yield amap(word[k])
 
 
 @dataclass(frozen=True)

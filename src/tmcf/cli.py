@@ -135,7 +135,7 @@ def _modulus(text: str) -> int:
 
 
 def parse_map_spec(spec: str, m: int | None) -> cf.AlphabetMap:
-    """Parse 'symbol:value,...'; unmapped symbols default to j -> j + 1.
+    """Parse 'symbol:value,...' into an `AlphabetMap`; other symbols map to j + 1.
 
     With m None the modulus is the largest mapped symbol + 1, at least 2.
     """
@@ -156,10 +156,7 @@ def parse_map_spec(spec: str, m: int | None) -> cf.AlphabetMap:
         if not explicit:
             raise cf.AlphabetMapError("--m is required (or derivable from --map)")
         m = max(max(explicit) + 1, 2)
-    for sym in explicit:
-        if not 0 <= sym < m:
-            raise cf.AlphabetMapError(f"symbol {sym} outside alphabet of modulus {m}")
-    return cf.AlphabetMap(m, tuple(explicit.get(j, j + 1) for j in range(m)))
+    return cf.AlphabetMap(m, explicit)
 
 
 def _map_arg(spec: str, m: int | None) -> cf.AlphabetMap:

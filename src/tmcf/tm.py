@@ -2,15 +2,14 @@
 
 The digit-sum construction reduces the base-m digit sum of the index mod m.
 The morphic construction iterates the map j -> j, j+1, ..., j+m-1 (mod m)
-from the seed 0.  Both agree termwise; `verify_equivalence` cross-checks
-them and `check_lemma_recursion` verifies the indexing identity that makes
-the agreement work.  The two paths share only the `words` primitives, so
-the comparison is a genuine oracle.
+from the seed 0.  Both agree termwise, which `first_mismatch` checks on
+their prefixes (in `tmcf verify-all`), and `lemma_recursion_holds` verifies
+the indexing identity that makes the agreement work.  The two paths share
+only the `words` primitives, so the comparison is a genuine oracle.
 """
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
@@ -78,6 +77,9 @@ class TmSequence:
 
     def __getitem__(self, key):
         return self.word[key]
+
+    def __iter__(self):
+        return iter(self.word)  # raises: the word is infinite
 
     def prefix(self, n: int) -> list[int]:
         return self.word.prefix(n)
@@ -154,20 +156,6 @@ def tm_digit_sum_sequence(m: int) -> TmSequence:
     return TmSequence(m, LazyWord.from_chunks(digit_sum_chunks(m), m), "digit_sum")
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Result of comparing the two constructions termwise on [0, N)."""
-
-    m: int
-    checked_length: int
-    first_mismatch: int | None
-    lemma_samples: int
-
-    @property
-    def equivalent(self) -> bool:
-        return self.first_mismatch is None
-
-
 def first_mismatch(a: Sequence[int], b: Sequence[int]) -> int | None:
     """Index of the first disagreement between two prefixes, or None if they are equal.
 
@@ -180,32 +168,6 @@ def first_mismatch(a: Sequence[int], b: Sequence[int]) -> int | None:
         if x != y:
             return i
     return None if len(a) == len(b) else min(len(a), len(b))
-
-
-def verify_equivalence(
-    m: int, length: int, lemma_samples: int = 0, seed: int = 0
-) -> EquivalenceReport:
-    """Compare digit-sum and morphic TM_m termwise on [0, length).
-
-    Optionally verifies `lemma_samples` random instances of the indexing
-    recursion as a side-check; the returned count is of verified instances.
-    """
-    ModAlphabet(m)  # rejects a modulus below 2
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    ds, _ = _prefix_of(tm_digit_sum_sequence(m), length)
-    mo, _ = _prefix_of(tm_morphic(m), length)
-    mismatch = first_mismatch(ds, mo)
-
-    verified = 0
-    if lemma_samples > 0:
-        rng = random.Random(seed)
-        for _ in range(lemma_samples):
-            k = rng.randint(2, 5)
-            digits_word = [rng.randrange(m) for _ in range(k)]
-            if check_lemma_recursion(digits_word, m):
-                verified += 1
-    return EquivalenceReport(m, length, mismatch, verified)
 
 
 def check_lemma_recursion(c: Union[FiniteWord, Sequence[int]], m: int) -> bool:
@@ -262,7 +224,10 @@ class CongruenceReport:
         return not (self.scaling_violations or self.step_violations or self.block_violations)
 
 
-def check_congruences(m: int, length: int, word: Word | None = None, max_report: int = 8) -> CongruenceReport:
+_MAX_REPORT = 8  # violations a CongruenceReport names per congruence, at most
+
+
+def check_congruences(m: int, length: int, word: Word | None = None) -> CongruenceReport:
     """Scan [0, length) for the three congruence properties of TM_m.
 
     1. t_n = t_{n*m};
@@ -289,14 +254,14 @@ def check_congruences(m: int, length: int, word: Word | None = None, max_report:
     for n in range(1, (length - 1) // m + 1):
         if t[n] != t[n * m]:
             scaling.append(n)
-            if len(scaling) >= max_report:
+            if len(scaling) >= _MAX_REPORT:
                 break
 
     step = []
     for n in range(length - 1):
         if (t[n + 1] - t[n]) % m != 1 and n % m != m - 1:
             step.append(n)
-            if len(step) >= max_report:
+            if len(step) >= _MAX_REPORT:
                 break
 
     block = []
@@ -306,7 +271,7 @@ def check_congruences(m: int, length: int, word: Word | None = None, max_report:
             if t[base + r] != (tb + r) % m:
                 block.append((base // m, r))
                 break
-        if len(block) >= max_report:
+        if len(block) >= _MAX_REPORT:
             break
 
     return CongruenceReport(m, length, tuple(scaling), tuple(step), tuple(block))

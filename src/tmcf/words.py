@@ -120,7 +120,8 @@ def value(word: Union[FiniteWord, Sequence[int]], m: int) -> int:
 class LazyWord:
     """A right-infinite word materialized on demand.
 
-    Backed by an infinite source of symbol chunks.  The materialized
+    Backed by an infinite source of symbol chunks.  `iter` raises TypeError,
+    so code that would walk the whole word fails at once.  The materialized
     prefix only ever grows and existing entries never change, so reads at
     already-materialized indices are lock-free; extension is serialized by
     an internal lock and appends monotonically, so a reader racing an
@@ -143,22 +144,12 @@ class LazyWord:
         self._chunks = chunk_source
 
     @classmethod
-    def from_symbols(cls, symbols: Iterable[int], m: int, chunk_size: int = 4096) -> "LazyWord":
-        """Wrap an infinite per-symbol iterator, batching it into chunks."""
-        it = iter(symbols)
-
-        def chunks() -> Iterator[Sequence[int]]:
-            while True:
-                block = list(itertools.islice(it, chunk_size))
-                if not block:
-                    return
-                yield block
-
-        return cls(ModAlphabet(m), chunks())
-
-    @classmethod
     def from_chunks(cls, chunk_source: Iterable[Sequence[int]], m: int) -> "LazyWord":
         return cls(ModAlphabet(m), iter(chunk_source))
+
+    def __iter__(self):
+        # without this, iter() would fall back on __getitem__ and never end
+        raise TypeError("a LazyWord is infinite: read a range with prefix(n), symbols(n) or a slice")
 
     @property
     def m(self) -> int:
@@ -251,22 +242,17 @@ _ALPHABETS = [bytes(range(m)) for m in range(257)]
 class Morphism:
     """A word morphism determined by its images on the m single symbols.
 
-    Applying it to a word concatenates the images in order; the extension
-    to right-infinite words is by the same rule, computed lazily.
+    Applying it to a finite word concatenates the images in order; on
+    right-infinite words it is met only through `fixed_point`.
     """
 
     __slots__ = ("alphabet", "images")
 
-    def __init__(self, images: Union[Sequence[Iterable[int]], dict], m: int):
+    def __init__(self, images: Sequence[Iterable[int]], m: int):
         alphabet = ModAlphabet(m)
-        if isinstance(images, dict):
-            if sorted(images) != list(range(m)):
-                raise SymbolError(f"morphism must define images for all symbols 0..{m - 1}")
-            seq = [images[j] for j in range(m)]
-        else:
-            seq = list(images)
-            if len(seq) != m:
-                raise SymbolError(f"expected {m} images, got {len(seq)}")
+        seq = list(images)
+        if len(seq) != m:
+            raise SymbolError(f"expected {m} images, got {len(seq)}")
         built = []
         for img in seq:
             if not isinstance(img, FiniteWord):
@@ -285,14 +271,11 @@ class Morphism:
         return self.alphabet.m
 
     def image(self, symbol: int) -> FiniteWord:
+        """The image of one symbol; phi(j) is phi.image(j)."""
         self.alphabet.check(symbol)
         return self.images[symbol]
 
-    def __call__(self, arg):
-        """Image of a symbol, or the morphism applied to a word."""
-        if isinstance(arg, int) and not isinstance(arg, bool):
-            return self.image(arg)
-        return self.apply(arg)
+    __call__ = image
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Morphism):
@@ -302,18 +285,8 @@ class Morphism:
     def __hash__(self) -> int:
         return hash((self.m, self.images))
 
-    def apply(self, word):
-        """Concatenate images over a finite or infinite word."""
-        if isinstance(word, LazyWord):
-            if word.alphabet.m != self.m:
-                raise SymbolError("word alphabet does not match morphism alphabet")
-            image_symbols = [img.symbols for img in self.images]
-
-            def chunks() -> Iterator[Sequence[int]]:
-                for i in itertools.count():
-                    yield image_symbols[word[i]]
-
-            return LazyWord.from_chunks(chunks(), self.m)
+    def apply(self, word: Union[FiniteWord, Iterable[int]]) -> FiniteWord:
+        """Concatenate the images over a finite word."""
         if not isinstance(word, FiniteWord):
             word = FiniteWord(word, self.alphabet)
         if word.alphabet.m != self.m:
@@ -406,5 +379,5 @@ class Morphism:
             )
 
     def __repr__(self) -> str:
-        shown = {j: list(img.symbols) for j, img in enumerate(self.images)}
+        shown = [list(img.symbols) for img in self.images]
         return f"Morphism({shown}, m={self.m})"

@@ -24,6 +24,7 @@ from tmcf.cf import (
     verify_tail_intervals,
 )
 from tmcf.tm import tm_digit_sum_sequence
+from tmcf.words import SymbolError
 
 
 def tm_quotients(m, mapping=None):
@@ -37,19 +38,53 @@ def ones():
 
 
 def test_alphabet_map_validation():
-    AlphabetMap(2, (1, 2))
+    amap = AlphabetMap(2, {0: 1, 1: 2})
+    assert (amap(0), amap(1)) == (1, 2)
+    # a symbol without an entry maps to j + 1, so a map need not cover them all
+    amap = AlphabetMap(3, {0: 4})
+    assert (amap(0), amap(1), amap(2)) == (4, 2, 3)
+    assert dict(amap.entries) == {0: 4}
+    # a value may equal the default of a symbol that has an entry of its own
+    amap = AlphabetMap(3, {0: 3, 2: 1})
+    assert (amap(0), amap(1), amap(2)) == (3, 2, 1)
+    with pytest.raises(AlphabetMapError, match="symbols 0 and 1 both map to 1"):
+        AlphabetMap(2, {0: 1, 1: 1})
     with pytest.raises(AlphabetMapError):
-        AlphabetMap(2, (1, 1))
+        AlphabetMap(2, {0: 0, 1: 1})
     with pytest.raises(AlphabetMapError):
-        AlphabetMap(2, (0, 1))
-    with pytest.raises(AlphabetMapError):
-        AlphabetMap(3, (1, 2))
-    with pytest.raises(AlphabetMapError):
-        AlphabetMap.from_dict(2, {0: 1, 2: 3})
+        AlphabetMap(2, {0: 1, 2: 3})
+    # an explicit value that is the default of a symbol without an entry
+    with pytest.raises(AlphabetMapError, match="^map is not injective: symbols 2 and 0 both map to 3$"):
+        AlphabetMap(3, {0: 3})
+    with pytest.raises(AlphabetMapError, match="symbols 4 and 1 both map to 5"):
+        AlphabetMap(10, {0: 11, 1: 5})
+
+
+def test_alphabet_map_injectivity_matches_the_full_table():
+    # the O(entries) check against the definition on all m quotients
+    rng = random.Random(13)
+    for _ in range(3000):
+        m = rng.randint(2, 6)
+        entries = {j: rng.randint(1, m + 2) for j in rng.sample(range(m), rng.randint(0, m))}
+        table = [entries.get(j, j + 1) for j in range(m)]
+        if len(set(table)) == m:
+            amap = AlphabetMap(m, entries)
+            assert [amap(j) for j in range(m)] == table
+        else:
+            with pytest.raises(AlphabetMapError, match="not injective"):
+                AlphabetMap(m, entries)
+
+
+def test_alphabet_map_rejects_symbols_outside_its_alphabet():
+    for amap in (AlphabetMap(3, {1: 7}), AlphabetMap.identity_shift(10 ** 6)):
+        assert amap(amap.m - 1) == amap.m
+        for symbol in (-1, amap.m):
+            with pytest.raises(SymbolError):
+                amap(symbol)
 
 
 def test_map_alphabet_streams():
-    stream = tm_quotients(2, AlphabetMap.from_dict(2, {0: 1, 1: 2}))
+    stream = tm_quotients(2, AlphabetMap(2, {0: 1, 1: 2}))
     assert list(itertools.islice(stream, 8)) == [1, 2, 2, 1, 2, 1, 1, 2]
     stream = tm_quotients(3)
     assert list(itertools.islice(stream, 9)) == [1, 2, 3, 2, 3, 1, 3, 1, 2]
@@ -200,12 +235,12 @@ def fraction_evaluate(quotients, digits, half_even):
 
 REFERENCE_MAPS = [
     AlphabetMap.identity_shift(2),
-    AlphabetMap(2, (2, 1)),
-    AlphabetMap(2, (1, 9)),
+    AlphabetMap(2, {0: 2, 1: 1}),
+    AlphabetMap(2, {0: 1, 1: 9}),
     AlphabetMap.identity_shift(3),
-    AlphabetMap(3, (3, 1, 7)),
+    AlphabetMap(3, {0: 3, 1: 1, 2: 7}),
     AlphabetMap.identity_shift(5),
-    AlphabetMap(5, (4, 1, 5, 2, 3)),
+    AlphabetMap(5, {0: 4, 1: 1, 2: 5, 3: 2, 4: 3}),
 ]
 
 
@@ -238,13 +273,13 @@ def test_evaluate_tm_matches_evaluate_on_random_maps(data):
     image = data.draw(st.lists(st.integers(1, 60), min_size=m, max_size=m, unique=True), label="image")
     digits = data.draw(st.integers(1, 300), label="digits")
     half_even = data.draw(st.booleans(), label="half_even")
-    amap = AlphabetMap(m, tuple(image))
+    amap = AlphabetMap(m, dict(enumerate(image)))
     got = evaluate_tm(amap, digits, half_even=half_even)
     assert fields(got) == fields(evaluate(tm_quotients(m, amap), digits, half_even=half_even))
 
 
 def test_evaluate_tm_past_the_int_str_digit_limit():
-    amap = AlphabetMap(3, (3, 1, 7))
+    amap = AlphabetMap(3, {0: 3, 1: 1, 2: 7})
     got = evaluate_tm(amap, 5000)
     assert len(got.text) == 5002
     assert fields(got) == fields(evaluate(tm_quotients(3, amap), 5000))
@@ -261,7 +296,7 @@ def test_evaluate_tm_prefix_stable_at_scale():
 
 def test_evaluate_tm_at_a_large_modulus():
     # levels are built only as far as the terms reach, so m = 300 stays cheap
-    amap = AlphabetMap(300, tuple(range(300, 0, -1)))
+    amap = AlphabetMap(300, dict(enumerate(range(300, 0, -1))))
     for digits in (1, 700, 2000):
         assert fields(evaluate_tm(amap, digits)) == fields(evaluate(tm_quotients(300, amap), digits))
 
@@ -348,7 +383,7 @@ def test_tail_intervals_match_a_per_n_recomputation(length, n_max, alpha_depth):
     rng = random.Random(length)
     for quots in (
         list(itertools.islice(tm_quotients(2), length)),
-        list(itertools.islice(tm_quotients(3, AlphabetMap(3, (5, 1, 2))), length)),
+        list(itertools.islice(tm_quotients(3, AlphabetMap(3, {0: 5, 1: 1, 2: 2})), length)),
         [rng.randint(1, 9) for _ in range(length)],
     ):
         expected = tail_intervals_from_scratch(quots, n_max, alpha_depth)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -137,10 +138,10 @@ def test_emit_indexed_rejects_records_that_do_not_begin_with_the_index():
 
 def test_parse_map_spec():
     amap = parse_map_spec("0:1,1:2", 2)
-    assert amap.image == (1, 2)
+    assert [amap(j) for j in range(2)] == [1, 2]
     # unmapped symbols fall back to j + 1
     amap = parse_map_spec("0:7", 3)
-    assert amap.image == (7, 2, 3)
+    assert [amap(j) for j in range(3)] == [7, 2, 3]
     with pytest.raises(AlphabetMapError):
         parse_map_spec("0:1,1:1", 2)
     with pytest.raises(AlphabetMapError):
@@ -149,6 +150,35 @@ def test_parse_map_spec():
         parse_map_spec("5:1", 3)
     with pytest.raises(AlphabetMapError):
         parse_map_spec("junk", 2)
+
+
+def test_parse_map_spec_costs_its_entries_not_the_modulus():
+    tracemalloc.start()
+    try:
+        amap = parse_map_spec("0:10000000", 5_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert (amap(0), amap(1), amap(4_999_999)) == (10_000_000, 2, 5_000_000)
+
+
+def test_gen_with_a_map_at_a_large_modulus(capsys):
+    code, out, err = run_cli(
+        capsys, "gen", "--m", "5000000", "--len", "5", "--map", "0:10000000", "--format", "json-lines"
+    )
+    assert code == 0 and err == ""
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records == [
+        {"index": i, "symbol": i, "quotient": 10_000_000 if i == 0 else i + 1} for i in range(5)
+    ]
+
+
+def test_colliding_map_at_a_large_modulus_is_one_short_error(capsys):
+    code, out, err = run_cli(capsys, "gen", "--m", "1000000", "--len", "5", "--map", "0:5")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and len(err) < 200, err
+    assert "symbols 4 and 0 both map to 5" in err
 
 
 def test_cf_convergents_table(capsys):

@@ -18,7 +18,6 @@ from tmcf.tm import (
     tm_digit_sum_sequence,
     tm_morphic,
     tm_morphism,
-    verify_equivalence,
 )
 from tmcf.words import AlphabetError, FiniteWord, LazyWord, ModAlphabet, Morphism, SymbolError, WordRangeError
 
@@ -121,25 +120,32 @@ def test_first_mismatch():
     assert first_mismatch([0, 1], [0, 1, 0]) == 2
 
 
-def test_verify_equivalence_small_and_corrupt():
-    report = verify_equivalence(2, 1)
-    assert report.first_mismatch is None
-
-    for m in (2, 5, 8):
-        report = verify_equivalence(m, 20_000, lemma_samples=25, seed=1)
-        assert report.equivalent
-        assert report.lemma_samples == 25
-
-
 def test_equivalence_through_m_ten():
+    # the check of `tmcf verify-all`: first_mismatch of the two packed prefixes
     for m in range(2, 11):
-        assert verify_equivalence(m, 100_000).equivalent, m
+        for length in (1, 100_000):
+            ds = tm_digit_sum_sequence(m).word.symbols(length)
+            assert len(ds) == length
+            assert first_mismatch(ds, tm_morphic(m).word.symbols(length)) is None, (m, length)
 
     # corrupting one term is detected at exactly that index
     ds = tm_digit_sum_sequence(3).prefix(500)
     mo = tm_morphic(3).prefix(500)
     ds[137] = (ds[137] + 1) % 3
     assert first_mismatch(ds, mo) == 137
+
+
+def test_infinite_sequences_are_not_iterable():
+    # iteration would fall back on __getitem__ and never end
+    for seq in (tm_morphic(3), tm_digit_sum_sequence(3), tm_morphic(3).word):
+        with pytest.raises(TypeError, match="infinite"):
+            iter(seq)
+        with pytest.raises(TypeError):
+            list(seq)
+        with pytest.raises(TypeError):
+            tm_morphism(3).apply(seq)
+        with pytest.raises(TypeError):
+            FiniteWord(seq, ModAlphabet(3))
 
 
 def test_lemma_recursion_base_cases():

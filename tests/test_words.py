@@ -90,13 +90,15 @@ def test_morphism_images_and_apply():
     phi2 = tm_phi(2)
     assert list(phi2.apply([0, 1])) == [0, 1, 1, 0]
     assert len(phi2.apply(FiniteWord([], ModAlphabet(2)))) == 0
+    with pytest.raises(SymbolError):
+        tm_phi(3).apply(FiniteWord([0, 1], ModAlphabet(2)))
 
 
 def test_morphism_requires_total_images():
     with pytest.raises(SymbolError):
-        Morphism({0: [0, 1]}, 2)
-    with pytest.raises(SymbolError):
         Morphism([[0, 1]], 2)
+    with pytest.raises(SymbolError):
+        Morphism([[0, 1], [1, 0], [0]], 2)
 
 
 def test_apply_is_homomorphism():
@@ -131,7 +133,7 @@ def test_uniformity():
     for m in (2, 3, 5):
         assert tm_phi(m).uniformity() == m
         assert tm_phi(m).power(2).uniformity() == m * m
-    assert Morphism({0: [0, 1], 1: [1]}, 2).uniformity() is None
+    assert Morphism([[0, 1], [1]], 2).uniformity() is None
 
 
 def test_uniform_power_applies_uniformly():
@@ -145,8 +147,8 @@ def test_prolongable():
     for m in (2, 3, 4):
         phi = tm_phi(m)
         assert all(phi.is_prolongable(j) for j in range(m))
-    assert not Morphism({0: [1, 0], 1: [0, 1]}, 2).is_prolongable(0)
-    assert not Morphism({0: [], 1: [0, 1]}, 2).is_prolongable(0)
+    assert not Morphism([[1, 0], [0, 1]], 2).is_prolongable(0)
+    assert not Morphism([[], [0, 1]], 2).is_prolongable(0)
 
 
 def test_fixed_point_prefixes():
@@ -157,14 +159,14 @@ def test_fixed_point_prefixes():
 
 def test_fixed_point_requires_prolongable_growth():
     with pytest.raises(ValueError):
-        Morphism({0: [1, 0], 1: [0, 1]}, 2).fixed_point(0)
+        Morphism([[1, 0], [0, 1]], 2).fixed_point(0)
     with pytest.raises(ValueError):
-        Morphism({0: [0], 1: [1, 0]}, 2).fixed_point(0)
+        Morphism([[0], [1, 0]], 2).fixed_point(0)
 
 
 def test_fixed_point_reports_an_erased_orbit():
     with pytest.raises(WordRangeError, match="erases the orbit"):
-        Morphism({0: [0, 1], 1: []}, 2).fixed_point(0).prefix(3)
+        Morphism([[0, 1], []], 2).fixed_point(0).prefix(3)
 
 
 def test_fixed_point_matches_power_images():
@@ -179,8 +181,8 @@ def test_fixed_point_matches_power_images():
 def test_fixed_point_is_invariant_under_apply():
     phi = tm_phi(3)
     v = phi.fixed_point(0)
-    image = phi.apply(v)
-    assert image.prefix(500) == v.prefix(500)
+    # phi of a prefix of length n is the prefix of length m n
+    assert list(phi.apply(v.prefix(500))) == v.prefix(1500)
 
 
 def test_lazyword_from_chunks_and_slicing():
@@ -198,7 +200,7 @@ def test_lazyword_from_chunks_and_slicing():
 
 
 def test_lazyword_finite_source_errors():
-    w = LazyWord.from_symbols(iter([0, 1, 0]), 2)
+    w = LazyWord.from_chunks([[0, 1, 0]], 2)
     assert w[1] == 1
     with pytest.raises(WordRangeError):
         w[10]
@@ -207,12 +209,12 @@ def test_lazyword_finite_source_errors():
 def test_lazyword_repeated_reads_agree():
     pulled = []
 
-    def symbols():
-        for i in itertools.count():
+    def chunks():
+        for i in itertools.count(0, 16):
             pulled.append(i)
-            yield i % 5
+            yield [j % 5 for j in range(i, i + 16)]
 
-    w = LazyWord.from_symbols(symbols(), 5, chunk_size=16)
+    w = LazyWord.from_chunks(chunks(), 5)
     first = [w[i] for i in range(200)]
     count = len(pulled)
     second = [w[i] for i in range(200)]
@@ -220,9 +222,15 @@ def test_lazyword_repeated_reads_agree():
     assert len(pulled) == count  # cache hit, no recomputation
 
 
+def squares_mod_7():
+    """i^2 mod 7 for i = 0, 1, ..., in chunks of 16 symbols."""
+    for i in itertools.count(0, 16):
+        yield [(j * j) % 7 for j in range(i, i + 16)]
+
+
 def test_lazyword_concurrent_reads_consistent():
     # small chunks so that the readers race many extensions
-    w = LazyWord.from_symbols(((i * i) % 7 for i in itertools.count()), 7, chunk_size=16)
+    w = LazyWord.from_chunks(squares_mod_7(), 7)
     expected = [(i * i) % 7 for i in range(3000)]
     results = {}
 
@@ -247,7 +255,7 @@ def test_lazyword_concurrent_reads_consistent():
 def test_packed_lazyword_under_racing_readers_and_copies():
     # more threads than cores, switching often, while the cache grows in
     # small chunks: a copy of the cache must never block an extension
-    w = LazyWord.from_symbols(((i * i) % 7 for i in itertools.count()), 7, chunk_size=16)
+    w = LazyWord.from_chunks(squares_mod_7(), 7)
     expected = [(i * i) % 7 for i in range(20_000)]
     errors, done = [], []
 
@@ -275,16 +283,6 @@ def test_packed_lazyword_under_racing_readers_and_copies():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert errors == [] and sorted(done) == list(range(8))
-
-
-def test_morphism_apply_lazy_word():
-    phi = tm_phi(2)
-    base = LazyWord.from_chunks(itertools.repeat([0, 1]), 2)
-    image = phi.apply(base)
-    # image of 0,1,0,1,... under 0->01, 1->10
-    assert image.prefix(8) == [0, 1, 1, 0, 0, 1, 1, 0]
-    with pytest.raises(SymbolError):
-        tm_phi(3).apply(base)
 
 
 @st.composite
