@@ -120,13 +120,30 @@ def test_first_mismatch():
     assert first_mismatch([0, 1], [0, 1, 0]) == 2
 
 
+def test_verify_equivalence_small_and_corrupt():
+    # the check of `tmcf verify-all` on short prefixes, with sampled lemma words
+    assert first_mismatch(tm_digit_sum_sequence(2).word.symbols(1), tm_morphic(2).word.symbols(1)) is None
+
+    rng = random.Random(1)
+    for m in (2, 5, 8):
+        ds = tm_digit_sum_sequence(m).word.symbols(20_000)
+        assert len(ds) == 20_000
+        assert first_mismatch(ds, tm_morphic(m).word.symbols(20_000)) is None, m
+        for _ in range(25):
+            c = [rng.randrange(m) for _ in range(rng.randint(2, 6))]
+            assert check_lemma_recursion(c, m), (m, c)
+
+    # corrupting one term of a packed prefix is detected at exactly that index
+    ds = bytearray(tm_digit_sum_sequence(5).word.symbols(1000))
+    ds[421] = (ds[421] + 1) % 5
+    assert first_mismatch(ds, tm_morphic(5).word.symbols(1000)) == 421
+
+
 def test_equivalence_through_m_ten():
     # the check of `tmcf verify-all`: first_mismatch of the two packed prefixes
     for m in range(2, 11):
-        for length in (1, 100_000):
-            ds = tm_digit_sum_sequence(m).word.symbols(length)
-            assert len(ds) == length
-            assert first_mismatch(ds, tm_morphic(m).word.symbols(length)) is None, (m, length)
+        assert first_mismatch(tm_digit_sum_sequence(m).word.symbols(100_000),
+                              tm_morphic(m).word.symbols(100_000)) is None, m
 
     # corrupting one term is detected at exactly that index
     ds = tm_digit_sum_sequence(3).prefix(500)
