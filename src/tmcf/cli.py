@@ -17,6 +17,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from typing import IO, Callable, Iterable, Sequence
@@ -59,18 +60,27 @@ class Writer:
     def emit_indexed(self, record: Callable[[int, int], dict], chunks: Iterable[Sequence[int]], count: int) -> None:
         """Write record(i, t_i) for i < count, where t_0, t_1, ... are the
         symbols of `chunks`, as `emit` would write each, at most BATCH
-        records a write.
+        records a write; raise ValueError if the chunks end first.
 
         The records must share their keys, begin with "index": i (it sorts
         first, so json-lines keeps it there), and otherwise depend on the
         symbol alone.  Then every line is head + str(i) + tail, and `_line`
         renders the tail of each distinct symbol once, at index 0.
+
+        The indices are written in decimal groups of 1000: inside group q
+        every line is sep + digits[i % 1000] + tail, with sep = head + str(q)
+        and digits the three zero-padded digits of i % 1000 (for q = 0, sep
+        = head and the digits unpadded).  Each run of a batch inside one
+        group is thus a single `sep.join` over the digit and tail strings.
         """
         zero, one = (self._line(record(i, 0)) for i in (0, 1))
         head = os.path.commonprefix([zero, one])
         if one != f"{head}1{zero[len(head) + 1:]}":
             raise ValueError(f"records must begin with their index, got {zero!r}")
         tails: dict[int, str] = {}
+        tail = tails.__getitem__
+        plain = [str(j) for j in range(1000)]  # the digits of group 0
+        padded = [f"{j:03d}" for j in range(1000)]  # the digits of every later group
         header = self._header(record(0, 0))  # written with the first batch
         start = 0
         for chunk in chunks:
@@ -85,11 +95,21 @@ class Writer:
                     if not line.startswith(f"{head}0"):
                         raise ValueError(f"records must begin with their index, got {line!r}")
                     tails[symbol] = line[len(head) + 1:]
-                self.stream.write(header + "".join([f"{head}{i}{tails[s]}" for i, s in enumerate(block, start)]))
+                parts = [header]
+                a = 0
+                while a < len(block):  # one segment of the batch per decimal group it meets
+                    q, j = divmod(start + a, 1000)
+                    b = min(a + 1000 - j, len(block))
+                    sep, digits = (f"{head}{q}", padded) if q else (head, plain)
+                    parts += sep, sep.join(map(operator.add, digits[j:j + b - a], map(tail, block[a:b])))
+                    a = b
+                self.stream.write("".join(parts))
                 header = ""
                 start += len(block)
             if start == count:
                 return
+        if start < count:
+            raise ValueError(f"chunks ended after {start} of {count} records")
 
     def _header(self, record: dict) -> str:
         """The CSV header row if the record's keys differ from the last ones, else ""."""

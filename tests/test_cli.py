@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -134,6 +136,66 @@ def test_emit_indexed_rejects_records_that_do_not_begin_with_the_index():
         writer = Writer(io.StringIO(), fmt)
         with pytest.raises(ValueError, match="begin with their index"):
             writer.emit_indexed(lambda i, s: {"digit": s, "index": i}, [bytes([0, 1, 1, 0])], 4)
+
+
+def test_emit_indexed_raises_when_its_chunks_run_short():
+    record = lambda i, s: {"index": i, "symbol": s}
+    for chunks, written in (([bytes([0, 1, 1])], 3), ([[0, 1], [1], []], 3), ([], 0)):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=f"after {written} of 10 records"):
+            Writer(out, "plain").emit_indexed(record, chunks, 10)
+        assert out.getvalue().count("\n") == written
+    out = io.StringIO()
+    Writer(out, "plain").emit_indexed(record, [bytes([0, 1]), [1]], 3)  # ends with the last chunk
+    Writer(out, "plain").emit_indexed(record, [], 0)
+    assert out.getvalue() == "0 0\n1 1\n2 1\n"
+
+
+# Chunk lengths around the decimal groups of 1000 and the batches of 8192
+GROUP_EDGE_CHUNKS = [1, 7, 993, 999, 1000, 1001, 8191]
+# counts across 999 -> 1000, 9 999 -> 10 000 and 99 999 -> 100 000, and
+# counts that end inside both a chunk and a decimal group
+GROUP_EDGE_COUNTS = [1, 2, 999, 1000, 1001, 8192, 8193, 9999, 10_000, 10_001, 12_345,
+                     54_321, 99_999, 100_000, 100_001, 100_500]
+
+
+def cut(symbols: list[int], as_bytes: bool) -> list:
+    """symbols in chunks of the lengths of GROUP_EDGE_CHUNKS, round and round."""
+    chunks, lo = [], 0
+    for length in itertools.cycle(GROUP_EDGE_CHUNKS):
+        if lo >= len(symbols):
+            return chunks
+        piece = symbols[lo:lo + length]
+        chunks.append(bytes(piece) if as_bytes else piece)
+        lo += length
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json-lines", "csv"])
+def test_emit_indexed_at_decimal_group_edges(fmt):
+    rng = random.Random(14)
+    narrow = [rng.randrange(3) for _ in range(GROUP_EDGE_COUNTS[-1])]
+    wide = [rng.randrange(20_000) for _ in range(20_000)]  # past 8192 distinct symbols in the second batch
+    index_only = lambda i, s: {"index": i}  # one tail for every symbol
+    quotient = lambda i, s: {"index": i, "symbol": s, "quotient": 7 * s + 1}
+    ends = set(itertools.accumulate(len(chunk) for chunk in cut(narrow, False)))
+    assert any(count not in ends and count % 1000 for count in GROUP_EDGE_COUNTS)
+    for symbols, record, chunk_kinds in (
+        (narrow, quotient, (True, False)),
+        (narrow[:12_345], index_only, (True, False)),
+        (wide, quotient, (False,)),
+    ):
+        oracle = io.StringIO()
+        writer = Writer(oracle, fmt)
+        for i, symbol in enumerate(symbols):
+            writer.emit(record(i, symbol))
+        lines = oracle.getvalue().splitlines(keepends=True)
+        header = fmt == "csv"
+        for as_bytes in chunk_kinds:
+            chunks = cut(symbols, as_bytes)
+            for count in (c for c in GROUP_EDGE_COUNTS if c <= len(symbols)):
+                out = io.StringIO()
+                Writer(out, fmt).emit_indexed(record, chunks, count)
+                assert out.getvalue() == "".join(lines[:header + count]), (record, as_bytes, count)
 
 
 def test_parse_map_spec():
