@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .tm import TmSequence, tm_digit_sum
+from .tm import TmSequence, tm_digit_sum, tm_digit_sum_sequence
 from .words import ModAlphabet, SymbolError
 
 
@@ -113,10 +113,38 @@ def convergent_stream(quotients: Iterable[int]) -> Iterator[ConvergentPair]:
     q_prev, q = 0, 1
     for n, a in enumerate(quotients, start=1):
         if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise ValueError(f"partial quotient a_{n} must be a positive integer, got {a!r}")
+            raise _bad_quotient(n, a)
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
         yield ConvergentPair(n, p, q, p_prev, q_prev)
+
+
+def _bad_quotient(n: int, a: object) -> ValueError:
+    return ValueError(f"partial quotient a_{n} must be a positive integer, got {a!r}")
+
+
+def convergent_rows(quotients: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """Yield (n, p_n, q_n) for n = 1, 2, ... of [0; a_1, a_2, ...].
+
+    `convergent_stream`'s recurrence and quotient check, as plain tuples
+    instead of a ConvergentPair per term; p_(n-1) and q_(n-1) are the
+    previous row's values (p_0 = 0 and q_0 = 1 before the first row).
+    """
+    p_prev, p = 1, 0
+    q_prev, q = 0, 1
+    for n, a in enumerate(quotients, start=1):
+        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+            raise _bad_quotient(n, a)
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        yield n, p, q
+
+
+def tm_convergent_rows(amap: AlphabetMap, count: int) -> Iterator[tuple[int, int, int]]:
+    """`convergent_rows` for n <= count of the quotients amap(t_0), amap(t_1), ... of TM_m."""
+    symbols = tm_digit_sum_sequence(amap.m).word.symbols(count)
+    image = {symbol: amap(symbol) for symbol in set(symbols)}  # one amap call per distinct symbol
+    return convergent_rows(map(image.__getitem__, symbols))
 
 
 def convergents(quotients: Iterable[int], count: int) -> list[ConvergentPair]:
@@ -170,6 +198,26 @@ def _digits_text(k: int, width: int) -> str:
     half = width // 2
     high, low = divmod(k, 10 ** half)
     return _digits_text(high, width - half) + _digits_text(low, half)
+
+
+# 2^13000 < 10^3914, so str() of an int of at most this many bits stays
+# below CPython's int -> str digit limit (4300 by default)
+_STR_BITS = 13_000
+
+
+def int_texts(values: Sequence[int]) -> Iterator[str]:
+    """str(k) for each int k of values, whatever its size: the plain str()
+    while every value is short enough for it, else `_digits_text`."""
+    if max(map(int.bit_length, values), default=0) <= _STR_BITS:
+        return map(str, values)
+    return map(_int_text, values)
+
+
+def _int_text(k: int) -> str:
+    if k < 0:
+        return "-" + _int_text(-k)
+    # k has at most bits * log10(2) + 1 digits, and log10(2) < 4/13
+    return _digits_text(k, k.bit_length() * 4 // 13 + 1).lstrip("0") or "0"
 
 
 def _format_scaled(k: int, digits: int) -> str:

@@ -19,6 +19,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from typing import IO, Callable, Iterable, Sequence
 
@@ -40,11 +41,18 @@ class UsageError(Exception):
     """Arguments the command cannot run with: one `error:` line and exit 2."""
 
 
+# the probe values `Writer.emit_rows` renders its template from: _PROBE + i
+# for the row's i-th value, all of the same length
+_PROBE = 9_081_726_354_000_000_000_000_000
+
+
 class Writer:
     """Streams records in one of the three output formats; CSV writes a
     header row before the first record and whenever the keys change."""
 
     BATCH = 8192  # most records `emit_indexed` writes at once
+    ROWS = 256  # most records `emit_rows` writes at once
+    ROW_CHARS = 1 << 20  # about the most characters `emit_rows` writes at once
     _json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True) without a new encoder per call
 
     def __init__(self, stream: IO[str], out_format: str):
@@ -110,6 +118,49 @@ class Writer:
                 return
         if start < count:
             raise ValueError(f"chunks ended after {start} of {count} records")
+
+    def emit_rows(self, record: Callable[..., dict], rows: Iterable[Sequence[int]]) -> None:
+        """Write record(*row) for every row, a tuple of ints, as `emit` would
+        write each, but for ints of any size.
+
+        record(*row) must hold each value of the row, unchanged, as a field
+        of its own, and its keys and other fields must not depend on the
+        row.  Then every line is one template filled with the row's decimal
+        texts.  The template is `_line` of the record of distinct probe
+        values, split at each probe's text; a second set of probes must give
+        the same template, else ValueError.  The rows are written in batches
+        of at most ROWS records that also stay near ROW_CHARS characters,
+        judging by the length of the batch before.
+        """
+        rows = iter(rows)
+        batch = list(itertools.islice(rows, 1))  # a first batch of one row gauges the row length
+        if not batch:
+            return
+        width = len(batch[0])
+        probes = [_PROBE + i for i in range(2 * width)]
+        template = self._template(record, probes[:width])
+        if self._template(record, probes[width:]) != template:
+            raise ValueError("a record must hold its row values unchanged, in fields that do not depend on the row")
+        header = self._header(record(*probes[:width]))
+        while batch:
+            columns = [cf.int_texts(column) for column in zip(*batch, strict=True)]
+            if len(columns) != width:
+                raise ValueError(f"rows must all have {width} values, got {batch[0]!r}")
+            text = "".join(map(template.format, *columns))
+            self.stream.write(header + text)
+            header = ""
+            size = max(1, min(self.ROWS, self.ROW_CHARS * len(batch) // len(text)))
+            batch = list(itertools.islice(rows, size))
+
+    def _template(self, record: Callable[..., dict], probes: list[int]) -> str:
+        """_line(record(*probes)) as a `str.format` template, with {i} in place
+        of the text of probes[i]; ValueError unless each text occurs once."""
+        texts = [str(p) for p in probes]  # in sorted order, all of one length
+        parts = re.split(f"({'|'.join(texts)})", self._line(record(*probes)))
+        if sorted(parts[1::2]) != texts:
+            raise ValueError(f"each row value must occur once in the record, got {''.join(parts)!r}")
+        return "".join(f"{{{texts.index(part)}}}" if k % 2 else part.replace("{", "{{").replace("}", "}}")
+                       for k, part in enumerate(parts))
 
     def _header(self, record: dict) -> str:
         """The CSV header row if the record's keys differ from the last ones, else ""."""
@@ -202,9 +253,10 @@ def cmd_gen(args: argparse.Namespace, writer: Writer) -> int:
 def cmd_cf(args: argparse.Namespace, writer: Writer) -> int:
     amap = _map_arg(args.map_spec or "", args.m)
     if args.convergent_count:
-        quotients = cf.map_alphabet(tm.tm_digit_sum_sequence(amap.m), amap)
-        for pair in cf.convergents(quotients, args.convergent_count):
-            writer.emit({"kind": "convergent", "n": pair.index, "p": pair.p, "q": pair.q})
+        writer.emit_rows(
+            lambda n, p, q: {"kind": "convergent", "n": n, "p": p, "q": q},
+            cf.tm_convergent_rows(amap, args.convergent_count),
+        )
     result = cf.evaluate_tm(amap, args.digits)
     writer.emit(
         {
@@ -399,9 +451,12 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
     )
 
     count = min(1000, max(2, length))
-    pairs = cf.convergents(cf.map_alphabet(tm.tm_digit_sum_sequence(m), amap), count)
-    det_ok = all(p.determinant == (-1) ** (p.index - 1) for p in pairs)
-    cop_ok = all(cf.coprime(p) for p in pairs)
+    _, ps, qs = zip(*cf.tm_convergent_rows(amap, count))
+    # p_n q_(n-1) - p_(n-1) q_n, from p_0 = 0 and q_0 = 1
+    determinants = map(operator.sub, map(operator.mul, ps, (1, *qs)), map(operator.mul, (0, *ps), qs))
+    det_ok = list(determinants) == [1, -1] * (count // 2) + [1] * (count % 2)
+    # a determinant of +-1 proves gcd(p_n, q_n) = 1 (Bezout), so gcd runs only when one is off
+    cop_ok = det_ok or all(g == 1 for g in map(math.gcd, ps, qs))
     yield (
         "convergents",
         "determinants alternate +-1 and convergents stay coprime",

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,16 @@ from tmcf.cf import (
     MoebiusMap,
     approximation_report,
     bracket,
+    convergent_rows,
     convergent_stream,
     convergents,
     coprime,
     evaluate,
     evaluate_tm,
+    int_texts,
     map_alphabet,
     tail_transform,
+    tm_convergent_rows,
     verify_tail_intervals,
 )
 from tmcf.tm import tm_digit_sum_sequence
@@ -117,6 +121,51 @@ def test_convergents_match_nested_fraction_fold():
         quots = [rng.randint(1, 9) for _ in range(rng.randint(1, 12))]
         pairs = convergents(quots, len(quots))
         assert pairs[-1].value == oracle_cf_value(quots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=300))
+def test_convergent_rows_match_convergent_stream(quots):
+    expected = [(pair.index, pair.p, pair.q) for pair in convergent_stream(quots)]
+    assert list(convergent_rows(quots)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 10 ** 6), max_size=30),
+    st.sampled_from([0, -1, -(10 ** 6), True, False, 2.0, "3", None, 1.5]),
+)
+def test_convergent_rows_reject_what_convergent_stream_rejects(head, bad):
+    quots = [*head, bad, 1]
+    errors = []
+    for stream in (convergent_rows, convergent_stream):
+        with pytest.raises(ValueError) as info:
+            list(stream(quots))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == f"partial quotient a_{len(head) + 1} must be a positive integer, got {bad!r}"
+
+
+def test_tm_convergent_rows_are_the_tm_convergents():
+    amap = AlphabetMap(5, {0: 3, 1: 1, 2: 5, 3: 2, 4: 4})
+    pairs = convergents(tm_quotients(5, amap), 700)
+    assert list(tm_convergent_rows(amap, 700)) == [(pair.index, pair.p, pair.q) for pair in pairs]
+    assert list(tm_convergent_rows(amap, 0)) == []
+
+
+def test_int_texts_past_the_int_str_digit_limit():
+    # 13 000 bits is the last size that goes through a single str()
+    values = [0, 7, -12, 2 ** 13_000 - 1, 2 ** 13_000, -(2 ** 13_000), 10 ** 4299, 10 ** 4300, 3 ** 30_001,
+              -(7 ** 20_000), 10 ** 20_000 + 1]
+    limit = sys.get_int_max_str_digits()
+    texts = list(int_texts(values))
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert texts == [str(v) for v in values]
+        assert list(int_texts(values[:4])) == [str(v) for v in values[:4]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert list(int_texts([])) == []
 
 
 def test_determinant_alternation_and_coprimality():

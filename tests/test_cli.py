@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -12,8 +14,8 @@ import tracemalloc
 import pytest
 
 import tmcf
-from tmcf import analysis
-from tmcf.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, Writer, main, parse_map_spec
+from tmcf import analysis, cf
+from tmcf.cli import _PROBE, EXIT_BROKEN_PIPE, EXIT_INTERNAL, Writer, main, parse_map_spec
 from tmcf.cf import AlphabetMapError
 from tmcf.tm import digit_sum_stream
 from tmcf.words import WordRangeError
@@ -276,6 +278,152 @@ def test_cf_digits_past_the_int_str_digit_limit(capsys):
     record = json.loads(out)
     assert len(record["value"]) == 5002
     assert record["value"].startswith("0.703042687325")
+
+
+@contextlib.contextmanager
+def unlimited_int_text():
+    """Lift the interpreter's int <-> str digit limit, for oracles that print or parse long ints."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def convergent(n, p, q):
+    return {"kind": "convergent", "n": n, "p": p, "q": q}
+
+
+class Writes:
+    """A stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def emit_each(fmt, record, rows, before=(), after=()):
+    """What per-record `Writer.emit` writes for the rows, between the records before and after."""
+    out = io.StringIO()
+    writer = Writer(out, fmt)
+    with unlimited_int_text():
+        for r in (*before, *(record(*row) for row in rows), *after):
+            writer.emit(r)
+    return out.getvalue()
+
+
+def emit_rows(fmt, record, rows, before=(), after=()):
+    out = io.StringIO()
+    writer = Writer(out, fmt)
+    for r in before:
+        writer.emit(r)
+    writer.emit_rows(record, rows)
+    for r in after:
+        writer.emit(r)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json-lines", "csv"])
+def test_emit_rows_writes_what_emit_writes(fmt):
+    rng = random.Random(15)
+    rows = list(cf.convergent_rows(rng.randint(1, 10 ** 6) for _ in range(3 * Writer.ROWS)))
+    batch = Writer.ROWS
+    # the first write holds one row, each later one up to ROWS rows
+    for count in (0, 1, 2, batch - 1, batch, batch + 1, batch + 2, 2 * batch + 1, 3 * batch):
+        assert emit_rows(fmt, convergent, rows[:count]) == emit_each(fmt, convergent, rows[:count]), count
+    # the CSV header goes above the first row only, and again for other keys after the rows
+    text = emit_rows(fmt, convergent, rows, after=[{"kind": "decimal", "value": "0.7"}])
+    assert text == emit_each(fmt, convergent, rows, after=[{"kind": "decimal", "value": "0.7"}])
+    if fmt == "csv":
+        assert text.splitlines()[::len(rows) + 1] == ["kind,n,p,q", "kind,value"]
+    # rows after a record of the same keys take no header; rows after other keys do
+    for before in ([convergent(0, 0, 1)], [{"kind": "start"}]):
+        assert emit_rows(fmt, convergent, rows[:5], before) == emit_each(fmt, convergent, rows[:5], before)
+    # constant fields with braces, quotes, commas and digits; keys that sort
+    # apart from the order of the values; negative and huge values
+    odd = lambda a, b, c: {"z": a, "kind": "{x}, \"}{\"", "b": c, "note": "9081726354", "a": b, "{": "}"}
+    huge = [(7 ** 20_000, -(10 ** 4400), 0), (-1, 2 ** 14_000, 10 ** 9000 + 17), (3, 2, 1)]
+    for record, table in ((odd, rows[:batch + 2]), (odd, huge), (convergent, huge)):
+        assert emit_rows(fmt, record, table) == emit_each(fmt, record, table)
+
+
+def test_emit_rows_writes_in_batches_bounded_in_characters():
+    row = (10 ** 9_999, 10 ** 9_999 + 1, 3)  # 20 000 digits a row
+    writes = Writes()
+    Writer(writes, "json-lines").emit_rows(convergent, itertools.repeat(row, 500))
+    sizes = [len(text) for text in writes.writes]
+    assert sum(sizes) == 500 * sizes[0] and sizes[0] > 20_000
+    assert len(sizes) > 6 and max(sizes) <= Writer.ROW_CHARS
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        lambda n, p, q: {"kind": str(_PROBE), "n": n, "p": p, "q": q},  # a probe of the first set
+        lambda n, p, q: {"kind": f"x{_PROBE + 4}", "n": n, "p": p, "q": q},  # a probe of the second set
+        lambda n, p, q: {"n": n, "p": p},  # a value dropped
+        lambda n, p, q: {"n": n, "p": p, "q": q, "again": n},  # a value twice
+        lambda n, p, q: {"n": n, "p": p, "q": q + 1},  # a value changed
+        lambda n, p, q: {"n": n, "p": p, "q": q, "odd": p % 2},  # a field that depends on the row
+    ],
+)
+def test_emit_rows_rejects_records_it_cannot_template(record):
+    for fmt in ("plain", "json-lines", "csv"):
+        out = io.StringIO()
+        with pytest.raises(ValueError):
+            Writer(out, fmt).emit_rows(record, [(1, 2, 3)])
+        assert out.getvalue() == ""
+
+
+def test_emit_rows_rejects_rows_of_other_lengths():
+    with pytest.raises(ValueError):
+        Writer(io.StringIO(), "plain").emit_rows(convergent, [(1, 1, 1), (2, 1, 2), (3, 2)])
+
+
+def test_cf_convergents_past_the_int_str_digit_limit(capsys):
+    # p_n passes 4300 digits near n = 14 760
+    count = 15_000
+    code, out, err = run_cli(capsys, "cf", "--m", "2", "--convergents", str(count), "--format", "json-lines")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == count + 1
+    last = next(itertools.islice(cf.convergent_stream(cf.map_alphabet(tmcf.tm_digit_sum_sequence(2),
+                                                                      cf.AlphabetMap(2))), count - 1, None))
+    with unlimited_int_text():
+        assert json.loads(lines[-2]) == convergent(last.index, last.p, last.q)
+        assert len(str(last.p)) > 4300
+    assert json.loads(lines[-1])["kind"] == "decimal"
+
+
+def test_verify_all_fails_on_a_wrong_convergent(capsys, monkeypatch):
+    # gcd(p_n, q_n) = 1 follows from determinants of +-1: it is computed
+    # only when one is off, here at n = 500 and 501
+    rows = cf.tm_convergent_rows
+    table = {n: (p, q) for n, p, q in rows(cf.AlphabetMap(2), 1000)}
+    gcd_args = []
+    gcd = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: gcd_args.append(args) or gcd(*args))
+    argv = ["verify-all", "--m", "2", "--len", "5000", "--n-max", "30", "--format", "json-lines"]
+
+    def convergents_record():
+        records = [json.loads(line) for line in out.splitlines()]
+        return [r for r in records if r["property"].startswith("determinants")]
+
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert convergents_record() == [{"suite": "convergents", "property": "determinants alternate +-1 and convergents stay coprime",
+                                     "status": "pass", "detail": "first 1000 convergents"}]
+    assert table[500] not in gcd_args
+
+    monkeypatch.setattr(cf, "tm_convergent_rows", lambda amap, count: (
+        (n, p, q + (n == 500)) for n, p, q in rows(amap, count)))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert [r["status"] for r in convergents_record()] == ["FAIL"]
+    assert (table[500][0], table[500][1] + 1) in gcd_args
 
 
 def test_complexity_command(capsys):
