@@ -10,12 +10,11 @@ of TM_m does, from its distinct block pairs and its tail
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .tm import Word, _prefix_of, _shift_table, tm_digit_sum, tm_digit_sum_sequence, tm_morphism
+from .tm import Word, _prefix_of, _shift_table, tm_digit_sum, tm_digit_sum_sequence
 from .words import FiniteWord, ModAlphabet, WordRangeError
 
 
@@ -179,26 +178,16 @@ def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityP
     return _profile({n: counts[n] for n in range(1, n_max + 1)}, m, len(symbols), len(windows))
 
 
-def tm_complexity(m: int, n_max: int) -> ComplexityProfile:
-    """Exact p(n) of TM_m itself for 1 <= n <= n_max.
+def _power_windows(m: int, r: int, n: int) -> set[bytes]:
+    """The distinct length-n windows that begin with 0, at offsets s < m^r
+    of P_a ++ P_b for every pair ab, packed `_width(m)` bytes per symbol;
+    needs n <= m^r + 1.
 
-    TM_m = phi^r(TM_m).  With r the least r >= 0 with m^r >= n_max - 1,
-    every length-n_max factor is a window of P_a ++ P_b, for a 2-factor
-    ab, at an offset s < m^r, where P_a = phi^r(a) = B + a (mod m) and B
-    is the first m^r digit sums.  Every pair ab is a 2-factor (t_{n+1} - t_n = 1 + k mod m, with
-    k the number of trailing digits m - 1 of n, takes every value), and
-    adding c to every symbol maps the factors onto themselves.  So p(n) is
-    m times the number of distinct length-n factors that begin with 0:
-    the prefixes of the windows at each s of P_a ++ P_b with a = -B[s],
-    for every b; a window that ends inside P_a is counted once.  That is
-    at most (m^r - n_max + 1) + (n_max - 1) * m windows of n_max symbols,
-    packed and counted like a prefix's (`_factor_counts`): ~0.2 s and
-    ~40 MB at (m, n_max) = (300, 200).
+    P_a = phi^r(a) = B + a (mod m), where B is the first m^r digit sums,
+    so the window at s begins with 0 exactly when a = -B[s]; a window that
+    ends inside P_a does not depend on b and is built once.  That is at
+    most (m^r - n + 1) + (n - 1) * m windows.
     """
-    ModAlphabet(m)  # rejects a modulus below 2
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    r = _power_exponent(m, n_max)
     size, width = m ** r, _width(m)
     base = tm_digit_sum_sequence(m).word.symbols(size)
     if m <= 256:
@@ -206,13 +195,34 @@ def tm_complexity(m: int, n_max: int) -> ComplexityProfile:
     else:
         images = [_packed([(x + a) % m for x in base], width) for a in range(m)]
     leading_zero = [images[-c % m] for c in range(m)]  # leading_zero[B[s]][s] == 0
-    inside = max(size - n_max + 1, 0)  # offsets whose window ends inside P_a
-    windows = {leading_zero[base[s]][s * width:(s + n_max) * width] for s in range(inside)}
+    inside = max(size - n + 1, 0)  # offsets whose window ends inside P_a
+    windows = {leading_zero[base[s]][s * width:(s + n) * width] for s in range(inside)}
     for s in range(inside, size):
         head = leading_zero[base[s]][s * width:]
-        tail = (s + n_max - size) * width
+        tail = (s + n - size) * width
         windows.update(head + image[:tail] for image in images)
-    counts = _factor_counts(windows, n_max, width)
+    return windows
+
+
+def tm_complexity(m: int, n_max: int) -> ComplexityProfile:
+    """Exact p(n) of TM_m itself for 1 <= n <= n_max.
+
+    TM_m = phi^r(TM_m).  With r the least r >= 0 with m^r >= n_max - 1,
+    every length-n_max factor is a window of phi^r(a) phi^r(b), for a
+    2-factor ab, at an offset s < m^r.  Every pair ab is a 2-factor
+    (t_{n+1} - t_n = 1 + k mod m, with k the number of trailing digits
+    m - 1 of n, takes every value), and adding c to every symbol maps the
+    factors onto themselves.  So p(n) is m times the number of distinct
+    length-n prefixes of `_power_windows(m, r, n_max)`, the windows that
+    begin with 0, counted like a prefix's (`_factor_counts`): ~0.2 s and
+    ~40 MB at (m, n_max) = (300, 200).
+    """
+    ModAlphabet(m)  # rejects a modulus below 2
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    r = _power_exponent(m, n_max)
+    windows = _power_windows(m, r, n_max)
+    counts = _factor_counts(windows, n_max, _width(m))
     return _profile({n: m * counts[n] for n in range(1, n_max + 1)}, m, None, len(windows), r)
 
 
@@ -382,40 +392,23 @@ class SurjectionCheck:
         return not self.uncovered
 
 
-def verify_complexity_surjection(
-    m: int,
-    r: int,
-    n: int,
-    sample_count: int | None = None,
-    seed: int = 0,
-) -> SurjectionCheck:
+def verify_complexity_surjection(m: int, r: int, n: int) -> SurjectionCheck:
     """Exhibit every length-n factor of TM_m as a window of a power image.
 
-    Windows f(s, v) slice the r-th power image of a length-2 factor v at
-    offsets s < m^r.  Counting those windows is what caps p(n) at m^3 * n,
-    so this check samples (or exhausts) the length-n factors of the first
-    max(4 m^(r+1), 20 000) terms and confirms each one is covered.
+    Windows slice phi^r(ab), for a pair ab, at offsets s < m^r.  Counting
+    those windows is what caps p(n) at m^3 * n, so this check takes every
+    length-n factor of the first max(4 m^(r+1), 20 000) terms and confirms
+    that each one is covered.  Adding c to every symbol maps phi^r(ab) to
+    phi^r((a+c)(b+c)), so a factor f is covered exactly when f - f_0
+    (mod m), which begins with 0, is one of `_power_windows(m, r, n)`.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError("r must be a positive integer")
     if not (m ** (r - 1) <= n < m ** r):
         raise ValueError(f"need m^(r-1) <= n < m^r, got m={m}, r={r}, n={n}")
     t = tm_digit_sum_sequence(m).prefix(max(4 * m ** (r + 1), 20_000))
-
-    pairs = {(t[i], t[i + 1]) for i in range(len(t) - 1)}
-    power = tm_morphism(m).power(r)
-    window = m ** r
-    covered: set[tuple[int, ...]] = set()
-    for v0, v1 in sorted(pairs):
-        img = list(power.image(v0).symbols) + list(power.image(v1).symbols)
-        for s in range(window):
-            covered.add(tuple(img[s:s + n]))
-
-    factors = {tuple(t[i:i + n]) for i in range(len(t) - n + 1)}
-    if sample_count is not None and sample_count < len(factors):
-        rng = random.Random(seed)
-        chosen = rng.sample(sorted(factors), sample_count)
-    else:
-        chosen = sorted(factors)
-    missing = tuple(f for f in chosen if f not in covered)
-    return SurjectionCheck(m, r, n, len(chosen), missing)
+    covered = _power_windows(m, r, n)
+    width = _width(m)
+    factors = sorted({tuple(t[i:i + n]) for i in range(len(t) - n + 1)})
+    missing = tuple(f for f in factors if _packed([(x - f[0]) % m for x in f], width) not in covered)
+    return SurjectionCheck(m, r, n, len(factors), missing)

@@ -104,19 +104,13 @@ class ConvergentPair:
 
 
 def convergent_stream(quotients: Iterable[int]) -> Iterator[ConvergentPair]:
-    """Yield ConvergentPair for n = 1, 2, ... of [0; a_1, a_2, ...].
-
-    Standard recurrence p_k = a_k p_{k-1} + p_{k-2} (same for q), seeded
-    with p_{-1} = 1, q_{-1} = 0 and p_0 = 0, q_0 = 1.
-    """
-    p_prev, p = 1, 0
-    q_prev, q = 0, 1
-    for n, a in enumerate(quotients, start=1):
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-            raise _bad_quotient(n, a)
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
+    """Yield ConvergentPair for n = 1, 2, ... of [0; a_1, a_2, ...]: each
+    row of `convergent_rows` with the row before it (p_0 = 0, q_0 = 1
+    before the first)."""
+    p_prev, q_prev = 0, 1
+    for n, p, q in convergent_rows(quotients):
         yield ConvergentPair(n, p, q, p_prev, q_prev)
+        p_prev, q_prev = p, q
 
 
 def _bad_quotient(n: int, a: object) -> ValueError:
@@ -126,9 +120,9 @@ def _bad_quotient(n: int, a: object) -> ValueError:
 def convergent_rows(quotients: Iterable[int]) -> Iterator[tuple[int, int, int]]:
     """Yield (n, p_n, q_n) for n = 1, 2, ... of [0; a_1, a_2, ...].
 
-    `convergent_stream`'s recurrence and quotient check, as plain tuples
-    instead of a ConvergentPair per term; p_(n-1) and q_(n-1) are the
-    previous row's values (p_0 = 0 and q_0 = 1 before the first row).
+    Standard recurrence p_k = a_k p_{k-1} + p_{k-2} (same for q), seeded
+    with p_{-1} = 1, q_{-1} = 0 and p_0 = 0, q_0 = 1; ValueError at the
+    first quotient that is not a positive int.
     """
     p_prev, p = 1, 0
     q_prev, q = 0, 1
@@ -426,61 +420,6 @@ def verify_tail_intervals(quotients: list[int], n_max: int, alpha_depth: int = 6
             if not (-mapped_hi <= tail_lo <= tail_hi <= -mapped_lo):
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class ApproximationRow:
-    """Certified approximation quality of one convergent."""
-
-    index: int
-    q: int
-    gap_bound: Fraction       # 1 / (q_n * q_{n+1}), a certified upper bound
-    inv_q_squared: Fraction
-    quality_low: Fraction     # lower bound on q_n^2 * |alpha - p_n/q_n|
-    quality_high: Fraction
-
-
-@dataclass(frozen=True)
-class ApproximationReport:
-    rows: tuple[ApproximationRow, ...]
-    alpha_low: Fraction
-    alpha_high: Fraction
-
-    @property
-    def min_quality_low(self) -> Fraction:
-        return min(r.quality_low for r in self.rows)
-
-
-def approximation_report(quotients: Iterable[int], count: int) -> ApproximationReport:
-    """Certify |alpha - p_n/q_n| <= 1/(q_n q_{n+1}) < 1/q_n^2 for n <= count.
-
-    Also brackets alpha by two extra convergents and reports exact lower
-    and upper bounds on q_n^2 * |alpha - p_n/q_n| per row; for bounded
-    quotient streams the minimum lower bound staying away from zero is the
-    finite-scale mark of bad approximability.
-    """
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    pairs = convergents(quotients, count + 2)
-    alpha_lo, alpha_hi = bracket(pairs[-1])
-    rows = []
-    for pair, nxt in zip(pairs[:count], pairs[1:count + 1]):
-        gap = Fraction(1, pair.q * nxt.q)
-        v = pair.value
-        if alpha_lo <= v <= alpha_hi:
-            d_lo, d_hi = Fraction(0), max(abs(alpha_lo - v), abs(alpha_hi - v))
-        else:
-            d_lo = min(abs(alpha_lo - v), abs(alpha_hi - v))
-            d_hi = max(abs(alpha_lo - v), abs(alpha_hi - v))
-        if gap >= Fraction(1, pair.q * pair.q):
-            raise AssertionError(f"gap bound not below 1/q^2 at n={pair.index}")
-        if d_hi > gap:
-            raise AssertionError(f"bracket distance exceeds the gap bound at n={pair.index}")
-        q_sq = pair.q * pair.q
-        rows.append(
-            ApproximationRow(pair.index, pair.q, gap, Fraction(1, q_sq), q_sq * d_lo, q_sq * d_hi)
-        )
-    return ApproximationReport(tuple(rows), alpha_lo, alpha_hi)
 
 
 def coprime(pair: ConvergentPair) -> bool:

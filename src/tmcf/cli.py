@@ -330,8 +330,9 @@ def cmd_patterns(args: argparse.Namespace, writer: Writer) -> int:
         writer.emit({"kind": "occurrence_summary", "pattern": args.pattern, "count": len(occurrences)})
     if args.m >= 3:
         k_max = args.k_max if args.k_max is not None else args.m + 4
-        for pos in analysis.predicted_011_positions(args.m, k_max):
-            writer.emit({"kind": "predicted_011", "index": pos})
+        positions = analysis.predicted_011_positions(args.m, k_max)
+        # emit_rows writes ints of any size; past m ~ 1370 the positions pass the int -> str digit limit
+        writer.emit_rows(lambda pos: {"kind": "predicted_011", "index": pos}, ((pos,) for pos in positions))
     return EXIT_OK
 
 

@@ -97,7 +97,7 @@ def test_criterion_3_lemma_recursion_exhaustive():
 
 
 def test_criterion_4_complexity_bound():
-    with criterion(4, "p(n) <= m^3 n on 10^5 prefixes and automaton matches naive oracle", budget=60.0):
+    with criterion(4, "p(n) <= m^3 n on 10^5 prefixes and block-pair complexity matches naive oracle", budget=60.0):
         for m in range(2, 6):
             word = deep_prefix(m)[:100_000]
             profile = complexity(word, 1000)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_complexity, oracle_pair_cover, oracle_tm2_complexity
+from conftest import oracle_complexity, oracle_digit_sum, oracle_pair_cover, oracle_tm2_complexity
 from tmcf import analysis
 from tmcf.analysis import (
     ComplexityProfile,
@@ -541,10 +541,39 @@ def test_surjection_small_exhaustive():
     assert verify_complexity_surjection(3, 2, 8).ok
 
 
-def test_surjection_sampled():
-    check = verify_complexity_surjection(3, 3, 20, sample_count=25, seed=3)
+def test_surjection_exhaustive_at_length_20():
+    check = verify_complexity_surjection(3, 3, 20)
     assert check.ok
-    assert check.factors_checked == 25
+    assert check.factors_checked == 141  # every length-20 factor of the first 20 000 terms
+
+
+def oracle_surjection(m, r, n):
+    """verify_complexity_surjection's (ok, factors_checked, uncovered), from
+    the images phi^r(a) = digit sums + a (mod m) of all m^2 pairs ab."""
+    size = m ** r
+    images = [[(oracle_digit_sum(i, m) + a) % m for i in range(size)] for a in range(m)]
+    covered = set()
+    for a in range(m):
+        for b in range(m):
+            # a window that ends inside phi^r(a) is the same for every b
+            for s in range(size) if b == 0 else range(max(size - n + 1, 0), size):
+                covered.add(tuple((images[a][s:] + images[b])[:n]))
+    t = [oracle_digit_sum(i, m) for i in range(max(4 * m ** (r + 1), 20_000))]
+    factors = {tuple(t[i:i + n]) for i in range(len(t) - n + 1)}
+    uncovered = tuple(sorted(factors - covered))
+    return not uncovered, len(factors), uncovered
+
+
+# (m, largest r, largest n): the valid cells m^(r-1) <= n < m^r at both ends of each r
+SURJECTION_GRID = [(2, 6, 63), (3, 4, 80), (5, 3, 60), (7, 3, 49), (17, 2, 40), (257, 1, 3)]
+
+
+@pytest.mark.parametrize("m, r_max, n_cap", SURJECTION_GRID)
+def test_surjection_matches_a_pair_image_oracle(m, r_max, n_cap):
+    for r in range(1, r_max + 1):
+        for n in sorted({m ** (r - 1), min(m ** r - 1, n_cap)}):
+            check = verify_complexity_surjection(m, r, n)
+            assert (check.ok, check.factors_checked, check.uncovered) == oracle_surjection(m, r, n), (m, r, n)
 
 
 def test_surjection_validates_r():

@@ -13,7 +13,6 @@ from tmcf.cf import (
     AlphabetMap,
     AlphabetMapError,
     MoebiusMap,
-    approximation_report,
     bracket,
     convergent_rows,
     convergent_stream,
@@ -455,24 +454,3 @@ def test_tail_value_folds_back_to_alpha():
         frac_lo, frac_hi = bracket(convergents(iter(quots[n:]), 240)[-1])
         tail_mid = quots[n - 1] + (frac_lo + frac_hi) / 2
         assert alpha_lo <= t(-tail_mid) <= alpha_hi
-
-
-def test_approximation_report():
-    report = approximation_report(tm_quotients(2), 200)
-    for row in report.rows:
-        assert row.gap_bound < row.inv_q_squared
-        assert row.quality_low > 0
-    assert report.min_quality_low > 0
-
-
-def test_approximation_report_golden_quality():
-    report = approximation_report(ones(), 40)
-    row = report.rows[29]  # n = 30
-    target = 1 / math.sqrt(5)
-    assert abs(float(row.quality_low) - target) < 1e-3
-    assert abs(float(row.quality_high) - target) < 1e-3
-
-
-def test_approximation_report_minimal():
-    report = approximation_report(ones(), 2)
-    assert len(report.rows) == 2

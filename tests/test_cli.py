@@ -492,6 +492,15 @@ def test_patterns_command(capsys):
     assert predicted[0] == 7
 
 
+def test_patterns_past_the_int_str_digit_limit(capsys):
+    # the first predicted position of TM_1400 has ~4400 digits
+    code, out, _ = run_cli(capsys, "patterns", "--m", "1400", "--len", "10", "--format", "json-lines")
+    assert code == 0
+    with unlimited_int_text():
+        indices = [json.loads(line)["index"] for line in out.splitlines()]
+    assert indices == analysis.predicted_011_positions(1400, 1404)
+
+
 def test_patterns_longer_than_the_prefix(capsys):
     code, out, _ = run_cli(
         capsys, "patterns", "--m", "3", "--len", "5", "--pattern", "1,1,1,1,1,1",
