@@ -185,8 +185,11 @@ def _power_windows(m: int, r: int, n: int) -> set[bytes]:
 
     P_a = phi^r(a) = B + a (mod m), where B is the first m^r digit sums,
     so the window at s begins with 0 exactly when a = -B[s]; a window that
-    ends inside P_a does not depend on b and is built once.  That is at
-    most (m^r - n + 1) + (n - 1) * m windows.
+    ends inside P_a does not depend on b and is built once.  For r >= 1,
+    P_a = phi^(r-1)(a, a+1, ..., a+m-1), so its first m^r - m^(r-1)
+    symbols are the last ones of P_(a-1): a window that ends that early in
+    P_a is the one m^(r-1) further on in P_(a-1), and is not built.  That
+    is at most m^(r-1) + (n - 1) * m windows for r >= 1.
     """
     size, width = m ** r, _width(m)
     base = tm_digit_sum_sequence(m).word.symbols(size)
@@ -196,7 +199,8 @@ def _power_windows(m: int, r: int, n: int) -> set[bytes]:
         images = [_packed([(x + a) % m for x in base], width) for a in range(m)]
     leading_zero = [images[-c % m] for c in range(m)]  # leading_zero[B[s]][s] == 0
     inside = max(size - n + 1, 0)  # offsets whose window ends inside P_a
-    windows = {leading_zero[base[s]][s * width:(s + n) * width] for s in range(inside)}
+    first = max(inside - size // m, 0) if r else 0  # phi^0(a) has no blocks to shift
+    windows = {leading_zero[base[s]][s * width:(s + n) * width] for s in range(first, inside)}
     for s in range(inside, size):
         head = leading_zero[base[s]][s * width:]
         tail = (s + n - size) * width

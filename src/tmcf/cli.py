@@ -316,7 +316,7 @@ def cmd_palindrome(args: argparse.Namespace, writer: Writer) -> int:
 
 
 def cmd_patterns(args: argparse.Namespace, writer: Writer) -> int:
-    if args.pattern:
+    if args.pattern is not None:
         try:
             pattern = [int(x) for x in args.pattern.split(",")]
         except ValueError:
@@ -529,72 +529,60 @@ def cmd_verify_all(args: argparse.Namespace, writer: Writer) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+# argparse keywords of each option, shared by the commands that take it
+_OPTIONS = {
+    "--m": {"type": _modulus, "required": True, "help": "alphabet modulus (>= 2)"},
+    "--format": {"choices": ["plain", "json-lines", "csv"], "default": "plain"},
+    "--out": {"help": "output path (default stdout)"},
+    "--len": {"dest": "length", "type": _positive},
+    "--map": {"dest": "map_spec"},
+    "--n-max": {"type": _positive},
+    "--a-max": {"type": _nonnegative, "default": 50},
+    "--b-max": {"type": _positive},
+    "--digits": {"type": _positive, "default": 12},
+}
+_COMMON = ("--m", "--format", "--out")  # the options every command takes, first
+
+# name -> (function, help line, options): each option's keywords go on top
+# of its _OPTIONS entry, and the command takes the _COMMON options before them
+COMMANDS: dict[str, tuple[Callable[[argparse.Namespace, Writer], int], str, dict[str, dict]]] = {
+    "gen": (cmd_gen, "emit the first L terms of the sequence", {
+        "--len": {"default": 32}, "--map": {"help": "symbol:value,... quotient map"},
+    }),
+    "verify-all": (cmd_verify_all, "run every verification suite", {
+        "--len": {"default": 100_000}, "--n-max": {"default": 200}, "--a-max": {}, "--b-max": {"default": 400},
+        "--digits": {}, "--map": {}, "--inject-flip": {"type": int, "help": "corrupt one term (fault-injection demo)"},
+    }),
+    "cf": (cmd_cf, "convergent table and certified decimal", {
+        "--m": {"required": False}, "--map": {}, "--digits": {"help": "certified decimal places"},
+        "--convergents": {"dest": "convergent_count", "type": _positive},
+    }),
+    "complexity": (cmd_complexity, "distinct-factor profile and ratio diagnostic", {
+        "--len": {"default": 10_000}, "--n-max": {"default": 100},
+    }),
+    "period": (cmd_period, "search for an eventual-period witness", {
+        "--len": {"default": 10_000}, "--a-max": {}, "--b-max": {"default": 200},
+    }),
+    "palindrome": (cmd_palindrome, "palindromic prefix ladder", {"--len": {"default": 10_000}}),
+    "patterns": (cmd_patterns, "factor occurrences and predicted 0,1,1 positions", {
+        "--len": {"default": 10_000}, "--pattern": {"help": "comma-separated symbols"}, "--k-max": {"type": _positive},
+    }),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every subcommand in COMMANDS, with the options of `command` alone."""
     parser = argparse.ArgumentParser(
         prog="tmcf",
         description="Generalized Thue-Morse sequences, their combinatorics, and exact continued fractions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, need_m: bool = True) -> None:
-        p.add_argument("--m", type=_modulus, required=need_m, help="alphabet modulus (>= 2)")
-        p.add_argument("--format", choices=["plain", "json-lines", "csv"], default="plain")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("gen", help="emit the first L terms of the sequence")
-    common(p)
-    p.add_argument("--len", dest="length", type=_positive, default=32)
-    p.add_argument("--map", dest="map_spec", default=None, help="symbol:value,... quotient map")
-
-    p = sub.add_parser("verify-all", help="run every verification suite")
-    common(p)
-    p.add_argument("--len", dest="length", type=_positive, default=100_000)
-    p.add_argument("--n-max", type=_positive, default=200)
-    p.add_argument("--a-max", type=_nonnegative, default=50)
-    p.add_argument("--b-max", type=_positive, default=400)
-    p.add_argument("--digits", type=_positive, default=12)
-    p.add_argument("--map", dest="map_spec", default=None)
-    p.add_argument("--inject-flip", type=int, default=None, help="corrupt one term (fault-injection demo)")
-
-    p = sub.add_parser("cf", help="convergent table and certified decimal")
-    common(p, need_m=False)
-    p.add_argument("--map", dest="map_spec", default=None)
-    p.add_argument("--digits", type=_positive, default=12, help="certified decimal places")
-    p.add_argument("--convergents", dest="convergent_count", type=_positive, default=None)
-
-    p = sub.add_parser("complexity", help="distinct-factor profile and ratio diagnostic")
-    common(p)
-    p.add_argument("--len", dest="length", type=_positive, default=10_000)
-    p.add_argument("--n-max", type=_positive, default=100)
-
-    p = sub.add_parser("period", help="search for an eventual-period witness")
-    common(p)
-    p.add_argument("--len", dest="length", type=_positive, default=10_000)
-    p.add_argument("--a-max", type=_nonnegative, default=50)
-    p.add_argument("--b-max", type=_positive, default=200)
-
-    p = sub.add_parser("palindrome", help="palindromic prefix ladder")
-    common(p)
-    p.add_argument("--len", dest="length", type=_positive, default=10_000)
-
-    p = sub.add_parser("patterns", help="factor occurrences and predicted 0,1,1 positions")
-    common(p)
-    p.add_argument("--len", dest="length", type=_positive, default=10_000)
-    p.add_argument("--pattern", default=None, help="comma-separated symbols")
-    p.add_argument("--k-max", type=_positive, default=None)
-
+    for name, (_, help_line, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            for flag, keywords in {**dict.fromkeys(_COMMON, {}), **options}.items():
+                p.add_argument(flag, **{**_OPTIONS.get(flag, {}), **keywords})
     return parser
-
-
-_COMMANDS = {
-    "gen": cmd_gen,
-    "verify-all": cmd_verify_all,
-    "cf": cmd_cf,
-    "complexity": cmd_complexity,
-    "period": cmd_period,
-    "palindrome": cmd_palindrome,
-    "patterns": cmd_patterns,
-}
 
 
 class _OutFile:
@@ -613,8 +601,11 @@ class _OutFile:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = _COMMANDS[args.command]
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no option with a value, so the first word
+    # that is not an option is the subcommand, or argparse rejects it
+    args = build_parser(next((w for w in argv if not w.startswith("-")), None)).parse_args(argv)
+    command = COMMANDS[args.command][0]
 
     out = _OutFile(args.out) if args.out else None
     try:

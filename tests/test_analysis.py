@@ -317,6 +317,42 @@ def test_tm_complexity_at_the_edges_of_a_power(m):
         assert profile.windows <= max(m ** r - n_max + 1, 0) + min(m ** r, n_max - 1) * m
 
 
+def full_offset_windows(m: int, r: int) -> set[bytes]:
+    """Every window of m^r + 1 symbols that begins with 0, at each offset
+    s < m^r of phi^r(a) phi^r(b) for every pair ab, packed big-endian
+    `_width(m)` bytes per symbol; a window of any length n <= m^r + 1 at s
+    is a prefix of one of them."""
+    size, width = m ** r, analysis._width(m)
+    base = [oracle_digit_sum(i, m) for i in range(size)]
+    images = [[(x + a) % m for x in base] for a in range(m)]
+    packed = [b"".join(x.to_bytes(width, "big") for x in image) for image in images]
+    return {
+        (pa + pb)[s * width:(s + size + 1) * width]
+        for image, pa in zip(images, packed)
+        for s in range(size)
+        if image[s] == 0
+        for pb in packed
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7, 17, 257])
+def test_power_windows_match_every_offset(m):
+    width = analysis._width(m)
+    top = 1
+    while m ** (top + 1) <= 350:  # the largest r with m^r <= 350, or 1
+        top += 1
+    for r in sorted({0, 1, top}):
+        size = m ** r
+        full = full_offset_windows(m, r)
+        # every n, or at m = 257 those on each side of a power and of
+        # m^r - m^(r-1) + 1, past which no inside window is a shifted copy
+        lengths = set(range(1, size + 2)) if m < 257 else {1, 2, 3}
+        for edge in (*(m ** k for k in range(r + 1)), size - size // m + 1):
+            lengths.update(range(edge - 1, edge + 3))
+        for n in sorted(x for x in lengths if 1 <= x <= size + 1):
+            assert analysis._power_windows(m, r, n) == {w[:n * width] for w in full}, (r, n)
+
+
 def test_tm_complexity_errors():
     for n_max in (0, -3, 2.5):
         with pytest.raises(ValueError, match="n_max must be a positive integer"):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -7,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +17,9 @@ import pytest
 
 import tmcf
 from tmcf import analysis, cf
-from tmcf.cli import _PROBE, EXIT_BROKEN_PIPE, EXIT_INTERNAL, Writer, main, parse_map_spec
+from tmcf.cli import (
+    _COMMON, _PROBE, COMMANDS, EXIT_BROKEN_PIPE, EXIT_INTERNAL, Writer, build_parser, main, parse_map_spec,
+)
 from tmcf.cf import AlphabetMapError
 from tmcf.tm import digit_sum_stream
 from tmcf.words import WordRangeError
@@ -522,6 +526,49 @@ def test_patterns_rejects_symbols_outside_the_alphabet(capsys):
     )
     assert code == 0
     assert json.loads(out.splitlines()[0])["count"] == 0
+
+
+def test_patterns_rejects_an_empty_pattern(capsys):
+    code, out, err = run_cli(capsys, "patterns", "--m", "3", "--pattern", "", "--len", "5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: bad pattern ''")
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_help_lists_the_options_of_its_table_entry(capsys, command):
+    code, out, err = run_cli_exit(capsys, command, "--help")
+    assert code == 0
+    assert err == ""
+    flags = re.findall(r"^  (-[-\w]+)", out, re.MULTILINE)
+    assert sorted(flags) == sorted({"-h", *_COMMON, *COMMANDS[command][2]})
+
+
+def test_build_parser_adds_the_options_of_its_command_alone():
+    parser = build_parser("cf")
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    flags = {name: [f for action in p._actions for f in action.option_strings] for name, p in sub.choices.items()}
+    assert list(flags) == list(COMMANDS)
+    assert flags.pop("cf") == ["-h", "--help", "--m", "--format", "--out", "--map", "--digits", "--convergents"]
+    assert all(f == ["-h", "--help"] for f in flags.values())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["gne"], "argument command: invalid choice: 'gne' (choose from 'gen', 'verify-all',"),
+        # the top-level parser has no --m, so its value is taken for the command
+        (["--m", "2", "gen"], "argument command: invalid choice: '2' (choose from 'gen', 'verify-all',"),
+    ],
+)
+def test_a_missing_or_unknown_command_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: tmcf [-h]")
+    assert lines[-1].startswith(f"tmcf: error: {message}")
 
 
 @pytest.mark.parametrize(
