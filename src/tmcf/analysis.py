@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .tm import Word, _prefix_of, _shift_table, tm_digit_sum, tm_digit_sum_sequence
+from .tm import Word, _prefix_of, tm_digit_sum, tm_digit_sum_sequence
 from .words import FiniteWord, ModAlphabet, WordRangeError
 
 
@@ -183,20 +183,22 @@ def _power_windows(m: int, r: int, n: int) -> set[bytes]:
     of P_a ++ P_b for every pair ab, packed `_width(m)` bytes per symbol;
     needs n <= m^r + 1.
 
-    P_a = phi^r(a) = B + a (mod m), where B is the first m^r digit sums,
+    P_a = phi^r(a) is built level by level from the block identity
+    phi^k(a) = phi^(k-1)(a) phi^(k-1)(a+1) ... phi^(k-1)(a+m-1), each
+    level one join of the m packed images below, from the single symbols
+    at k = 0.  P_a = B + a (mod m), where B is the first m^r digit sums,
     so the window at s begins with 0 exactly when a = -B[s]; a window that
     ends inside P_a does not depend on b and is built once.  For r >= 1,
-    P_a = phi^(r-1)(a, a+1, ..., a+m-1), so its first m^r - m^(r-1)
-    symbols are the last ones of P_(a-1): a window that ends that early in
-    P_a is the one m^(r-1) further on in P_(a-1), and is not built.  That
-    is at most m^(r-1) + (n - 1) * m windows for r >= 1.
+    the first m^r - m^(r-1) symbols of P_a are the last ones of P_(a-1):
+    a window that ends that early in P_a is the one m^(r-1) further on in
+    P_(a-1), and is not built.  That is at most m^(r-1) + (n - 1) * m
+    windows for r >= 1.
     """
     size, width = m ** r, _width(m)
+    images = [a.to_bytes(width, "big") for a in range(m)]
+    for _ in range(r):
+        images = [b"".join(images[a:] + images[:a]) for a in range(m)]
     base = tm_digit_sum_sequence(m).word.symbols(size)
-    if m <= 256:
-        images = [base.translate(_shift_table(m, a)) for a in range(m)]
-    else:
-        images = [_packed([(x + a) % m for x in base], width) for a in range(m)]
     leading_zero = [images[-c % m] for c in range(m)]  # leading_zero[B[s]][s] == 0
     inside = max(size - n + 1, 0)  # offsets whose window ends inside P_a
     first = max(inside - size // m, 0) if r else 0  # phi^0(a) has no blocks to shift

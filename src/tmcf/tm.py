@@ -39,34 +39,6 @@ def tm_digit_sum(n: int, m: int) -> int:
     return s % m
 
 
-def digit_sum_stream(m: int) -> Iterator[int]:
-    """Yield t_0, t_1, ... maintaining the digit sum by carry propagation.
-
-    Incrementing n bumps the lowest non-(m-1) digit and zeroes the digits
-    below it, so the running digit sum changes by 1 - carries*(m-1).
-    Amortized O(1) per term versus re-extracting all digits.
-    """
-    ModAlphabet(m)  # rejects a modulus below 2
-    yield 0
-    digit_list = [0]
-    total = 0
-    top = m - 1
-    while True:
-        i = 0
-        while True:
-            d = digit_list[i]
-            if d < top:
-                digit_list[i] = d + 1
-                total += 1
-                break
-            digit_list[i] = 0
-            total -= top
-            i += 1
-            if i == len(digit_list):
-                digit_list.append(0)
-        yield total % m
-
-
 @dataclass(frozen=True)
 class TmSequence:
     """A realized TM_m sequence together with the construction that built it."""
@@ -127,13 +99,20 @@ def digit_sum_chunks(m: int) -> Iterator[Sequence[int]]:
     the largest power B = m^k <= 2^16; from there on, block a (the terms
     from a B) is those first B terms shifted by tm_digit_sum(a, m), and
     only they are kept.  Above 256 symbols the chunks are lists of 8192
-    terms of `digit_sum_stream`.
+    terms, read from the same identity at k = 1: the terms of block a are
+    s_m(a), s_m(a) + 1, ..., s_m(a) + m - 1 (mod m), so each run of a chunk
+    inside one block is at most two `range`s.
     """
     ModAlphabet(m)  # rejects a modulus below 2
     if m > 256:
-        stream = digit_sum_stream(m)
-        while True:
-            yield list(itertools.islice(stream, _WIDE_CHUNK))
+        for start in itertools.count(0, _WIDE_CHUNK):
+            end, chunk = start + _WIDE_CHUNK, []
+            for a in range(start // m, (end - 1) // m + 1):
+                shift = tm_digit_sum(a, m) - a * m  # t_i = i + shift (mod m) in block a
+                low, high = max(start, a * m) + shift, min(end, a * m + m) + shift
+                chunk += range(low, min(high, m))
+                chunk += range(max(low, m) - m, high - m)  # past m - 1 the terms wrap to 0
+            yield chunk
     shifts = [_shift_table(m, j) for j in range(m)]
     base = bytes(1)
     yield base
@@ -148,7 +127,8 @@ def digit_sum_chunks(m: int) -> Iterator[Sequence[int]]:
 
 
 def tm_digit_sum_sequence(m: int) -> TmSequence:
-    """TM_m as a lazy word read from `digit_sum_chunks`.
+    """TM_m as a lazy word read from `digit_sum_chunks`, which builds it by
+    the block identity t_{a m^k + r} = t_r + s_m(a) (mod m) for r < m^k.
 
     `tm_digit_sum` stays available for random access without
     materializing a prefix.

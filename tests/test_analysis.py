@@ -307,6 +307,14 @@ def test_tm_complexity_on_two_byte_symbols(m):
     assert profile.power == 1 and not profile.violations
 
 
+def test_tm_complexity_past_the_first_power_at_257_symbols():
+    # n_max = 259 needs r = 2; the pinned values were counted from images
+    # built symbol by symbol
+    profile = tm_complexity(257, 259)
+    assert (profile.power, profile.windows, profile.violations) == (2, 66_050, ())
+    assert (profile.p(258), profile.p(259)) == (16_908_801, 16_974_850)
+
+
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_tm_complexity_at_the_edges_of_a_power(m):
     # n_max = 1 and 2 read phi^0, m^2 and m^2 + 1 the last lengths phi^2 covers
@@ -335,13 +343,18 @@ def full_offset_windows(m: int, r: int) -> set[bytes]:
     }
 
 
+def grid_top(m: int) -> int:
+    """The largest r with m^r <= 350, or 1: the highest power the window tests build."""
+    top = 1
+    while m ** (top + 1) <= 350:
+        top += 1
+    return top
+
+
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 17, 257])
 def test_power_windows_match_every_offset(m):
     width = analysis._width(m)
-    top = 1
-    while m ** (top + 1) <= 350:  # the largest r with m^r <= 350, or 1
-        top += 1
-    for r in sorted({0, 1, top}):
+    for r in sorted({0, 1, grid_top(m)}):
         size = m ** r
         full = full_offset_windows(m, r)
         # every n, or at m = 257 those on each side of a power and of
@@ -351,6 +364,16 @@ def test_power_windows_match_every_offset(m):
             lengths.update(range(edge - 1, edge + 3))
         for n in sorted(x for x in lengths if 1 <= x <= size + 1):
             assert analysis._power_windows(m, r, n) == {w[:n * width] for w in full}, (r, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 17, 257])
+def test_power_windows_do_not_depend_on_r(m):
+    # for n <= m^r + 1 they are the length-n factors of TM_m that begin with
+    # 0, whichever power builds them; at m = 257, r = 2 holds 34 MB of images
+    for r in range(grid_top(m) + 1):
+        lengths = range(1, m ** r + 2) if m < 257 else (1, 2, 3, 256, 257, 258)
+        for n in (x for x in lengths if x <= m ** r + 1):
+            assert analysis._power_windows(m, r, n) == analysis._power_windows(m, r + 1, n), (r, n)
 
 
 def test_tm_complexity_errors():

@@ -15,13 +15,13 @@ import tracemalloc
 
 import pytest
 
+from conftest import oracle_digit_sum
 import tmcf
 from tmcf import analysis, cf
 from tmcf.cli import (
     _COMMON, _PROBE, COMMANDS, EXIT_BROKEN_PIPE, EXIT_INTERNAL, Writer, build_parser, main, parse_map_spec,
 )
 from tmcf.cf import AlphabetMapError
-from tmcf.tm import digit_sum_stream
 from tmcf.words import WordRangeError
 
 
@@ -96,10 +96,11 @@ def test_gen_out_file(tmp_path, capsys):
 
 def emitted(fmt: str, m: int, length: int, reverse_map: bool) -> list[str]:
     """The oracle for `gen`: the lines `Writer.emit` writes record by record
-    over `digit_sum_stream` (a CSV header line first)."""
+    over digit sums taken digit by digit (a CSV header line first)."""
     out = io.StringIO()
     writer = Writer(out, fmt)
-    for i, symbol in zip(range(length), digit_sum_stream(m)):
+    for i in range(length):
+        symbol = oracle_digit_sum(i, m)
         record = {"index": i, "symbol": symbol}
         if reverse_map:
             record["quotient"] = m - symbol

@@ -10,7 +10,6 @@ from tmcf.tm import (
     check_congruences,
     check_lemma_recursion,
     digit_sum_chunks,
-    digit_sum_stream,
     find_triple_repeat,
     first_mismatch,
     lemma_recursion_holds,
@@ -45,21 +44,15 @@ def test_tm_digit_sum_rejects_bad_input():
         tm_digit_sum(-1, 3)
 
 
-def test_digit_sum_stream_matches_random_access():
-    for m in (2, 3, 7):
-        stream = list(itertools.islice(digit_sum_stream(m), 5000))
-        assert stream == [tm_digit_sum(n, m) for n in range(5000)]
-
-
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 255, 256, 257])
 def test_digit_sum_sequence_matches_stream_at_block_edges(m):
-    # m <= 256 builds by block translation, m = 257 streams; lengths straddle
-    # every block boundary m^k up to 70000
+    # m <= 256 builds by block translation, m = 257 from ranges inside each
+    # block of m terms; lengths straddle every block boundary m^k up to 70000
     powers = [m ** k for k in range(1, 17) if m ** k <= 70_000]
-    stream = list(itertools.islice(digit_sum_stream(m), powers[-1] + 1))
+    terms = [oracle_digit_sum(n, m) for n in range(powers[-1] + 1)]
     for power in powers:
         for n in (power - 1, power, power + 1):
-            assert tm_digit_sum_sequence(m).prefix(n) == stream[:n], (m, n)
+            assert tm_digit_sum_sequence(m).prefix(n) == terms[:n], (m, n)
 
 
 @pytest.mark.parametrize("m", [2, 5])
@@ -70,21 +63,22 @@ def test_digit_sum_sequence_matches_random_access_at_scale(m):
         assert prefix[n] == tm_digit_sum(n, m), (m, n)
 
 
-@pytest.mark.parametrize("m", [2, 3, 255, 256, 257])
+@pytest.mark.parametrize("m", [2, 3, 255, 256, 257, 300, 8192, 8193, 20_000, 10 ** 6])
 def test_digit_sum_chunks_concatenate_to_the_digit_sums(m):
     # m <= 256: whole levels up to the largest power B = m^k <= 2^16, then
-    # blocks of B terms; m = 257: lists of 8192 terms
+    # blocks of B terms; m > 256: lists of 8192 terms, which cross the
+    # blocks of m terms (at multiples of m) inside a chunk or at its edge
     block = 8192 if m > 256 else max(m ** k for k in range(17) if m ** k <= 1 << 16)
     length = 3 * block + 7
     terms, offset = bytearray() if m <= 256 else [], 0
     for chunk in digit_sum_chunks(m):
-        if offset >= block:
+        if offset >= block or m > 256:
             assert len(chunk) == block, (m, offset)
         terms.extend(chunk)
         offset += len(chunk)
         if offset >= length:
             break
-    assert list(terms[:length]) == [tm_digit_sum(n, m) for n in range(length)]
+    assert list(terms[:length]) == [oracle_digit_sum(n, m) for n in range(length)]
 
 
 def test_tm_morphism_images():
