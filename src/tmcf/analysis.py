@@ -10,16 +10,14 @@ of TM_m does, from its distinct block pairs and its tail
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .tm import Word, _prefix_of, tm_digit_sum, tm_digit_sum_sequence
 from .words import FiniteWord, ModAlphabet, WordRangeError
 
 
-@dataclass(frozen=True)
-class ComplexityProfile:
+class ComplexityProfile(NamedTuple):
     """Distinct-factor counts, annotated with the cubic bound: of a prefix
     (`complexity`), or of all of TM_m (`tm_complexity`)."""
 
@@ -244,8 +242,7 @@ def complexity_naive(word: Word, n_max: int, length: int | None = None) -> dict[
     return out
 
 
-@dataclass(frozen=True)
-class PeriodWitness:
+class PeriodWitness(NamedTuple):
     """An eventual-period witness: x_{a+n} = x_{a+n+b} for all covered n."""
 
     preperiod: int
@@ -281,8 +278,7 @@ def find_period(word: Word, a_max: int, b_max: int, length: int | None = None) -
     return None
 
 
-@dataclass(frozen=True)
-class PalindromeLadder:
+class PalindromeLadder(NamedTuple):
     """Indices n with x_k = x_{n-k} for all 0 <= k <= n, in ascending order."""
 
     indices: tuple[int, ...]
@@ -383,15 +379,14 @@ def predicted_011_positions(m: int, k_max: int) -> list[int]:
     return positions
 
 
-@dataclass(frozen=True)
-class SurjectionCheck:
+class SurjectionCheck(NamedTuple):
     """Outcome of the factor-coverage check for one (m, r, n) cell."""
 
     m: int
     r: int
     n: int
     factors_checked: int
-    uncovered: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
+    uncovered: tuple[tuple[int, ...], ...] = ()
 
     @property
     def ok(self) -> bool:

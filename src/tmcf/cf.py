@@ -18,22 +18,20 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .tm import TmSequence, tm_digit_sum, tm_digit_sum_sequence
-from .words import ModAlphabet, SymbolError
+from .words import ModAlphabet, SymbolError, _Frozen
 
 
 class AlphabetMapError(ValueError):
     """Raised when a symbol -> quotient map is not injective and positive."""
 
 
-@dataclass(frozen=True)
-class AlphabetMap:
+class AlphabetMap(_Frozen):
     """Injective map from symbols {0, ..., m-1} to positive integer quotients.
 
     Only m and the explicit entries {symbol: quotient} are stored; a symbol
@@ -42,26 +40,34 @@ class AlphabetMap:
     none may be the default j + 1 of a symbol j without an entry.
     """
 
-    m: int
-    entries: Mapping[int, int] = field(default_factory=dict)
+    __slots__ = ("m", "entries")
 
-    def __post_init__(self) -> None:
-        alphabet = ModAlphabet(self.m)  # rejects a modulus below 2
-        entries = dict(self.entries)
+    def __init__(self, m: int, entries: Mapping[int, int] = MappingProxyType({})):
+        alphabet = ModAlphabet(m)  # rejects a modulus below 2
+        entries = dict(entries)
         seen: dict[int, int] = {}  # value -> symbol
         for symbol, v in entries.items():
             if symbol not in alphabet:
-                raise AlphabetMapError(f"symbol {symbol!r} outside alphabet of modulus {self.m}")
+                raise AlphabetMapError(f"symbol {symbol!r} outside alphabet of modulus {m}")
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise AlphabetMapError(f"quotient values must be positive integers, got {v!r}")
-            if v in seen or (v <= self.m and v - 1 not in entries):
+            if v in seen or (v <= m and v - 1 not in entries):
                 other = seen.get(v, v - 1)
                 raise AlphabetMapError(f"map is not injective: symbols {other} and {symbol} both map to {v}")
             seen[v] = symbol
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "entries", MappingProxyType(entries))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, AlphabetMap):
+            return self.m == other.m and self.entries == other.entries
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.m, frozenset(self.entries.items())))
+
+    def __repr__(self) -> str:
+        return f"AlphabetMap(m={self.m}, entries={self.entries!r})"
 
     @classmethod
     def identity_shift(cls, m: int) -> "AlphabetMap":
@@ -83,8 +89,7 @@ def map_alphabet(seq: TmSequence, amap: AlphabetMap) -> Iterator[int]:
         yield amap(word[k])
 
 
-@dataclass(frozen=True)
-class ConvergentPair:
+class ConvergentPair(NamedTuple):
     """Exact convergent state (p_n, q_n) with its predecessor."""
 
     index: int
@@ -158,8 +163,7 @@ def bracket(pair: ConvergentPair) -> tuple[Fraction, Fraction]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class CertifiedDecimal:
+class CertifiedDecimal(NamedTuple):
     """A decimal string together with the exact interval that certifies it."""
 
     text: str
@@ -271,8 +275,7 @@ def evaluate(quotients: Iterable[int], digits: int, half_even: bool = False) -> 
     raise ValueError("quotient stream ended before the decimal could be certified")
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(NamedTuple):
     """Integer fractional-linear map x -> (a x + b) / (c x + d)."""
 
     a: int

@@ -12,7 +12,6 @@ library raises, `ValueError` included, is an internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import json
@@ -58,8 +57,11 @@ class Writer:
     def __init__(self, stream: IO[str], out_format: str):
         self.stream = stream
         self.format = out_format
-        self._buffer = io.StringIO()
-        self._csv = csv.writer(self._buffer, lineterminator="\n")
+        if out_format == "csv":
+            import csv  # here, so that plain and json-lines runs never load it
+
+            self._buffer = io.StringIO()
+            self._csv = csv.writer(self._buffer, lineterminator="\n")
         self._keys = None
 
     def emit(self, record: dict) -> None:

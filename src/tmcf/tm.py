@@ -10,9 +10,8 @@ only the `words` primitives, so the comparison is a genuine oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .words import (
     FiniteWord,
@@ -21,6 +20,7 @@ from .words import (
     Morphism,
     SymbolError,
     WordRangeError,
+    _Frozen,
     value,
 )
 
@@ -39,13 +39,18 @@ def tm_digit_sum(n: int, m: int) -> int:
     return s % m
 
 
-@dataclass(frozen=True)
-class TmSequence:
+class TmSequence(_Frozen):
     """A realized TM_m sequence together with the construction that built it."""
 
-    m: int
-    word: LazyWord
-    construction: str  # "digit_sum" or "morphic"
+    __slots__ = ("m", "word", "construction")
+
+    def __init__(self, m: int, word: LazyWord, construction: str):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "construction", construction)  # "digit_sum" or "morphic"
+
+    def __repr__(self) -> str:
+        return f"TmSequence(m={self.m}, word={self.word!r}, construction={self.construction!r})"
 
     def __getitem__(self, key):
         return self.word[key]
@@ -189,8 +194,7 @@ def lemma_recursion_holds(m: int, k: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Violations (if any) of the three index congruences on [0, N)."""
 
     m: int

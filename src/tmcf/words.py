@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 
@@ -23,15 +22,39 @@ class WordRangeError(IndexError):
     """Raised for out-of-range indices or slices on words."""
 
 
-@dataclass(frozen=True)
-class ModAlphabet:
+class _Frozen:
+    """A base for immutable `__slots__` classes: `__init__` sets each slot
+    once through object.__setattr__, and no attribute changes after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class ModAlphabet(_Frozen):
     """The alphabet {0, ..., m-1} with arithmetic understood mod m."""
 
-    m: int
+    __slots__ = ("m",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
-            raise AlphabetError(f"modulus must be an integer >= 2, got {self.m!r}")
+    def __init__(self, m: int):
+        if not isinstance(m, int) or isinstance(m, bool) or m < 2:
+            raise AlphabetError(f"modulus must be an integer >= 2, got {m!r}")
+        object.__setattr__(self, "m", m)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ModAlphabet):
+            return self.m == other.m
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.m)
+
+    def __repr__(self) -> str:
+        return f"ModAlphabet(m={self.m})"
 
     def check(self, symbol: int) -> int:
         if not isinstance(symbol, int) or isinstance(symbol, bool) or not 0 <= symbol < self.m:
@@ -42,7 +65,7 @@ class ModAlphabet:
         return isinstance(symbol, int) and 0 <= symbol < self.m
 
 
-class FiniteWord:
+class FiniteWord(_Frozen):
     """An immutable finite word over a ModAlphabet."""
 
     __slots__ = ("symbols", "alphabet")
@@ -53,9 +76,6 @@ class FiniteWord:
             alphabet.check(s)
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "alphabet", alphabet)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteWord is immutable")
 
     @property
     def m(self) -> int:
@@ -239,7 +259,7 @@ _COLUMN_CHUNK = 1 << 16
 _ALPHABETS = [bytes(range(m)) for m in range(257)]
 
 
-class Morphism:
+class Morphism(_Frozen):
     """A word morphism determined by its images on the m single symbols.
 
     Applying it to a finite word concatenates the images in order; on
@@ -262,9 +282,6 @@ class Morphism:
             built.append(img)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "images", tuple(built))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Morphism is immutable")
 
     @property
     def m(self) -> int:

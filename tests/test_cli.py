@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -682,7 +681,7 @@ def test_verify_all_fails_on_a_wrong_exact_count(capsys, monkeypatch, length, de
 
     def miscount(m, n_max):
         profile = exact(m, n_max)
-        return dataclasses.replace(profile, table={n: p + delta for n, p in profile.table.items()})
+        return profile._replace(table={n: p + delta for n, p in profile.table.items()})
 
     monkeypatch.setattr(analysis, "tm_complexity", miscount)
     code, out, _ = run_cli(capsys, "verify-all", "--m", "2", "--len", length, "--n-max", "50", "--format", "json-lines")
@@ -805,3 +804,21 @@ def test_closed_stdout_pipe_ends_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert err == b""
+
+
+def test_cold_start_loads_no_dataclasses_inspect_or_csv():
+    # each of these modules adds milliseconds to the start of every run
+    src = os.path.dirname(os.path.dirname(tmcf.__file__))
+    code = (
+        "import sys\n"
+        "from tmcf import cli\n"
+        "for fmt in ('plain', 'json-lines'):\n"
+        "    cli.main(['gen', '--m', '2', '--len', '3', '--format', fmt])\n"
+        "print(sorted({'dataclasses', 'inspect', 'csv'}.intersection(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
