@@ -305,8 +305,7 @@ def palindromic_prefixes(
     length: a constant word stops within 2 * work_cap + 2 symbols, and the
     ladder holds every end below `scanned_length` and is marked incomplete.
     """
-    symbols, m = _prefix_of(word, length)
-    data = bytes(symbols) if m <= 256 else symbols
+    data, m = _prefix_of(word, length)
     found = []
     budget = work_cap if work_cap is not None else -1
     needle = data[_HEAD - 1::-1] if m <= 256 and len(data) >= _HEAD else b""
@@ -344,21 +343,20 @@ _HEAD = 64
 def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: int | None = None) -> list[int]:
     """All start indices of a factor, over the word's alphabet, inside the prefix."""
     symbols, m = _prefix_of(word, length)
-    pat = tuple(_prefix_of(pattern, None, m)[0])
+    pat = _prefix_of(pattern, None, m)[0]
     if not pat:
         raise ValueError("pattern must be nonempty")
     if len(pat) > len(symbols):
         return []
-    if m <= 256:
-        data = bytes(symbols)
-        needle = bytes(pat)
-        out = []
-        pos = data.find(needle)
-        while pos != -1:
-            out.append(pos)
-            pos = data.find(needle, pos + 1)
-        return out
-    return [i for i in range(len(symbols) - len(pat) + 1) if tuple(symbols[i:i + len(pat)]) == pat]
+    if m > 256:
+        pat = tuple(pat)
+        return [i for i in range(len(symbols) - len(pat) + 1) if tuple(symbols[i:i + len(pat)]) == pat]
+    out = []
+    pos = symbols.find(pat)
+    while pos != -1:
+        out.append(pos)
+        pos = symbols.find(pat, pos + 1)
+    return out
 
 
 def predicted_011_positions(m: int, k_max: int) -> list[int]:

@@ -50,6 +50,7 @@ class Writer:
     header row before the first record and whenever the keys change."""
 
     BATCH = 8192  # most records `emit_indexed` writes at once
+    _TAILS = 1 << 16  # most symbol tails `emit_indexed` keeps rendered
     ROWS = 256  # most records `emit_rows` writes at once
     ROW_CHARS = 1 << 20  # about the most characters `emit_rows` writes at once
     _json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True) without a new encoder per call
@@ -97,7 +98,7 @@ class Writer:
             for lo in range(0, min(len(chunk), count - start), self.BATCH):
                 block = chunk[lo:lo + min(self.BATCH, count - start)]
                 new = set(block).difference(tails)
-                if len(tails) + len(new) > self.BATCH:  # a wide alphabet: keep this batch's tails only
+                if len(tails) + len(new) > self._TAILS:  # a wide alphabet: keep this batch's tails only
                     tails.clear()
                     new = set(block)
                 for symbol in new:

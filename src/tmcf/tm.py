@@ -190,7 +190,7 @@ def lemma_recursion_holds(m: int, k: int) -> bool:
         sums = [s + d for s in sums for d in range(m)]  # s_m(i * m + d) = s_m(i) + d
     power = _tm_power(m, k - 1)
     return all(
-        power.image(last).symbols == tuple((s + last) % m for s in sums) for last in range(m)
+        power.image(last) == FiniteWord([(s + last) % m for s in sums], power.alphabet) for last in range(m)
     )
 
 
@@ -219,9 +219,9 @@ def check_congruences(m: int, length: int, word: Word | None = None) -> Congruen
        (the implication form, scanned literally);
     3. t_{nm+r} = t_{nm} + r mod m for r in {1, ..., m-1}.
 
-    A packed prefix (bytes, m <= 256) is first checked whole by
-    `_congruences_hold`; the term-by-term scans run, and name the
-    violations, only for a word that fails that check or is not packed.
+    A prefix over m <= 256 symbols, packed by `_prefix_of`, is first
+    checked whole by `_congruences_hold`; the term-by-term scans run, and
+    name the violations, only if it fails that check or m > 256.
     """
     ModAlphabet(m)  # rejects a modulus below 2
     if length < m:
@@ -231,7 +231,7 @@ def check_congruences(m: int, length: int, word: Word | None = None) -> Congruen
     t, _ = _prefix_of(word, length, m)
     if len(t) < length:
         raise WordRangeError(f"length {length} exceeds the word's {len(t)} symbols")
-    if isinstance(t, (bytes, bytearray)) and _congruences_hold(t, m, length):
+    if m <= 256 and _congruences_hold(t, m, length):
         return CongruenceReport(m, length, (), (), ())
 
     scaling = []
@@ -278,13 +278,8 @@ def find_triple_repeat(word: Word, length: int | None = None) -> int | None:
     """First index j with t_j = t_{j+1} = t_{j+2}, or None (expected for TM_m)."""
     symbols, m = _prefix_of(word, length)
     if m <= 256:
-        data = bytes(symbols)  # no copy for a packed word
-        best = None
-        for s in range(m):
-            pos = data.find(bytes((s, s, s)))
-            if pos >= 0 and (best is None or pos < best):
-                best = pos
-        return best
+        found = (symbols.find(bytes((s, s, s))) for s in range(m))
+        return min((pos for pos in found if pos >= 0), default=None)
     for j in range(len(symbols) - 2):
         if symbols[j] == symbols[j + 1] == symbols[j + 2]:
             return j
@@ -294,14 +289,14 @@ def find_triple_repeat(word: Word, length: int | None = None) -> int | None:
 def _prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Sequence[int], int]:
     """The first `length` symbols of a word (all of a finite one) and their modulus.
 
-    A lazy word's symbols come from `LazyWord.symbols`: `bytes` for m <= 256,
-    which a byte scan takes as it is.  A list or tuple that needs no cut is
-    returned as it is, else cut by one slice (an iterable that is no
-    sequence is read, up to `length`, into a list), so callers only read
-    it.  Infinite words need a length.  A word's modulus is its alphabet's
-    and must equal a given `m`; a plain sequence's is `m`, else
-    max(symbols) + 1 and at least 2.  A symbol outside {0, ..., modulus - 1}
-    or a modulus mismatch raises SymbolError.
+    Over m <= 256 symbols they are `bytes`: a lazy word's from
+    `LazyWord.symbols`, a `FiniteWord`'s own, or any other sequence or
+    iterable cut to `length` and packed by `ModAlphabet.pack` (`bytes` with
+    no copy).  Above 256 symbols they are the word's sequence or a slice
+    of it, which callers only read.  Infinite words need a length.  A
+    word's modulus is its alphabet's and must equal a given `m`; a plain
+    sequence's is `m`, else max(symbols) + 1 and at least 2.  A symbol
+    outside {0, ..., modulus - 1} or a modulus mismatch raises SymbolError.
     """
     if isinstance(word, TmSequence):
         word = word.word
@@ -318,11 +313,10 @@ def _prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Se
     if length is not None and length < len(symbols):
         symbols = symbols[:length]
     if own is None:
-        present = set(symbols)  # one pass, cheaper than min() and max()
-        alphabet = ModAlphabet(max(max(present, default=0) + 1, 2) if m is None else m)
-        for s in present:
-            alphabet.check(s)
-        own = alphabet.m
+        if m is None:  # the largest symbol + 1, at least 2; pack names a symbol that is no int
+            top = max(symbols, default=0)
+            m = max(top + 1, 2) if isinstance(top, int) else 2
+        symbols, own = ModAlphabet(m).pack(symbols), m
     elif m is not None and m != own:
         raise SymbolError(f"word over modulus {own} where modulus {m} was given")
     return symbols, own

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Iterable, Iterator, Sequence, Union
+from collections.abc import Iterable, Iterator, Sequence  # isinstance on them is faster than on typing's aliases
+from typing import Union
 
 
 class AlphabetError(ValueError):
@@ -61,20 +62,43 @@ class ModAlphabet(_Frozen):
             raise SymbolError(f"symbol {symbol!r} not in alphabet of modulus {self.m}")
         return symbol
 
+    def pack(self, symbols: Iterable[int]) -> Sequence[int]:
+        """The symbols once each passes `check`: `bytes` for m <= 256, else as given.
+
+        The one check of a sequence of symbols; SymbolError names the first
+        that fails.  `bytes` come back as they are; an iterable that is no
+        sequence is read once, into a list.  The check runs in C: a type
+        pass, then `bytes` and `translate` (m <= 256) or min and max.
+        """
+        m = self.m
+        raw = isinstance(symbols, (bytes, bytearray))
+        if not raw and not isinstance(symbols, Sequence):
+            symbols = list(symbols)
+        try:
+            if raw or {int}.issuperset(map(type, symbols)):
+                if m > 256 and (not symbols or 0 <= min(symbols) and max(symbols) < m):
+                    return symbols
+                if m <= 256 and not (packed := bytes(symbols)).translate(None, _ALPHABETS[m]):
+                    return packed
+        except ValueError:  # from bytes(): a symbol outside range(256)
+            pass
+        for s in symbols:  # names the first symbol that fails, or passes int subclasses
+            self.check(s)
+        return bytes(symbols) if m <= 256 else symbols
+
     def __contains__(self, symbol: object) -> bool:
-        return isinstance(symbol, int) and 0 <= symbol < self.m
+        return isinstance(symbol, int) and not isinstance(symbol, bool) and 0 <= symbol < self.m
 
 
 class FiniteWord(_Frozen):
-    """An immutable finite word over a ModAlphabet."""
+    """An immutable finite word over a ModAlphabet; its `symbols` are
+    `bytes` when m <= 256, else a tuple."""
 
     __slots__ = ("symbols", "alphabet")
 
     def __init__(self, symbols: Iterable[int], alphabet: ModAlphabet):
-        syms = tuple(symbols)
-        for s in syms:
-            alphabet.check(s)
-        object.__setattr__(self, "symbols", syms)
+        syms = alphabet.pack(symbols)
+        object.__setattr__(self, "symbols", syms if alphabet.m <= 256 else tuple(syms))
         object.__setattr__(self, "alphabet", alphabet)
 
     @property
@@ -127,13 +151,9 @@ def digits(n: int, m: int) -> FiniteWord:
 
 def value(word: Union[FiniteWord, Sequence[int]], m: int) -> int:
     """Integer value of an LSB-first digit word: sum of w_i * m**i."""
-    alphabet = ModAlphabet(m)
     total = 0
-    power = 1
-    for s in word:
-        alphabet.check(s)
-        total += s * power
-        power *= m
+    for s in reversed(ModAlphabet(m).pack(word)):
+        total = total * m + s
     return total
 
 
@@ -148,8 +168,8 @@ class LazyWord:
     extension still observes a consistent prefix.
 
     For m <= 256 the prefix is packed one byte per symbol in a
-    `bytearray`, else kept in a `list`.  Every chunk is checked against
-    the alphabet before it is stored.  `prefix` and slices return a new
+    `bytearray`, else kept in a `list`.  Every chunk passes
+    `ModAlphabet.pack` before it is stored.  `prefix` and slices return a new
     `list` either way; `symbols` returns the prefix in the cache's own
     form, `bytes` when packed, which the analyzers scan without
     converting.
@@ -175,27 +195,10 @@ class LazyWord:
     def m(self) -> int:
         return self.alphabet.m
 
-    def _checked(self, chunk: Sequence[int]) -> Sequence[int]:
-        """The chunk, as bytes for a packed cache, once its symbols are in the alphabet."""
-        m = self.alphabet.m
-        try:
-            if isinstance(self._cache, list):
-                if not chunk or 0 <= min(chunk) and max(chunk) < m:
-                    return chunk
-            else:
-                # list() first: bytes(5) would be five zero bytes
-                block = chunk if isinstance(chunk, (bytes, bytearray)) else bytes(list(chunk))
-                if m == 256 or not block.translate(None, _ALPHABETS[m]):
-                    return block
-        except (TypeError, ValueError):
-            pass  # a symbol that is no int, or one outside range(256)
-        bad = next(s for s in chunk if s not in self.alphabet)
-        raise SymbolError(f"chunk symbol {bad!r} not in alphabet of modulus {m}")
-
     def _materialize(self, n: int) -> None:
         with self._lock:
             # chunk sources batch on their own; pull only what is needed
-            extend = self._cache.extend
+            extend, pack = self._cache.extend, self.alphabet.pack
             while len(self._cache) < n:
                 try:
                     chunk = next(self._chunks)
@@ -204,7 +207,10 @@ class LazyWord:
                         f"backing source exhausted at length {len(self._cache)}; "
                         "LazyWord sources must be infinite"
                     ) from None
-                extend(self._checked(chunk))
+                try:
+                    extend(pack(chunk))
+                except SymbolError as err:
+                    raise SymbolError(f"chunk {err}") from None
 
     def __getitem__(self, key):
         """A symbol, or for a slice [i:j] with 0 <= i <= j the symbols as a list."""
@@ -308,10 +314,8 @@ class Morphism(_Frozen):
             word = FiniteWord(word, self.alphabet)
         if word.alphabet.m != self.m:
             raise SymbolError("word alphabet does not match morphism alphabet")
-        out: list[int] = []
-        for s in word.symbols:
-            out.extend(self.images[s].symbols)
-        return FiniteWord(out, self.alphabet)
+        parts = map([img.symbols for img in self.images].__getitem__, word.symbols)
+        return FiniteWord(b"".join(parts) if self.m <= 256 else itertools.chain.from_iterable(parts), self.alphabet)
 
     def power(self, k: int) -> "Morphism":
         """The k-fold composition, k >= 1 (the identity power is rejected)."""
@@ -342,8 +346,8 @@ class Morphism(_Frozen):
         |phi^k(symbol)| equals the k-th power image.  A k-uniform morphism
         over m <= 256 symbols expands a run w of the packed word at once,
         column by column: symbol i of each image is w.translate(column i),
-        stored at out[i::k].  Other morphisms expand one symbol per chunk
-        (`_streamed_fixed_point`), which also serves as the reference.
+        stored at out[i::k].  Other morphisms join the images of a run per
+        chunk (`_streamed_fixed_point`), which also serves as the reference.
         """
         k = self.uniformity()
         if self.m > 256 or k is None:
@@ -353,7 +357,7 @@ class Morphism(_Frozen):
         batch = max(1, _COLUMN_CHUNK // k)
 
         def chunks() -> Iterator[bytes]:
-            yield bytes(self.images[symbol].symbols)
+            yield self.images[symbol].symbols
             src = 1
             while True:
                 run = expanded[src:src + batch]  # a copy: the cache may grow below it
@@ -368,18 +372,21 @@ class Morphism(_Frozen):
         return word
 
     def _streamed_fixed_point(self, symbol: int) -> LazyWord:
-        """The fixed point grown by one image per chunk; any morphism, any m."""
+        """The fixed point grown by the images of a run of itself per chunk; any morphism, any m."""
         self._check_orbit_grows(symbol)
-        packed = self.m <= 256
-        image_symbols = [bytes(img.symbols) if packed else img.symbols for img in self.images]
+        images = [img.symbols for img in self.images]
+        join = b"".join if self.m <= 256 else itertools.chain.from_iterable
+        batch = max(1, _COLUMN_CHUNK // max(map(len, images)))
 
-        def chunks() -> Iterator[Sequence[int]]:
+        def chunks() -> Iterator[Iterable[int]]:
             # each yielded block is in the word's cache before the next is requested
-            yield image_symbols[symbol]
-            for src in itertools.count(1):
-                if src >= len(expanded):
-                    raise WordRangeError("morphism erases the orbit; fixed point stalls")
-                yield image_symbols[expanded[src]]
+            yield images[symbol]
+            src = 1
+            while src < len(expanded):
+                run = expanded[src:src + batch]  # a copy: the cache may grow below it
+                yield join(map(images.__getitem__, run))
+                src += len(run)
+            raise WordRangeError("morphism erases the orbit; fixed point stalls")
 
         word = LazyWord.from_chunks(chunks(), self.m)
         # the source holds the cache, not the word, so the two form no

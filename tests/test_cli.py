@@ -127,13 +127,36 @@ def test_gen_writes_what_emit_writes(capsys, m):
 
 def test_gen_at_a_huge_modulus(capsys):
     # the tail of each distinct symbol is kept in a dict, not a table of size
-    # m; past 8192 distinct symbols only the current batch's (at m = 10 000
-    # the second batch holds 1808 new symbols and 6384 seen in the first)
+    # m (at m = 10 000 the second batch holds 1808 new symbols and 6384 seen
+    # in the first)
     for m, length in ((10 ** 9, 5), (10_000, 20_000)):
         for fmt in ("plain", "json-lines", "csv"):
             code, out, _ = run_cli(capsys, "gen", "--m", str(m), "--len", str(length), "--format", fmt)
             assert code == 0
             assert out == "".join(emitted(fmt, m, length, False)), (m, fmt)
+
+
+def test_gen_renders_each_tail_once_at_a_wide_modulus(capsys, monkeypatch):
+    # 50 000 records at m = 20 000 hold every symbol: more distinct symbols
+    # than a batch of 8192 records, fewer than the tails emit_indexed keeps,
+    # so _line renders each tail once, besides the probes at indices 0 and 1
+    expected = "".join(emitted("plain", 20_000, 50_000, False))
+    calls = 0
+    line = Writer._line
+
+    def counted(self, record):
+        nonlocal calls
+        calls += 1
+        return line(self, record)
+
+    monkeypatch.setattr(Writer, "_line", counted)
+    assert run_cli(capsys, "gen", "--m", "20000", "--len", "50000") == (0, expected, "")
+    assert calls == 2 + 20_000
+    # with room for fewer tails than a batch holds, each batch renders its own again
+    monkeypatch.setattr(Writer, "_TAILS", Writer.BATCH)
+    calls = 0
+    assert run_cli(capsys, "gen", "--m", "20000", "--len", "50000") == (0, expected, "")
+    assert calls == 2 + 50_000
 
 
 def test_emit_indexed_rejects_records_that_do_not_begin_with_the_index():

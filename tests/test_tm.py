@@ -5,6 +5,8 @@ import pytest
 
 from conftest import oracle_digit_sum, oracle_tm2
 from tmcf import tm
+from tmcf.analysis import find_pattern, palindromic_prefixes
+from tmcf.cf import AlphabetMap, AlphabetMapError
 from tmcf.tm import (
     _prefix_of,
     check_congruences,
@@ -222,8 +224,9 @@ def test_congruences_flag_corruption():
     assert not report.all_hold
 
 
-def test_congruences_packed_check_reports_what_the_scans_report():
-    # a packed prefix is checked whole first; a list goes through the scans
+def test_congruences_packed_check_reports_what_the_scans_report(monkeypatch):
+    # a packed prefix is checked whole first; with that check failing every
+    # word, the term-by-term scans run on the same prefix
     rng = random.Random(8)
     for m in (2, 3, 5, 16, 256):
         for trial in range(40):
@@ -237,7 +240,9 @@ def test_congruences_packed_check_reports_what_the_scans_report():
                 bases = [rng.randrange(m) for _ in range(length // m + 1)]
                 word = bytearray((b + r) % m for b in bases for r in range(m))
             packed = check_congruences(m, length, bytes(word))
-            assert packed == check_congruences(m, length, list(word)), (m, length)
+            with monkeypatch.context() as patch:
+                patch.setattr(tm, "_congruences_hold", lambda *args: False)
+                assert packed == check_congruences(m, length, list(word)), (m, length)
             if trial % 4 == 0:
                 assert packed.all_hold
 
@@ -255,25 +260,77 @@ def test_congruences_reject_a_word_shorter_than_length():
 
 
 def test_prefix_of_reads_in_place():
+    # bytes come back as the same object; any other word over <= 256
+    # symbols is packed once into equal bytes
     symbols = [0, 1, 1, 0, 1]
+    packed = bytes(symbols)
     for length in (None, 5, 9):
-        assert _prefix_of(symbols, length)[0] is symbols
-    assert _prefix_of(symbols, 3) == ([0, 1, 1], 2)
+        assert _prefix_of(packed, length)[0] is packed
+        assert _prefix_of(symbols, length) == (packed, 2)
+        assert _prefix_of(tuple(symbols), length) == (packed, 2)
+    assert _prefix_of(symbols, 3) == (bytes([0, 1, 1]), 2)
     word = FiniteWord(symbols, ModAlphabet(3))
-    assert _prefix_of(word, None) == (word.symbols, 3)
+    assert _prefix_of(word, None) == (packed, 3)
     assert _prefix_of(word, None)[0] is word.symbols
     # a packed lazy word hands out a bytes copy of its cache
     assert _prefix_of(tm_morphic(3), 4, 3) == (bytes([0, 1, 2, 1]), 3)
     assert _prefix_of(tm_morphic(300), 4) == ([0, 1, 2, 3], 300)
     # the caller's modulus, or the largest symbol + 1 and at least 2
-    assert _prefix_of(symbols, None, 5) == (symbols, 5)
-    assert _prefix_of([0, 0], None) == ([0, 0], 2)
+    assert _prefix_of(symbols, None, 5) == (packed, 5)
+    assert _prefix_of([0, 0], None) == (bytes(2), 2)
     # an iterable that is no sequence is read once, up to the length
-    assert _prefix_of(iter([0, 2, 0]), None) == ([0, 2, 0], 3)
-    assert _prefix_of(itertools.count(), 4) == ([0, 1, 2, 3], 4)
+    assert _prefix_of(iter([0, 2, 0]), None) == (bytes([0, 2, 0]), 3)
+    assert _prefix_of(itertools.count(), 4) == (bytes([0, 1, 2, 3]), 4)
+    # above 256 symbols a plain list is read in place
+    wide = [0, 299, 5]
+    assert _prefix_of(wide, None, 300)[0] is wide
+    assert _prefix_of(wide, None) == (wide, 300)
     for bad, m in (([0, 3], 3), ([0, -1], None), (word, 2), (tm_morphic(2), 3)):
         with pytest.raises(SymbolError):
             _prefix_of(bad, 2, m)
+
+
+def test_bool_is_never_a_symbol():
+    # True == 1 and hash(True) == hash(1), so a check by value, or through a
+    # set, lets True in wherever a 1 comes first (or stores it as a 1)
+    for symbols in ([0, True], [True, 0], [1, True, 0], [True, 1, 0], (0, False)):
+        with pytest.raises(SymbolError, match="symbol (True|False) not in alphabet of modulus 2"):
+            FiniteWord(symbols, ModAlphabet(2))
+        for m in (None, 2):
+            with pytest.raises(SymbolError, match="symbol (True|False) not"):
+                _prefix_of(symbols, None, m)
+        with pytest.raises(SymbolError, match="symbol (True|False) not"):
+            find_pattern([0, 1, 1, 0, 1], symbols)
+    assert True not in ModAlphabet(2) and False not in ModAlphabet(2)
+    with pytest.raises(AlphabetMapError, match="symbol True outside"):
+        AlphabetMap(2, {True: 3})
+    for m in (2, 300):  # the packed cache and the list cache
+        word = LazyWord.from_chunks(itertools.chain([[0, 1]], [[0, True]], itertools.repeat([0])), m)
+        assert word[1] == 1
+        with pytest.raises(SymbolError, match=f"chunk symbol True not in alphabet of modulus {m}"):
+            word[3]
+
+
+def test_every_form_of_a_prefix_reads_like_the_lazy_word():
+    # a list, tuple, bytearray and FiniteWord of a TM_3 prefix are packed
+    # like the lazy word's own, so each analyzer gives the lazy word's result
+    n = 20_000
+    clean = tm_digit_sum_sequence(3).prefix(n)
+    faulty = clean[:]
+    faulty[12_345] = (faulty[12_345] + 1) % 3
+    for symbols in (clean, faulty):
+        lazy = LazyWord.from_chunks(itertools.chain([symbols], itertools.repeat([0])), 3)
+        results = lambda word: (
+            check_congruences(3, n, word),
+            find_triple_repeat(word, n),
+            find_pattern(word, [0, 1, 1], n),
+            find_pattern(word, FiniteWord([2, 2], ModAlphabet(3)), n),
+            palindromic_prefixes(word, n),
+        )
+        expected = results(lazy)
+        assert expected[0].all_hold == (symbols is clean)
+        for form in (list, tuple, bytearray, lambda s: FiniteWord(s, ModAlphabet(3))):
+            assert results(form(symbols)) == expected, form
 
 
 def test_no_triple_repeat():

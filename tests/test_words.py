@@ -178,6 +178,22 @@ def test_fixed_point_matches_power_images():
             assert v.prefix(m ** k) == expected
 
 
+def test_non_uniform_fixed_points_match_power_images_across_runs():
+    # a non-uniform morphism grows its fixed point by the images of a run of
+    # the word per chunk; past several runs it still reads as phi^k(0)
+    fibonacci = Morphism([[0, 1], [0]], 2)
+    wide = Morphism([[j, (j + 1) % 300] + ([(j + 2) % 300] if j % 2 == 0 else []) for j in range(300)], 300)
+    for phi, k in ((fibonacci, 27), (wide, 13)):
+        image = FiniteWord([0], phi.alphabet)
+        for _ in range(k):
+            image = phi.apply(image)  # phi^k(0), without the powers of every other symbol
+        expected = list(image)
+        assert len(expected) > 4 * words_module._COLUMN_CHUNK
+        word = phi.fixed_point(0)
+        assert word.prefix(len(expected)) == expected
+        assert word.symbols(len(expected)) == (bytes(expected) if phi.m <= 256 else expected)
+
+
 def test_fixed_point_is_invariant_under_apply():
     phi = tm_phi(3)
     v = phi.fixed_point(0)
