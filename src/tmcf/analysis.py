@@ -10,6 +10,9 @@ of TM_m does, from its distinct block pairs and its tail
 from __future__ import annotations
 
 import itertools
+import operator
+from array import array
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
@@ -101,7 +104,10 @@ def _block_pair_windows(data: bytes, symbols: Sequence[int], n_max: int, width: 
     (Q - 1) * size lies, at an offset below `size`, in the span of the
     blocks of a pair t_q t_{q+1}, q <= Q - 2.  Those of the distinct
     pairs, plus `_prefix_windows` of the tail from (Q - 1) * size (fewer
-    than 2 * size symbols), are exactly the prefix's window set.
+    than 2 * size symbols), are exactly the prefix's window set.  A window
+    that ends inside block a does not depend on the pair's b, so it is
+    built once per label a; only the n_max - 1 windows that cross into
+    block b are built per pair.
     """
     count = len(symbols) // size
     if count < 2 or size < 2:  # blocks of one symbol save nothing over the scan
@@ -118,13 +124,22 @@ def _block_pair_windows(data: bytes, symbols: Sequence[int], n_max: int, width: 
         # startswith compares in place: no slice of the prefix is copied
         if not data.startswith(b"".join(map(blocks.__getitem__, chunk)), q * stride):
             return None
-    starts = range(0, stride, width)
-    ends = range(n_max * width, stride + n_max * width, width)
+    full = n_max * width  # bytes of a window
+    cross = stride - full + width  # bytes of block a before its first crossing window
+    pairs = set(zip(labels, labels[1:]))
     windows = _prefix_windows(data[(count - 1) * stride:], n_max, width)
-    for a, b in set(zip(labels, labels[1:])):
-        span = blocks[a] + blocks[b]
-        windows.update(map(span.__getitem__, map(slice, starts, ends)))
+    for a in {a for a, _ in pairs}:  # the windows that end inside block a
+        block = blocks[a]
+        windows.update(map(block.__getitem__, map(slice, range(0, cross, width), range(full, stride + 1, width))))
+    starts = range(0, full - width, width)
+    for a, b in pairs:  # the windows that cross from block a into block b
+        span = blocks[a][cross:] + blocks[b][:full - width]
+        windows.update(map(span.__getitem__, map(slice, starts, range(full, 2 * full - width, width))))
     return windows
+
+
+# `_factor_counts` turns windows of about this many bytes in all into ints at a time.
+_INT_BYTES = 1 << 16
 
 
 def _factor_counts(windows: set[bytes], n_max: int, width: int) -> list[int]:
@@ -134,15 +149,38 @@ def _factor_counts(windows: set[bytes], n_max: int, width: int) -> list[int]:
     byte order is symbol order.  In sorted order each window adds one new
     prefix for each n in (lcp with its predecessor, its length], counted in
     symbols: the common bytes divided by `width`.  The count is exact.
+
+    The lcps are read in C (`map`, `Counter`): each window, `ljust`-padded
+    with zero bytes to the full n_max * width, is turned into an int once,
+    about _INT_BYTES bytes of windows at a time, and XORed with its
+    predecessor's.  Two padded windows share full - ceil(bit_length(x ^ y)
+    / 8) bytes: the lcp of two full windows.  A window shorter than n_max
+    (a tail of the prefix) caps the lcp of its two pairs at the shorter
+    length, and those pairs are corrected one by one.  The first window
+    has lcp 0 with its predecessor b"".
     """
+    full = n_max * width
+    ordered = sorted(windows)
+    gaps = array("I")  # gaps[i - 1]: bit length of the XOR of padded windows i - 1 and i
+    last: list[int] = []  # the int of the window before the batch
+    batch = max(_INT_BYTES // full, 1)
+    for lo in range(0, len(ordered), batch):
+        padded = map(bytes.ljust, ordered[lo:lo + batch], itertools.repeat(full), itertools.repeat(b"\0"))
+        ints = last + list(map(int.from_bytes, padded, itertools.repeat("big")))
+        gaps.extend(map(int.bit_length, map(operator.xor, ints[1:], ints)))
+        last = ints[-1:]
     diff = [0] * (n_max + 2)
-    prev = b""
-    for w in sorted(windows):
-        k = min(len(prev), len(w))
-        differ = int.from_bytes(prev[:k], "big") ^ int.from_bytes(w[:k], "big")
-        diff[(k - (differ.bit_length() + 7) // 8) // width + 1] += 1
-        diff[len(w) // width + 1] -= 1
-        prev = w
+    diff[1] = 1 if ordered else 0  # the first window
+    for bits, count in Counter(gaps).items():
+        diff[(full - (bits + 7) // 8) // width + 1] += count
+    short = list(itertools.compress(range(len(ordered)), map(full.__gt__, map(len, ordered))))
+    for i in short:
+        diff[len(ordered[i]) // width + 1] -= 1
+    for i in {*short, *(i + 1 for i in short)}.difference((0, len(ordered))):  # the pairs (i - 1, i)
+        padded_lcp = full - (gaps[i - 1] + 7) // 8
+        lcp = min(padded_lcp, len(ordered[i - 1]), len(ordered[i]))
+        diff[padded_lcp // width + 1] -= 1
+        diff[lcp // width + 1] += 1
     return list(itertools.accumulate(diff[:n_max + 1]))
 
 
@@ -156,8 +194,8 @@ def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityP
     its blocks of m^r symbols, r the least with m^r >= n_max - 1, as every
     prefix of TM_m does, gives its windows from its distinct aligned block
     pairs and its tail (`_block_pair_windows`, which states the exact
-    precondition and checks it on the prefix): ~0.02 s for 10^6 terms of
-    TM_5 at n_max = 200.  Any other prefix, a random or a flipped one, or
+    precondition and checks it on the prefix): ~0.01 s for 10^6 packed
+    terms of TM_5 at n_max = 200.  Any other prefix, a random or a flipped one, or
     one shorter than two blocks, has every window sliced and hashed
     (`_prefix_windows`); a word whose windows are all distinct keeps every
     one.  Both paths build the same window set, so the profile, `windows`
@@ -219,7 +257,7 @@ def tm_complexity(m: int, n_max: int) -> ComplexityProfile:
     factors onto themselves.  So p(n) is m times the number of distinct
     length-n prefixes of `_power_windows(m, r, n_max)`, the windows that
     begin with 0, counted like a prefix's (`_factor_counts`): ~0.2 s and
-    ~40 MB at (m, n_max) = (300, 200).
+    ~27 MB at (m, n_max) = (300, 200).
     """
     ModAlphabet(m)  # rejects a modulus below 2
     if not isinstance(n_max, int) or n_max < 1:

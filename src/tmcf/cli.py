@@ -23,6 +23,7 @@ import sys
 from typing import IO, Callable, Iterable, Sequence
 
 from . import analysis, cf, tm
+from .words import FiniteWord, ModAlphabet
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -94,11 +95,13 @@ class Writer:
         padded = [f"{j:03d}" for j in range(1000)]  # the digits of every later group
         header = self._header(record(0, 0))  # written with the first batch
         start = 0
+        capped = False  # whether the tails outgrew _TAILS: then each batch keeps its own only
         for chunk in chunks:
             for lo in range(0, min(len(chunk), count - start), self.BATCH):
                 block = chunk[lo:lo + min(self.BATCH, count - start)]
                 new = set(block).difference(tails)
-                if len(tails) + len(new) > self._TAILS:  # a wide alphabet: keep this batch's tails only
+                if capped or len(tails) + len(new) > self._TAILS:  # a wide alphabet
+                    capped = True
                     tails.clear()
                     new = set(block)
                 for symbol in new:
@@ -343,15 +346,11 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
     """Yield (suite, property, passed, detail) for every check in the run."""
     m, length = args.m, args.length
 
-    # Termwise agreement of the two constructions, compared as packed
-    # prefixes (bytes for m <= 256); the analyzers below read only `morphic`.
-    morphic = tm.tm_morphic(m)
-    ds = tm.tm_digit_sum_sequence(m).word.symbols(length)
-    if args.inject_flip is not None:
-        ds = bytearray(ds) if m <= 256 else ds  # a list is already a copy
-        ds[args.inject_flip] = (ds[args.inject_flip] + 1) % m
-    mismatch = tm.first_mismatch(ds, morphic.word.symbols(length))
-    del ds
+    # The morphic prefix, read once (its lazy word is dropped at once) and
+    # checked once by FiniteWord: every check below reads this one object.
+    morphic = FiniteWord(tm.tm_morphic(m).word.symbols(length), ModAlphabet(m))
+    data = morphic.symbols  # bytes for m <= 256, else a tuple
+    mismatch = _first_digit_sum_mismatch(data, m, args.inject_flip)
     yield (
         "equivalence",
         "digit-sum and morphic constructions agree termwise",
@@ -421,7 +420,7 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
         )
         positions = analysis.predicted_011_positions(m, m + 4)
         in_range = [q for q in positions if q + 2 < length]
-        confirmed = all(morphic[q:q + 3] == [0, 1, 1] for q in in_range)
+        confirmed = all(list(data[q:q + 3]) == [0, 1, 1] for q in in_range)
         yield (
             "palindromes",
             "every predicted 0,1,1 position within the prefix is confirmed",
@@ -433,7 +432,7 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
     exact = analysis.tm_complexity(m, n_max)
     # a prefix that holds phi^r of every pair holds every factor, so its
     # counts must equal the exact ones; a shorter prefix can only miss factors
-    covering = _covering_length(morphic, m ** exact.power, length)
+    covering = _covering_length(morphic, m ** exact.power)
     prefix = analysis.complexity(morphic, n_max, covering or length)
     if covering:
         relation, off = "==", [n for n, p in prefix.table.items() if p != exact.p(n)]
@@ -477,19 +476,42 @@ def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[t
     )
 
 
-def _covering_length(word: tm.TmSequence, block: int, length: int) -> int | None:
+def _first_digit_sum_mismatch(data: Sequence[int], m: int, flip: int | None) -> int | None:
+    """The first index where the digit-sum construction disagrees with the
+    prefix `data` of the morphic one, or None: each chunk of
+    `tm.digit_sum_chunks` is compared in place (`bytes.startswith`, or a
+    tuple compare above 256 symbols), and no digit-sum prefix is kept.
+
+    With `flip`, the term at that index is changed to t + 1 (mod m) in
+    the one chunk that holds it, as a fault to detect.
+    """
+    start = 0
+    for chunk in tm.digit_sum_chunks(m):
+        end = min(start + len(chunk), len(data))
+        if end - start < len(chunk):
+            chunk = chunk[:end - start]
+        if flip is not None and start <= flip < end:
+            chunk = bytearray(chunk) if m <= 256 else list(chunk)
+            chunk[flip - start] = (chunk[flip - start] + 1) % m
+        if not (data.startswith(chunk, start) if m <= 256 else data[start:end] == tuple(chunk)):
+            return start + tm.first_mismatch(chunk, data[start:end])
+        if end == len(data):
+            return None
+        start = end
+
+
+def _covering_length(word: FiniteWord, block: int) -> int | None:
     """(i + 2) * block, where i is the last first occurrence of any of the
-    m^2 pairs in the first `length` terms, if that is at most `length`.
+    m^2 pairs in the word, if that is at most its length.
 
     With block = m^r, phi^r(t_i t_{i+1}) ends there, so that prefix holds
     every factor of length <= block + 1.  None when a pair is missing from
-    the first `length` terms, when the prefix would be longer, or when
-    m > 256, whose terms are not packed.
+    the word, when the prefix would be longer, or when m > 256, whose
+    terms are not packed.
     """
-    m = word.m
+    m, data = word.m, word.symbols
     if m > 256:
         return None
-    data = word.word.symbols(length)
     last = 0
     for pair in itertools.product(range(m), repeat=2):  # (0, 0) first: a repeat shows up last
         pos = data.find(bytes(pair))
@@ -497,7 +519,7 @@ def _covering_length(word: tm.TmSequence, block: int, length: int) -> int | None
             return None
         last = max(last, pos)
     covering = (last + 2) * block
-    return covering if covering <= length else None
+    return covering if covering <= len(data) else None
 
 
 def cmd_verify_all(args: argparse.Namespace, writer: Writer) -> int:

@@ -2,9 +2,10 @@
 
 The digit-sum construction reduces the base-m digit sum of the index mod m.
 The morphic construction iterates the map j -> j, j+1, ..., j+m-1 (mod m)
-from the seed 0.  Both agree termwise, which `first_mismatch` checks on
-their prefixes (in `tmcf verify-all`), and `lemma_recursion_holds` verifies
-the indexing identity that makes the agreement work.  The two paths share
+from the seed 0.  Both agree termwise, which `tmcf verify-all` checks one
+digit-sum chunk at a time against the morphic prefix (`first_mismatch`
+names the first disagreement), and `lemma_recursion_holds` verifies the
+indexing identity that makes the agreement work.  The two paths share
 only the `words` primitives, so the comparison is a genuine oracle.
 """
 from __future__ import annotations
@@ -314,7 +315,10 @@ def _prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Se
         symbols = symbols[:length]
     if own is None:
         if m is None:  # the largest symbol + 1, at least 2; pack names a symbol that is no int
-            top = max(symbols, default=0)
+            try:
+                top = max(symbols, default=0)
+            except TypeError:  # symbols that do not compare, such as 'a' and 0
+                top = None
             m = max(top + 1, 2) if isinstance(top, int) else 2
         symbols, own = ModAlphabet(m).pack(symbols), m
     elif m is not None and m != own:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -257,6 +258,90 @@ def test_complexity_of_tm5_scans_only_the_tail(scanned):
     profile = complexity(tm_morphic(5), 200, 10 ** 6)
     assert scanned and all(size <= 2 * 5 ** 4 + 200 for size in scanned)
     assert profile.windows == 4674 and profile.p(200) == 4475
+
+
+def _counts_by_sorted_lcp(windows: set[bytes], n_max: int, width: int) -> list[int]:
+    """The oracle of `_factor_counts`: the sorted-LCP count one window at a
+    time, each window adding the lengths in (lcp with its predecessor, its
+    length]."""
+    diff = [0] * (n_max + 2)
+    prev = b""
+    for w in sorted(windows):
+        k = min(len(prev), len(w))
+        differ = int.from_bytes(prev[:k], "big") ^ int.from_bytes(w[:k], "big")
+        diff[(k - (differ.bit_length() + 7) // 8) // width + 1] += 1
+        diff[len(w) // width + 1] -= 1
+        prev = w
+    return list(itertools.accumulate(diff[:n_max + 1]))
+
+
+def _counts_by_prefix_sets(windows: set[bytes], n_max: int, width: int) -> list[int]:
+    """counts[n] straight from its definition: the distinct length-n prefixes."""
+    return [0] + [len({w[:n * width] for w in windows if len(w) >= n * width}) for n in range(1, n_max + 1)]
+
+
+# batches of one window, of a few windows, and the default
+@pytest.mark.parametrize("batch_bytes", [1, 50, analysis._INT_BYTES])
+def test_factor_counts_match_the_sorted_lcp_loop(monkeypatch, batch_bytes):
+    monkeypatch.setattr(analysis, "_INT_BYTES", batch_bytes)
+    rng = random.Random(21)
+    for m, width in ((2, 1), (3, 1), (256, 1), (257, 2), (300, 2)):
+        for length, n_max in ((40, 1), (60, 7), (900, 12), (900, 40)):
+            # mostly zeros: the first sorted window starts with zero bytes,
+            # and at width 2 the high byte of every symbol below 256 is zero
+            word = [rng.randrange(m) if rng.random() < 0.3 else 0 for _ in range(length)]
+            windows = analysis._prefix_windows(analysis._packed(word, width), n_max, width)
+            assert min(windows).startswith(bytes(width))
+            counts = analysis._factor_counts(windows, n_max, width)
+            assert counts == _counts_by_sorted_lcp(windows, n_max, width), (m, length, n_max)
+            assert counts[1:] == list(complexity_naive(word, n_max).values())
+    # windows of every length, short ones next to each other and to full ones
+    for width in (1, 2):
+        for trial in range(200):
+            n_max = rng.randrange(1, 12)
+            windows = {
+                bytes(rng.choice((0, 0, 1, 255)) for _ in range(width * rng.choice((n_max, n_max, rng.randrange(1, n_max + 1)))))
+                for _ in range(rng.randrange(1, 60))
+            }
+            counts = analysis._factor_counts(windows, n_max, width)
+            assert counts == _counts_by_sorted_lcp(windows, n_max, width) == _counts_by_prefix_sets(windows, n_max, width)
+
+
+def test_factor_counts_over_many_batches():
+    # ~6000 windows of a random word: more than ten batches of ints
+    rng = random.Random(22)
+    for m, n_max in ((2, 200), (300, 100)):
+        width = analysis._width(m)
+        windows = analysis._prefix_windows(analysis._packed([rng.randrange(m) for _ in range(6000)], width), n_max, width)
+        assert len(windows) > 10 * analysis._INT_BYTES // (n_max * width)
+        assert analysis._factor_counts(windows, n_max, width) == _counts_by_sorted_lcp(windows, n_max, width)
+
+
+def _windows_pair_by_pair(data: bytes, symbols, n_max: int, width: int, size: int) -> set[bytes]:
+    """The oracle of `_block_pair_windows` on a prefix that repeats its
+    blocks: every window at an offset below `size` of the two blocks of
+    each distinct pair, built for that pair, plus the tail's windows."""
+    count = len(symbols) // size
+    stride = size * width
+    block = {symbols[q]: data[q * stride:(q + 1) * stride] for q in reversed(range(count))}
+    windows = analysis._prefix_windows(data[(count - 1) * stride:], n_max, width)
+    for a, b in set(zip(symbols[:count], symbols[1:count])):
+        span = block[a] + block[b]
+        windows.update(span[s:s + n_max * width] for s in range(0, stride, width))
+    return windows
+
+
+@pytest.mark.parametrize("m, k", [(2, 4), (3, 2), (5, 2), (257, 1)])
+def test_block_pair_windows_match_a_window_per_pair(m, k):
+    width = analysis._width(m)
+    for construction in (tm_digit_sum_sequence, tm_morphic):
+        symbols = construction(m).prefix(9 * m ** k + 5)
+        data = analysis._packed(symbols, width)
+        for n_max in (2, 3, m ** k // 2, m ** k, m ** k + 1):
+            for size in (m ** k, m ** (k + 1)):  # n_max = size + 1 has no window inside a block
+                if n_max - 1 <= size and len(symbols) >= 2 * size:
+                    windows = analysis._block_pair_windows(data, symbols, n_max, width, size)
+                    assert windows == _windows_pair_by_pair(data, symbols, n_max, width, size), (n_max, size)
 
 
 def _covering_prefix(m: int, n_max: int) -> list[int]:

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import oracle_digit_sum
 import tmcf
-from tmcf import analysis, cf
+from tmcf import analysis, cf, cli, tm
 from tmcf.cli import (
     _COMMON, _PROBE, COMMANDS, EXIT_BROKEN_PIPE, EXIT_INTERNAL, Writer, build_parser, main, parse_map_spec,
 )
@@ -157,6 +157,30 @@ def test_gen_renders_each_tail_once_at_a_wide_modulus(capsys, monkeypatch):
     calls = 0
     assert run_cli(capsys, "gen", "--m", "20000", "--len", "50000") == (0, expected, "")
     assert calls == 2 + 50_000
+
+
+def test_emit_indexed_keeps_one_batch_of_tails_past_the_cap(monkeypatch):
+    monkeypatch.setattr(Writer, "BATCH", 4)
+    monkeypatch.setattr(Writer, "_TAILS", 6)
+    record = lambda i, s: {"index": i, "symbol": s, "quotient": 3 * s + 1}
+    rng = random.Random(23)
+    symbols = [0, 1, 2, 3, 4, 5, 6, 7, 4, 5, 8, 8] + [rng.randrange(12) for _ in range(3000)]
+    for fmt in ("plain", "json-lines", "csv"):
+        oracle = io.StringIO()
+        writer = Writer(oracle, fmt)
+        for i, symbol in enumerate(symbols):
+            writer.emit(record(i, symbol))
+        for chunks in ([symbols], cut(symbols, True), cut(symbols, False)):
+            out = io.StringIO()
+            Writer(out, fmt).emit_indexed(record, chunks, len(symbols))
+            assert out.getvalue() == oracle.getvalue(), (fmt, type(chunks[0]))
+    # the second batch passes the cap of 6 tails, so the third, 4 5 8 8,
+    # renders 4, 5 and 8 again instead of adding 8 to the 4 kept from the second
+    lines = []
+    line = Writer._line
+    monkeypatch.setattr(Writer, "_line", lambda self, rec: lines.append(rec["symbol"]) or line(self, rec))
+    Writer(io.StringIO(), "plain").emit_indexed(record, [symbols], 12)
+    assert sorted(lines) == sorted([0, 0] + [0, 1, 2, 3] + [4, 5, 6, 7] + [4, 5, 8])
 
 
 def test_emit_indexed_rejects_records_that_do_not_begin_with_the_index():
@@ -675,6 +699,49 @@ def test_verify_all_detects_injected_fault(capsys):
     assert failed
     assert failed[0]["suite"] == "equivalence"
     assert "137" in failed[0]["detail"]
+
+
+def _verify_args(*argv: str) -> tuple[argparse.Namespace, cf.AlphabetMap]:
+    args = build_parser("verify-all").parse_args(["verify-all", *argv])
+    return args, cli._map_arg("", args.m)
+
+
+# (m, length, flips): the chunks of digit_sum_chunks end at every power of m
+# up to 2^16 and then every 2^16 terms (m = 2), every 3^10 terms from 3^10
+# on (m = 3), and every 8192 terms (m = 300)
+@pytest.mark.parametrize("m, length, flips", [
+    (2, 140_000, (0, 1, 2, 3, 1023, 1024, 65_535, 65_536, 131_071, 131_072, 139_999)),
+    (3, 130_000, (0, 1, 2, 3, 19_682, 19_683, 39_365, 59_048, 59_049, 118_097, 118_098, 129_999)),
+    (300, 20_000, (0, 299, 300, 8191, 8192, 16_383, 16_384, 19_999)),
+])
+def test_equivalence_flips_at_chunk_edges(m, length, flips):
+    # the streamed check against first_mismatch on the two fully built prefixes
+    digit_sums = tm.tm_digit_sum_sequence(m).word.symbols(length)
+    morphic = tm.tm_morphic(m).word.symbols(length)
+    for flip in (None, *flips):
+        expected = list(digit_sums)
+        if flip is not None:
+            expected[flip] = (expected[flip] + 1) % m
+        mismatch = tm.first_mismatch(expected, list(morphic))
+        assert mismatch == flip
+        argv = ["--m", str(m), "--len", str(length)] + ([] if flip is None else ["--inject-flip", str(flip)])
+        suite, _, passed, detail = next(cli._verify_suites(*_verify_args(*argv)))
+        assert (suite, passed) == ("equivalence", flip is None)
+        assert detail == (f"checked {length} terms" if flip is None else f"first mismatch at index {mismatch}")
+
+
+def test_verify_suites_read_one_prefix():
+    # at 10^6 terms of TM_2 the morphic prefix (1 MB) and, while it is read,
+    # the lazy word's cache are the only buffers of the prefix's size: no
+    # digit-sum prefix and no copy per check (three of them peaked at 3.06 MB)
+    tracemalloc.start()
+    try:
+        records = list(cli._verify_suites(*_verify_args("--m", "2", "--len", "1000000")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(passed for _, _, passed, _ in records)
+    assert peak < 2.5 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize(

@@ -117,7 +117,7 @@ def test_first_mismatch():
 
 
 def test_verify_equivalence_small_and_corrupt():
-    # the check of `tmcf verify-all` on short prefixes, with sampled lemma words
+    # the agreement `tmcf verify-all` checks, on short whole prefixes, with sampled lemma words
     assert first_mismatch(tm_digit_sum_sequence(2).word.symbols(1), tm_morphic(2).word.symbols(1)) is None
 
     rng = random.Random(1)
@@ -136,7 +136,7 @@ def test_verify_equivalence_small_and_corrupt():
 
 
 def test_equivalence_through_m_ten():
-    # the check of `tmcf verify-all`: first_mismatch of the two packed prefixes
+    # the agreement `tmcf verify-all` checks chunk by chunk, here on two whole packed prefixes
     for m in range(2, 11):
         assert first_mismatch(tm_digit_sum_sequence(m).word.symbols(100_000),
                               tm_morphic(m).word.symbols(100_000)) is None, m
@@ -309,6 +309,19 @@ def test_bool_is_never_a_symbol():
         assert word[1] == 1
         with pytest.raises(SymbolError, match=f"chunk symbol True not in alphabet of modulus {m}"):
             word[3]
+
+
+def test_symbols_that_do_not_compare_are_named():
+    # max() cannot order 'a' and 0: the modulus falls back to 2, and pack
+    # names the symbol instead of max raising a bare TypeError
+    for symbols in (["a", 0], [0, "a"], [1, None, 0], [0, 1.5, "b"]):
+        bad = next(s for s in symbols if not isinstance(s, int))
+        with pytest.raises(SymbolError, match=f"symbol {bad!r} not in alphabet of modulus 2"):
+            _prefix_of(symbols, None)
+        with pytest.raises(SymbolError, match=f"symbol {bad!r} not"):
+            find_triple_repeat(symbols)
+        with pytest.raises(SymbolError, match=f"symbol {bad!r} not"):
+            palindromic_prefixes(symbols)
 
 
 def test_every_form_of_a_prefix_reads_like_the_lazy_word():
