@@ -12,6 +12,7 @@ library raises, `ValueError` included, is an internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import itertools
 import json
@@ -50,7 +51,10 @@ class Writer:
     """Streams records in one of the three output formats; CSV writes a
     header row before the first record and whenever the keys change."""
 
-    BATCH = 8192  # most records `emit_indexed` writes at once
+    # most records `emit_indexed` writes at once: a batch of json-lines stays
+    # near 100 KB, under glibc's 128 KiB mmap threshold, so its buffers reuse
+    # freed heap memory instead of mapping fresh pages on every write
+    BATCH = 2048
     _TAILS = 1 << 16  # most symbol tails `emit_indexed` keeps rendered
     ROWS = 256  # most records `emit_rows` writes at once
     ROW_CHARS = 1 << 20  # about the most characters `emit_rows` writes at once
@@ -77,29 +81,33 @@ class Writer:
         The records must share their keys, begin with "index": i (it sorts
         first, so json-lines keeps it there), and otherwise depend on the
         symbol alone.  Then every line is head + str(i) + tail, and `_line`
-        renders the tail of each distinct symbol once, at index 0.
+        renders the tail of each distinct symbol once, at index 0, when the
+        symbol first occurs in the chunks.
 
-        The indices are written in decimal groups of 1000: inside group q
-        every line is sep + digits[i % 1000] + tail, with sep = head + str(q)
-        and digits the three zero-padded digits of i % 1000 (for q = 0, sep
-        = head and the digits unpadded).  Each run of a batch inside one
-        group is thus a single `sep.join` over the digit and tail strings.
+        Each batch is written one of two ways.  A batch of a `bytes` chunk
+        whose symbols' tails all have one length in UTF-8 is built column
+        by column (`_column_lines`): its lines all have one length, so each
+        digit of the index and each byte where the tails differ is one
+        strided slice of the batch.  Any other batch, from a list chunk or
+        with tails of mixed lengths, is joined in decimal groups of 1000
+        (`_joined_lines`).
         """
         zero, one = (self._line(record(i, 0)) for i in (0, 1))
         head = os.path.commonprefix([zero, one])
         if one != f"{head}1{zero[len(head) + 1:]}":
             raise ValueError(f"records must begin with their index, got {zero!r}")
+        head_code = head.encode()
         tails: dict[int, str] = {}
-        tail = tails.__getitem__
-        plain = [str(j) for j in range(1000)]  # the digits of group 0
-        padded = [f"{j:03d}" for j in range(1000)]  # the digits of every later group
+        seen = b""  # symbols below 256 with a tail: deleting them from a bytes block leaves the new ones
+        layout = None  # `_tail_layout` of the tails of `seen`; None once new tails make it stale
         header = self._header(record(0, 0))  # written with the first batch
         start = 0
         capped = False  # whether the tails outgrew _TAILS: then each batch keeps its own only
         for chunk in chunks:
+            packed = isinstance(chunk, bytes)
             for lo in range(0, min(len(chunk), count - start), self.BATCH):
                 block = chunk[lo:lo + min(self.BATCH, count - start)]
-                new = set(block).difference(tails)
+                new = set(block.translate(None, seen) if packed else block).difference(tails)
                 if capped or len(tails) + len(new) > self._TAILS:  # a wide alphabet
                     capped = True
                     tails.clear()
@@ -109,15 +117,16 @@ class Writer:
                     if not line.startswith(f"{head}0"):
                         raise ValueError(f"records must begin with their index, got {line!r}")
                     tails[symbol] = line[len(head) + 1:]
-                parts = [header]
-                a = 0
-                while a < len(block):  # one segment of the batch per decimal group it meets
-                    q, j = divmod(start + a, 1000)
-                    b = min(a + 1000 - j, len(block))
-                    sep, digits = (f"{head}{q}", padded) if q else (head, plain)
-                    parts += sep, sep.join(map(operator.add, digits[j:j + b - a], map(tail, block[a:b])))
-                    a = b
-                self.stream.write("".join(parts))
+                if new:
+                    layout = None
+                if packed and layout is None:
+                    seen = bytes(s for s in tails if s < 256)
+                    layout = _tail_layout(seen, tails)
+                if packed and layout:
+                    text = _column_lines(head_code, start, block, *layout)
+                else:
+                    text = _joined_lines(head, start, block, tails)
+                self.stream.write(header + text)
                 header = ""
                 start += len(block)
             if start == count:
@@ -188,6 +197,98 @@ class Writer:
         self._buffer.seek(0)
         self._buffer.truncate()
         return row
+
+
+# the ASCII digits, and the units digits of 0, 1, 2, ... as a period of 10
+# bytes, the tens digits as one of 100, and the hundreds as one of 1000
+_DIGITS = [b"%d" % d for d in range(10)]
+_PERIODS = {unit: b"".join(digit * unit for digit in _DIGITS) for unit in (1, 10, 100)}
+
+
+def _digit_column(a: int, n: int, unit: int) -> bytes:
+    """The decimal digit of place value `unit` (1, 10, 100, ...) of each of
+    a, a + 1, ..., a + n - 1, one ASCII byte each."""
+    if unit in _PERIODS:
+        period = _PERIODS[unit]
+        lo = a % len(period)
+        return (period * ((lo + n) // len(period) + 1))[lo:lo + n]
+    runs, i = [], a  # runs of one digit, at most n / unit + 2 of them
+    while i < a + n:
+        j = min(a + n, i - i % unit + unit)
+        runs.append(_DIGITS[i // unit % 10] * (j - i))
+        i = j
+    return b"".join(runs)
+
+
+def _tail_layout(symbols: bytes, tails: dict[int, str]) -> tuple:
+    """(tail, varying) for the line tails of `symbols` when, in UTF-8, they
+    all have one length, else (): `tail` is one of them, and `varying` pairs
+    each byte position p where they differ with a `bytes.translate` table
+    that maps every symbol to byte p of its tail."""
+    codes = [tails[s].encode() for s in symbols]
+    if len(set(map(len, codes))) != 1:
+        return ()
+    varying = [(p, bytes.maketrans(symbols, bytes(column)))
+               for p, column in enumerate(zip(*codes)) if len(set(column)) > 1]
+    return codes[0], varying
+
+
+def _column_lines(head: bytes, start: int, block: bytes, tail: bytes, varying: list[tuple[int, bytes]]) -> str:
+    """The lines head + str(i) + (the tail of t_i) of the symbols t_i of
+    `block`, from i = start, with the tails laid out by `_tail_layout`.
+
+    The indices of one run share their number of digits, so its lines share
+    their length w and begin as copies of the run's first line.  Then each
+    index digit that changes in the run, and each varying tail byte, is one
+    extended-slice assignment to every w-th byte.
+    """
+    runs = []
+    a, end = start, start + len(block)
+    while a < end:
+        digits = b"%d" % a
+        b = min(end, 10 ** len(digits))
+        width = len(head) + len(digits) + len(tail)
+        lines = bytearray(head + digits + tail) * (b - a)
+        k = 0
+        while a // 10 ** k != (b - 1) // 10 ** k:  # the digit of place value 10^k changes in the run
+            lines[len(head) + len(digits) - 1 - k::width] = _digit_column(a, b - a, 10 ** k)
+            k += 1
+        symbols = block[a - start:b - start]
+        for p, table in varying:
+            lines[len(head) + len(digits) + p::width] = symbols.translate(table)
+        runs.append(lines.decode())
+        a = b
+    return "".join(runs)
+
+
+@functools.cache
+def _group_digits() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The index digits of `_joined_lines`: str(j) for j < 1000, the whole
+    index in group 0, and its three zero-padded digits in every later group."""
+    return tuple(str(j) for j in range(1000)), tuple(f"{j:03d}" for j in range(1000))
+
+
+def _joined_lines(head: str, start: int, block: Sequence[int], tails: dict[int, str]) -> str:
+    """The lines head + str(i) + tails[t_i] of the symbols t_i of `block`,
+    from i = start, in decimal groups of 1000.
+
+    Inside group q every line is sep + digits[i % 1000] + tail, with sep =
+    head + str(q) and digits the three zero-padded digits of i % 1000 (for
+    q = 0, sep = head and the digits unpadded).  Each run of the block
+    inside one group is thus a single `sep.join` over the digit and tail
+    strings.
+    """
+    plain, padded = _group_digits()
+    tail = tails.__getitem__
+    parts = []
+    a = 0
+    while a < len(block):  # one segment of the block per decimal group it meets
+        q, j = divmod(start + a, 1000)
+        b = min(a + 1000 - j, len(block))
+        sep, digits = (f"{head}{q}", padded) if q else (head, plain)
+        parts += sep, sep.join(map(operator.add, digits[j:j + b - a], map(tail, block[a:b])))
+        a = b
+    return "".join(parts)
 
 
 def _positive(text: str) -> int:

@@ -138,7 +138,7 @@ def test_gen_at_a_huge_modulus(capsys):
 
 def test_gen_renders_each_tail_once_at_a_wide_modulus(capsys, monkeypatch):
     # 50 000 records at m = 20 000 hold every symbol: more distinct symbols
-    # than a batch of 8192 records, fewer than the tails emit_indexed keeps,
+    # than a batch of Writer.BATCH records, fewer than the tails emit_indexed keeps,
     # so _line renders each tail once, besides the probes at indices 0 and 1
     expected = "".join(emitted("plain", 20_000, 50_000, False))
     calls = 0
@@ -204,7 +204,7 @@ def test_emit_indexed_raises_when_its_chunks_run_short():
     assert out.getvalue() == "0 0\n1 1\n2 1\n"
 
 
-# Chunk lengths around the decimal groups of 1000 and the batches of 8192
+# Chunk lengths around the decimal groups of 1000, and one that spans several batches
 GROUP_EDGE_CHUNKS = [1, 7, 993, 999, 1000, 1001, 8191]
 # counts across 999 -> 1000, 9 999 -> 10 000 and 99 999 -> 100 000, and
 # counts that end inside both a chunk and a decimal group
@@ -227,13 +227,15 @@ def cut(symbols: list[int], as_bytes: bool) -> list:
 def test_emit_indexed_at_decimal_group_edges(fmt):
     rng = random.Random(14)
     narrow = [rng.randrange(3) for _ in range(GROUP_EDGE_COUNTS[-1])]
-    wide = [rng.randrange(20_000) for _ in range(20_000)]  # past 8192 distinct symbols in the second batch
+    wide = [rng.randrange(20_000) for _ in range(20_000)]  # more distinct symbols than a batch holds
     index_only = lambda i, s: {"index": i}  # one tail for every symbol
-    quotient = lambda i, s: {"index": i, "symbol": s, "quotient": 7 * s + 1}
+    quotient = lambda i, s: {"index": i, "symbol": s, "quotient": 7 * s + 1}  # tails of mixed widths
+    narrow_quotient = lambda i, s: {"index": i, "symbol": s, "quotient": 3 * s + 1}  # tails of one width
     ends = set(itertools.accumulate(len(chunk) for chunk in cut(narrow, False)))
     assert any(count not in ends and count % 1000 for count in GROUP_EDGE_COUNTS)
     for symbols, record, chunk_kinds in (
         (narrow, quotient, (True, False)),
+        (narrow, narrow_quotient, (True, False)),
         (narrow[:12_345], index_only, (True, False)),
         (wide, quotient, (False,)),
     ):
@@ -249,6 +251,111 @@ def test_emit_indexed_at_decimal_group_edges(fmt):
                 out = io.StringIO()
                 Writer(out, fmt).emit_indexed(record, chunks, count)
                 assert out.getvalue() == "".join(lines[:header + count]), (record, as_bytes, count)
+
+
+def count_calls(monkeypatch, name: str) -> list[int]:
+    """The first index of each call of the line builder `cli.<name>`, which still runs."""
+    starts = []
+    build = getattr(cli, name)
+
+    def counted(head, start, *args):
+        starts.append(start)
+        return build(head, start, *args)
+
+    monkeypatch.setattr(cli, name, counted)
+    return starts
+
+
+def emitted_lines(record, symbols, fmt: str, indices) -> list[str]:
+    """The lines `Writer.emit` writes for record(i, symbols[i]) at each of the
+    indices (a CSV header line first)."""
+    out = io.StringIO()
+    writer = Writer(out, fmt)
+    for i in indices:
+        writer.emit(record(i, symbols[i]))
+    return out.getvalue().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json-lines", "csv"])
+def test_emit_indexed_builds_columns_across_every_power_of_ten(fmt, monkeypatch):
+    # quotients 1, 4 and 7 give the tails of 0, 1 and 2 one width, so every
+    # batch of a bytes chunk is built by columns; each 10^k up to 10^6, where
+    # the index gains a digit, falls inside a batch
+    powers = [10 ** k for k in range(1, 7)]
+    assert all(p % Writer.BATCH for p in powers)
+    record = lambda i, s: {"index": i, "symbol": s, "quotient": 3 * s + 1}
+    count = powers[-1] + 2 * Writer.BATCH
+    symbols = random.Random(22).randbytes(count).translate(bytes(j % 3 for j in range(256)))
+    columns, joined = count_calls(monkeypatch, "_column_lines"), count_calls(monkeypatch, "_joined_lines")
+    out = io.StringIO()
+    Writer(out, fmt).emit_indexed(record, [symbols], count)
+    assert (len(columns), joined) == (-(-count // Writer.BATCH), [])
+    # the whole output as the join path writes it from the same symbols in a list ...
+    reference = io.StringIO()
+    Writer(reference, fmt).emit_indexed(record, [list(symbols)], count)
+    assert len(joined) == len(columns)  # every batch of the list joined
+    text = out.getvalue()
+    assert text == reference.getvalue()
+    del reference
+    # ... and every line of the batches around each power of ten as `emit` writes it
+    header = fmt == "csv"
+    windows = [range(max(0, p - 2 * Writer.BATCH), p + 2 * Writer.BATCH) for p in [0, *powers]]
+    indices = sorted(set(itertools.chain(*windows)))
+    wanted = set(i + header for i in indices) | set(range(header))
+    lines = [line for n, line in enumerate(io.StringIO(text)) if n in wanted]
+    assert lines == emitted_lines(record, symbols, fmt, indices)
+    assert text.count("\n") == header + count
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json-lines", "csv"])
+def test_emit_indexed_moves_to_the_join_path_when_a_wider_tail_appears(fmt, monkeypatch):
+    # symbol 3 has the two-digit quotient 10: from its first batch on, the
+    # tails differ in width and every batch is joined
+    record = lambda i, s: {"index": i, "symbol": s, "quotient": 3 * s + 1}
+    first = 2 * Writer.BATCH + 100  # inside the third batch
+    rng = random.Random(5)
+    symbols = bytes(rng.randrange(3) for _ in range(first)) + bytes([3]) + bytes(rng.randrange(4) for _ in range(5000))
+    columns, joined = count_calls(monkeypatch, "_column_lines"), count_calls(monkeypatch, "_joined_lines")
+    out = io.StringIO()
+    Writer(out, fmt).emit_indexed(record, [symbols], len(symbols))
+    assert out.getvalue() == "".join(emitted_lines(record, symbols, fmt, range(len(symbols))))
+    assert columns == [0, Writer.BATCH]
+    assert joined == list(range(2 * Writer.BATCH, len(symbols), Writer.BATCH))
+
+
+def test_emit_indexed_renders_tails_only_for_symbols_that_occur():
+    # the record fails for every symbol absent from the data, as an
+    # AlphabetMap does above its modulus
+    image = {0: 5, 4: 9, 7: 1}
+    record = lambda i, s: {"index": i, "symbol": s, "quotient": image[s]}
+    symbols = bytes(random.Random(9).choice([0, 4, 7]) for _ in range(3 * Writer.BATCH + 11))
+    for fmt in ("plain", "json-lines", "csv"):
+        lines = emitted_lines(record, symbols, fmt, range(len(symbols)))
+        for chunks in (cut(symbols, True), cut(list(symbols), False)):
+            out = io.StringIO()
+            Writer(out, fmt).emit_indexed(record, chunks, len(symbols))
+            assert out.getvalue() == "".join(lines), (fmt, type(chunks[0]))
+
+
+def test_gen_builds_every_batch_by_columns(capsys, monkeypatch):
+    # the quotients 2, 3 and 1 give TM_3's tails one width: _line renders the
+    # probes at indices 0 and 1 and one tail per symbol, and no batch is joined
+    argv = ["gen", "--m", "3", "--len", "100000", "--map", "0:2,1:3,2:1", "--format", "json-lines"]
+    calls = 0
+    line = Writer._line
+
+    def counted(self, record):
+        nonlocal calls
+        calls += 1
+        return line(self, record)
+
+    monkeypatch.setattr(Writer, "_line", counted)
+    joined = count_calls(monkeypatch, "_joined_lines")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err, calls, joined) == (0, "", 2 + 3, [])
+    records = [json.loads(text) for text in out.splitlines()]
+    assert records == [{"index": i, "symbol": s, "quotient": [2, 3, 1][s]}
+                       for i, s in enumerate(oracle_digit_sum(i, 3) for i in range(100_000))]
 
 
 def test_parse_map_spec():
