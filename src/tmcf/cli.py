@@ -5,13 +5,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage error or output
 that cannot be written (one `error:` line), 3 internal error (any other
 exception, reported in one line without a traceback), 141 (128 + SIGPIPE)
 when the reader of standard output goes away, without a message.  A usage
-error is an argument rejected by argparse or by the checks here
-(`UsageError`), which run before the library is called; an exception the
-library raises, `ValueError` included, is an internal error.
+error is an argument rejected by `parse_args` (a `usage:` line, then one
+`tmcf <command>: error:` line) or by the checks of a command
+(`UsageError`), all of which run before the library is called; an
+exception the library raises, `ValueError` included, is an internal error.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import itertools
@@ -19,8 +19,8 @@ import json
 import math
 import operator
 import os
-import re
 import sys
+from types import SimpleNamespace
 from typing import IO, Callable, Iterable, Sequence
 
 from . import analysis, cf, tm
@@ -170,12 +170,14 @@ class Writer:
     def _template(self, record: Callable[..., dict], probes: list[int]) -> str:
         """_line(record(*probes)) as a `str.format` template, with {i} in place
         of the text of probes[i]; ValueError unless each text occurs once."""
-        texts = [str(p) for p in probes]  # in sorted order, all of one length
-        parts = re.split(f"({'|'.join(texts)})", self._line(record(*probes)))
-        if sorted(parts[1::2]) != texts:
-            raise ValueError(f"each row value must occur once in the record, got {''.join(parts)!r}")
-        return "".join(f"{{{texts.index(part)}}}" if k % 2 else part.replace("{", "{{").replace("}", "}}")
-                       for k, part in enumerate(parts))
+        line = self._line(record(*probes))
+        template = line.replace("{", "{{").replace("}", "}}")
+        for i, probe in enumerate(probes):
+            parts = template.split(str(probe))
+            if len(parts) != 2:
+                raise ValueError(f"each row value must occur once in the record, got {line!r}")
+            template = f"{{{i}}}".join(parts)
+        return template
 
     def _header(self, record: dict) -> str:
         """The CSV header row if the record's keys differ from the last ones, else ""."""
@@ -291,25 +293,28 @@ def _joined_lines(head: str, start: int, block: Sequence[int], tails: dict[int, 
     return "".join(parts)
 
 
-def _positive(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+def _integer_at_least(low: float, expected: str, text: str) -> int:
+    """int(text), if it is at least `low`; else UsageError '<expected>, got <text>'."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < low:
+        raise UsageError(f"{expected}, got {text or repr(text)}")
     return n
 
 
-def _nonnegative(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return n
+# the checks of the options' values, each raising UsageError in its own words
+_integer = functools.partial(_integer_at_least, -math.inf, "expected an integer")
+_positive = functools.partial(_integer_at_least, 1, "expected a positive integer")
+_nonnegative = functools.partial(_integer_at_least, 0, "expected a nonnegative integer")
+_modulus = functools.partial(_integer_at_least, 2, "modulus must be >= 2")
 
 
-def _modulus(text: str) -> int:
-    m = int(text)
-    if m < 2:
-        raise argparse.ArgumentTypeError(f"modulus must be >= 2, got {text}")
-    return m
+def _path(text: str) -> str:
+    if not text:
+        raise UsageError("expected a file path, got ''")
+    return text
 
 
 def parse_map_spec(spec: str, m: int | None) -> cf.AlphabetMap:
@@ -345,7 +350,7 @@ def _map_arg(spec: str, m: int | None) -> cf.AlphabetMap:
         raise UsageError(str(exc)) from None
 
 
-def cmd_gen(args: argparse.Namespace, writer: Writer) -> int:
+def cmd_gen(args: SimpleNamespace, writer: Writer) -> int:
     amap = _map_arg(args.map_spec, args.m) if args.map_spec is not None else None
 
     def record(i: int, symbol: int) -> dict:
@@ -357,7 +362,7 @@ def cmd_gen(args: argparse.Namespace, writer: Writer) -> int:
     return EXIT_OK
 
 
-def cmd_cf(args: argparse.Namespace, writer: Writer) -> int:
+def cmd_cf(args: SimpleNamespace, writer: Writer) -> int:
     amap = _map_arg(args.map_spec or "", args.m)
     if args.convergent_count:
         writer.emit_rows(
@@ -376,7 +381,7 @@ def cmd_cf(args: argparse.Namespace, writer: Writer) -> int:
     return EXIT_OK
 
 
-def cmd_complexity(args: argparse.Namespace, writer: Writer) -> int:
+def cmd_complexity(args: SimpleNamespace, writer: Writer) -> int:
     n_max = min(args.n_max, args.length)
     profile = analysis.complexity(tm.tm_digit_sum_sequence(args.m), n_max, args.length)
     bound = profile.bound_factor
@@ -394,7 +399,7 @@ def cmd_complexity(args: argparse.Namespace, writer: Writer) -> int:
     return EXIT_OK
 
 
-def cmd_period(args: argparse.Namespace, writer: Writer) -> int:
+def cmd_period(args: SimpleNamespace, writer: Writer) -> int:
     if args.a_max + 2 * args.b_max >= args.length:
         raise UsageError(
             f"period needs --a-max + 2 * --b-max < --len, got {args.a_max} + 2 * {args.b_max} >= {args.length}"
@@ -407,7 +412,7 @@ def cmd_period(args: argparse.Namespace, writer: Writer) -> int:
     return EXIT_OK
 
 
-def cmd_palindrome(args: argparse.Namespace, writer: Writer) -> int:
+def cmd_palindrome(args: SimpleNamespace, writer: Writer) -> int:
     ladder = analysis.palindromic_prefixes(tm.tm_digit_sum_sequence(args.m), args.length)
     for n in ladder.indices:
         writer.emit({"kind": "palindromic_prefix", "index": n})
@@ -422,7 +427,7 @@ def cmd_palindrome(args: argparse.Namespace, writer: Writer) -> int:
     return EXIT_OK
 
 
-def cmd_patterns(args: argparse.Namespace, writer: Writer) -> int:
+def cmd_patterns(args: SimpleNamespace, writer: Writer) -> int:
     if args.pattern is not None:
         try:
             pattern = [int(x) for x in args.pattern.split(",")]
@@ -443,7 +448,7 @@ def cmd_patterns(args: argparse.Namespace, writer: Writer) -> int:
     return EXIT_OK
 
 
-def _verify_suites(args: argparse.Namespace, amap: cf.AlphabetMap) -> Iterable[tuple[str, str, bool, str]]:
+def _verify_suites(args: SimpleNamespace, amap: cf.AlphabetMap) -> Iterable[tuple[str, str, bool, str]]:
     """Yield (suite, property, passed, detail) for every check in the run."""
     m, length = args.m, args.length
 
@@ -623,7 +628,7 @@ def _covering_length(word: FiniteWord, block: int) -> int | None:
     return covering if covering <= len(data) else None
 
 
-def cmd_verify_all(args: argparse.Namespace, writer: Writer) -> int:
+def cmd_verify_all(args: SimpleNamespace, writer: Writer) -> int:
     if args.m ** 2 > SCAN_CAP:
         raise UsageError(f"verify-all needs --m <= {math.isqrt(SCAN_CAP)} (m^2 <= {SCAN_CAP}), got {args.m}")
     # the congruence scan needs m terms and the period search needs 3
@@ -655,11 +660,13 @@ def cmd_verify_all(args: argparse.Namespace, writer: Writer) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
-# argparse keywords of each option, shared by the commands that take it
+# the keywords of each option, shared by the commands that take it: "type",
+# the check of its value; "choices"; "default" (else None); "required";
+# "dest", its name in the parsed arguments (else the flag's, - as _); "help"
 _OPTIONS = {
     "--m": {"type": _modulus, "required": True, "help": "alphabet modulus (>= 2)"},
     "--format": {"choices": ["plain", "json-lines", "csv"], "default": "plain"},
-    "--out": {"help": "output path (default stdout)"},
+    "--out": {"type": _path, "help": "output path (default stdout)"},
     "--len": {"dest": "length", "type": _positive},
     "--map": {"dest": "map_spec"},
     "--n-max": {"type": _positive},
@@ -671,13 +678,13 @@ _COMMON = ("--m", "--format", "--out")  # the options every command takes, first
 
 # name -> (function, help line, options): each option's keywords go on top
 # of its _OPTIONS entry, and the command takes the _COMMON options before them
-COMMANDS: dict[str, tuple[Callable[[argparse.Namespace, Writer], int], str, dict[str, dict]]] = {
+COMMANDS: dict[str, tuple[Callable[[SimpleNamespace, Writer], int], str, dict[str, dict]]] = {
     "gen": (cmd_gen, "emit the first L terms of the sequence", {
         "--len": {"default": 32}, "--map": {"help": "symbol:value,... quotient map"},
     }),
     "verify-all": (cmd_verify_all, "run every verification suite", {
         "--len": {"default": 100_000}, "--n-max": {"default": 200}, "--a-max": {}, "--b-max": {"default": 400},
-        "--digits": {}, "--map": {}, "--inject-flip": {"type": int, "help": "corrupt one term (fault-injection demo)"},
+        "--digits": {}, "--map": {}, "--inject-flip": {"type": _integer, "help": "corrupt one term (fault-injection demo)"},
     }),
     "cf": (cmd_cf, "convergent table and certified decimal", {
         "--m": {"required": False}, "--map": {}, "--digits": {"help": "certified decimal places"},
@@ -694,21 +701,125 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace, Writer], int], str, dict
         "--len": {"default": 10_000}, "--pattern": {"help": "comma-separated symbols"}, "--k-max": {"type": _positive},
     }),
 }
+_DESCRIPTION = "Generalized Thue-Morse sequences, their combinatorics, and exact continued fractions."
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of every subcommand in COMMANDS, with the options of `command` alone."""
-    parser = argparse.ArgumentParser(
-        prog="tmcf",
-        description="Generalized Thue-Morse sequences, their combinatorics, and exact continued fractions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if name == command:
-            for flag, keywords in {**dict.fromkeys(_COMMON, {}), **options}.items():
-                p.add_argument(flag, **{**_OPTIONS.get(flag, {}), **keywords})
-    return parser
+def _option_table(command: str) -> dict[str, dict]:
+    """flag -> keywords of every option `command` takes, the _COMMON ones
+    first, each with its "dest"."""
+    options = {**dict.fromkeys(_COMMON, {}), **COMMANDS[command][2]}
+    return {flag: {"dest": flag[2:].replace("-", "_"), **_OPTIONS.get(flag, {}), **keywords}
+            for flag, keywords in options.items()}
+
+
+def _metavar(keywords: dict) -> str:
+    choices = keywords.get("choices")
+    return f"{{{','.join(choices)}}}" if choices else keywords["dest"].upper()
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: tmcf [-h] {{{','.join(COMMANDS)}}} ..."
+    words = [f"{flag} {_metavar(keywords)}" if keywords.get("required") else f"[{flag} {_metavar(keywords)}]"
+             for flag, keywords in _option_table(command).items()]
+    return " ".join(["usage: tmcf", command, "[-h]", *words])
+
+
+def _help(command: str | None) -> str:
+    """The usage line, a description, and one line for -h and each command
+    (top level) or each option (a command), indented by two spaces."""
+    if command is None:
+        description = _DESCRIPTION
+        rows = [(name, help_line) for name, (_, help_line, _) in COMMANDS.items()]
+    else:
+        description = COMMANDS[command][1]
+        rows = [(f"{flag} {_metavar(keywords)}", keywords.get("help", ""))
+                for flag, keywords in _option_table(command).items()]
+    rows.insert(0, ("-h, --help", "show this help message and exit"))
+    width = max(len(name) for name, _ in rows)
+    lines = [f"  {name:<{width}}  {text}".rstrip() for name, text in rows]
+    return "\n".join([_usage(command), "", description, "", *lines])
+
+
+def _fail(command: str | None, message: str) -> SystemExit:
+    """Print the usage line and `message` as argparse does, and give the
+    SystemExit(2) to raise."""
+    prog = "tmcf" if command is None else f"tmcf {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    return SystemExit(EXIT_USAGE)
+
+
+def _exit_help(command: str | None) -> SystemExit:
+    """Print the help of `command` (None: of tmcf) and give the SystemExit(0)
+    to raise.  As with argparse, a reader that went away (`| head -1`) is
+    no error."""
+    try:
+        sys.stdout.write(_help(command) + "\n")
+    except OSError:
+        pass
+    return SystemExit(EXIT_OK)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command of `argv` and the values of its options, read against
+    COMMANDS and _OPTIONS: `command`, then the dest of each option.
+
+    The first word that is not an option names the command.  Options are
+    written `--flag VALUE` or `--flag=VALUE`, a flag may be shortened to a
+    unique prefix (an exact name wins over a prefix), and the last of
+    repeated values wins.  The word after a flag is its value, whatever it
+    begins with.  Each value goes through its option's "type" check and
+    "choices".  A usage error prints a usage line and one error line to
+    stderr and raises SystemExit(2); -h or --help prints the help to
+    stdout and raises SystemExit(0).
+    """
+    at = next((i for i, word in enumerate(argv) if not word.startswith("-")), len(argv))
+    if any(word == "-h" or len(word) > 2 and "--help".startswith(word) for word in argv[:at]):
+        raise _exit_help(None)
+    if at == len(argv):
+        raise _fail(None, "the following arguments are required: command")
+    command = argv[at]
+    if command not in COMMANDS:
+        raise _fail(None, f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    if at:
+        raise _fail(None, f"unrecognized arguments: {' '.join(argv[:at])}")
+    table = _option_table(command)
+    flags = [*table, "--help"]
+    values = {keywords["dest"]: keywords.get("default") for keywords in table.values()}
+    given = set()
+    words = iter(argv[at + 1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag == "-h":
+            flag = "--help"
+        # an exact name, else every flag it is a prefix of ("-" and "--" are none)
+        matches = [flag] if flag in flags else [f for f in flags if len(flag) > 2 and f.startswith(flag)]
+        if not matches:
+            raise _fail(command, f"unrecognized arguments: {word}")
+        if len(matches) > 1:
+            raise _fail(command, f"ambiguous option: {flag} could match {', '.join(matches)}")
+        flag = matches[0]
+        if flag == "--help":
+            if eq:
+                raise _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            raise _exit_help(command)
+        if not eq:
+            value = next(words, None)
+            if value is None:
+                raise _fail(command, f"argument {flag}: expected one argument")
+        keywords = table[flag]
+        choices = keywords.get("choices")
+        if choices and value not in choices:
+            raise _fail(command, f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+        try:
+            values[keywords["dest"]] = keywords.get("type", str)(value)
+        except UsageError as exc:
+            raise _fail(command, f"argument {flag}: {exc}") from None
+        given.add(flag)
+    missing = [flag for flag, keywords in table.items() if keywords.get("required") and flag not in given]
+    if missing:
+        raise _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, **values)
 
 
 class _OutFile:
@@ -728,12 +839,10 @@ class _OutFile:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the top-level parser takes no option with a value, so the first word
-    # that is not an option is the subcommand, or argparse rejects it
-    args = build_parser(next((w for w in argv if not w.startswith("-")), None)).parse_args(argv)
+    args = parse_args(argv)
     command = COMMANDS[args.command][0]
 
-    out = _OutFile(args.out) if args.out else None
+    out = _OutFile(args.out) if args.out is not None else None
     try:
         code = command(args, Writer(sys.stdout if out is None else out, args.format))
         if out is None:

@@ -18,7 +18,8 @@ from conftest import oracle_digit_sum
 import tmcf
 from tmcf import analysis, cf, cli, tm
 from tmcf.cli import (
-    _COMMON, _PROBE, COMMANDS, EXIT_BROKEN_PIPE, EXIT_INTERNAL, Writer, build_parser, main, parse_map_spec,
+    _COMMON, _OPTIONS, _PROBE, COMMANDS, EXIT_BROKEN_PIPE, EXIT_INTERNAL, UsageError, Writer, main, parse_args,
+    parse_map_spec,
 )
 from tmcf.cf import AlphabetMapError
 from tmcf.words import WordRangeError
@@ -31,7 +32,7 @@ def run_cli(capsys, *argv):
 
 
 def run_cli_exit(capsys, *argv):
-    """Like run_cli, but an argparse rejection counts as its exit code."""
+    """Like run_cli, but the SystemExit of a parse error or of --help counts as its exit code."""
     try:
         code = main(list(argv))
     except SystemExit as exc:
@@ -698,13 +699,199 @@ def test_command_help_lists_the_options_of_its_table_entry(capsys, command):
     assert sorted(flags) == sorted({"-h", *_COMMON, *COMMANDS[command][2]})
 
 
-def test_build_parser_adds_the_options_of_its_command_alone():
-    parser = build_parser("cf")
-    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
-    flags = {name: [f for action in p._actions for f in action.option_strings] for name, p in sub.choices.items()}
-    assert list(flags) == list(COMMANDS)
-    assert flags.pop("cf") == ["-h", "--help", "--m", "--format", "--out", "--map", "--digits", "--convergents"]
-    assert all(f == ["-h", "--help"] for f in flags.values())
+def test_help_to_a_closed_stdout_still_exits_0(monkeypatch):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    for argv in (["--help"], ["verify-all", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+
+
+def test_parse_args_takes_the_options_of_its_command_alone(capsys):
+    args = parse_args(["cf", "--m", "2"])
+    assert list(vars(args)) == ["command", "m", "format", "out", "map_spec", "digits", "convergent_count"]
+    assert vars(args) == {"command": "cf", "m": 2, "format": "plain", "out": None, "map_spec": None, "digits": 12,
+                          "convergent_count": None}
+    # every option of another command alone is unknown to cf
+    others = {flag for name, (_, _, options) in COMMANDS.items() if name != "cf" for flag in options}
+    for flag in sorted(others.difference(_COMMON, COMMANDS["cf"][2])):
+        code, out, err = run_cli_exit(capsys, "cf", "--m", "2", flag, "1")
+        assert code == 2 and out == "", flag
+        assert err.splitlines()[-1] == f"tmcf cf: error: unrecognized arguments: {flag}"
+
+
+def _argparse_type(check):
+    """`check` as an argparse type: its UsageError becomes ArgumentTypeError."""
+    def convert(text):
+        try:
+            return check(text)
+        except UsageError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def argparse_oracle(command):
+    """The argparse parser the CLI used before `parse_args`, built from the
+    same tables: every subcommand of COMMANDS, with the options of `command`
+    alone."""
+    parser = argparse.ArgumentParser(prog="tmcf", description=cli._DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            for flag, keywords in {**dict.fromkeys(_COMMON, {}), **options}.items():
+                keywords = {**_OPTIONS.get(flag, {}), **keywords}
+                if "type" in keywords:
+                    keywords["type"] = _argparse_type(keywords["type"])
+                p.add_argument(flag, **keywords)
+    return parser
+
+
+def _parse_both(argv):
+    """(argparse's result, parse_args's result), each a dict of the parsed
+    values or None for a rejection that exits 2."""
+    results = []
+    for parse in (argparse_oracle(next((w for w in argv if not w.startswith("-")), None)).parse_args, parse_args):
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                results.append(vars(parse(argv)))
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, exc.code)
+            assert err.getvalue().startswith("usage: tmcf"), err.getvalue()
+            results.append(None)
+    return results
+
+
+# every command with every one of its options, and the forms of one option
+_ACCEPTED = [
+    ["gen", "--m", "2"],
+    ["gen", "--m", "3", "--format", "json-lines", "--out", "o.txt", "--len", "7", "--map", "0:2,1:3,2:1"],
+    ["verify-all", "--m", "5", "--format", "csv", "--out", "v.csv", "--len", "1000", "--n-max", "9",
+     "--a-max", "0", "--b-max", "3", "--digits", "4", "--map", "0:1", "--inject-flip", "-1"],
+    ["cf", "--m", "2", "--format", "plain", "--map", "0:1,1:2", "--digits", "30", "--convergents", "8"],
+    ["cf", "--map", "0:1,1:2"],
+    ["complexity", "--m", "3", "--len", "100", "--n-max", "5"],
+    ["period", "--m", "4", "--len", "100", "--a-max", "1", "--b-max", "2"],
+    ["palindrome", "--m", "2", "--len", "100", "--format", "json-lines"],
+    ["patterns", "--m", "3", "--len", "100", "--pattern", "1,1,0", "--k-max", "6"],
+    ["patterns", "--m", "3", "--pattern", ""],
+    # = values, the empty one included, prefixes, repeats
+    ["cf", "--m=2", "--conv", "3"],
+    ["cf", "--m=2", "--convergents=3", "--digits=4", "--map="],
+    ["verify-all", "--m", "2", "--a", "3", "--b=4", "--d", "5", "--i", "6", "--n", "7", "--l", "8"],
+    ["gen", "--m", "2", "--ma", "0:1", "--f=csv", "--o", "x", "--le", "3"],
+    ["gen", "--m", "2", "--m", "3", "--len", "4", "--len=5", "--format", "csv", "--fo", "plain"],
+    ["gen", "--len", "3", "--m", "2"],
+]
+
+# a missing --m, bad ints, a bad --format, an empty --out, unknown options,
+# words and commands, missing values
+_REJECTED = [
+    ["gen"],
+    ["gen", "--len", "3"],
+    ["gen", "--m", "1"],
+    ["gen", "--m", "x"],
+    ["gen", "--m="],
+    ["gen", "--m", "2", "--len", "0"],
+    ["gen", "--m", "2", "--len", "x"],
+    ["gen", "--m", "2", "--len", "3.0"],
+    ["gen", "--m", "2", "--len", "-3"],
+    ["verify-all", "--m", "2", "--a-max", "-1"],
+    ["verify-all", "--m", "2", "--inject-flip", "x"],
+    ["verify-all", "--m", "2", "--n-max", "0", "--b-max", "0"],
+    ["gen", "--m", "2", "--format", "xml"],
+    ["gen", "--m", "2", "--format="],
+    ["gen", "--m", "2", "--out", ""],
+    ["gen", "--m", "2", "--out="],
+    ["gen", "--m", "2", "--bogus", "1"],
+    ["gen", "--m", "2", "--convergents", "3"],
+    ["cf", "--m", "2", "--len", "3"],
+    ["gen", "--m", "2", "extra"],
+    ["gen", "--m", "2", "-x"],
+    ["gen", "--m", "2", "--"],
+    ["gen", "--m", "2", "--", "--len", "3"],
+    ["gen", "--m", "2", "--len"],
+    ["gen", "--m"],
+    ["gen", "--m", "2", "--help=x"],
+    [],
+    ["gne"],
+    ["--m", "2", "gen"],
+    ["--bogus"],
+    ["--bogus", "gen", "--m", "2"],
+]
+
+# values that begin with "-" and that argparse takes for an option: it
+# rejects each argv as a flag without a value, and parse_args reads the value
+_DASH_VALUES = [
+    (["gen", "--m", "2", "--map", "-1:2"], "map_spec", "-1:2"),
+    (["patterns", "--m", "3", "--pattern", "--len"], "pattern", "--len"),
+    (["gen", "--m", "2", "--out", "-o"], "out", "-o"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [pytest.param(argv, accepted, id=" ".join(argv) or "(none)")
+     for argvs, accepted in ((_ACCEPTED, True), (_REJECTED, False)) for argv in argvs],
+)
+def test_parse_args_agrees_with_argparse(argv, accepted):
+    oracle, parsed = _parse_both(argv)
+    assert parsed == oracle
+    assert (parsed is not None) == accepted
+
+
+@pytest.mark.parametrize("argv, dest, value", _DASH_VALUES)
+def test_parse_args_reads_the_word_after_a_flag_as_its_value(argv, dest, value):
+    oracle, parsed = _parse_both(argv)
+    assert oracle is None
+    assert parsed[dest] == value
+
+
+def test_parse_args_agrees_with_argparse_on_prefixes_of_two_flags(monkeypatch):
+    # no two flags of a command share a prefix, so one is added: --ma is then
+    # ambiguous, while --map, an exact name, still wins over the prefix
+    run, help_line, options = COMMANDS["gen"]
+    monkeypatch.setitem(COMMANDS, "gen", (run, help_line, {**options, "--map-out": {}}))
+    for argv in (["gen", "--m", "2", "--ma", "0:1"], ["gen", "--m", "2", "--map", "0:1"],
+                 ["gen", "--m", "2", "--map-", "x"], ["gen", "--m", "2", "--ma=0:1"]):
+        oracle, parsed = _parse_both(argv)
+        assert parsed == oracle, argv
+    assert parsed is None
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()) as err:
+        parse_args(["gen", "--m", "2", "--ma", "0:1"])
+    assert err.getvalue().splitlines()[-1] == "tmcf gen: error: ambiguous option: --ma could match --map, --map-out"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--m", "x"], "argument --m: modulus must be >= 2, got x"),
+        (["gen", "--m", "2", "--len", "x"], "argument --len: expected a positive integer, got x"),
+        (["gen", "--m", "2", "--len", "0"], "argument --len: expected a positive integer, got 0"),
+        (["period", "--m", "2", "--a-max", "x"], "argument --a-max: expected a nonnegative integer, got x"),
+        (["verify-all", "--m", "2", "--inject-flip", "1.5"], "argument --inject-flip: expected an integer, got 1.5"),
+    ],
+)
+def test_a_bad_value_is_reported_in_the_words_of_its_check(capsys, argv, message):
+    code, out, err = run_cli_exit(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: tmcf {argv[0]} [-h] --m M ")
+    assert error == f"tmcf {argv[0]}: error: {message}"
+
+
+@pytest.mark.parametrize("out", [["--out", ""], ["--out="]])
+def test_an_empty_out_path_is_a_usage_error(capsys, out):
+    code, written, err = run_cli_exit(capsys, "gen", "--m", "2", "--len", "3", *out)
+    assert code == 2
+    assert written == ""
+    assert err.splitlines()[-1] == "tmcf gen: error: argument --out: expected a file path, got ''"
 
 
 @pytest.mark.parametrize(
@@ -808,8 +995,8 @@ def test_verify_all_detects_injected_fault(capsys):
     assert "137" in failed[0]["detail"]
 
 
-def _verify_args(*argv: str) -> tuple[argparse.Namespace, cf.AlphabetMap]:
-    args = build_parser("verify-all").parse_args(["verify-all", *argv])
+def _verify_args(*argv: str) -> tuple[object, cf.AlphabetMap]:
+    args = parse_args(["verify-all", *argv])
     return args, cli._map_arg("", args.m)
 
 
@@ -1004,14 +1191,17 @@ def test_closed_stdout_pipe_ends_quietly():
 
 
 def test_cold_start_loads_no_dataclasses_inspect_or_csv():
-    # each of these modules adds milliseconds to the start of every run
+    # each of these modules adds milliseconds to the start of every run; the
+    # CLI parses its own options, since argparse loads gettext, whose first
+    # lookup loads locale, and getopt loads gettext too
     src = os.path.dirname(os.path.dirname(tmcf.__file__))
+    avoided = {"dataclasses", "inspect", "csv", "argparse", "getopt", "gettext", "locale"}
     code = (
         "import sys\n"
         "from tmcf import cli\n"
         "for fmt in ('plain', 'json-lines'):\n"
         "    cli.main(['gen', '--m', '2', '--len', '3', '--format', fmt])\n"
-        "print(sorted({'dataclasses', 'inspect', 'csv'}.intersection(sys.modules)))\n"
+        f"print(sorted({avoided!r}.intersection(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
@@ -1019,3 +1209,4 @@ def test_cold_start_loads_no_dataclasses_inspect_or_csv():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
