@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
@@ -177,14 +176,6 @@ class CertifiedDecimal(NamedTuple):
         return self.high - self.low
 
 
-def _round_half_even(num: int, den: int) -> int:
-    whole, rem = divmod(num, den)
-    twice = 2 * rem
-    if twice > den or (twice == den and whole % 2 == 1):
-        return whole + 1
-    return whole
-
-
 def _digits_text(k: int, width: int) -> str:
     """0 <= k < 10**width as exactly `width` decimal digits, zero-padded.
 
@@ -226,19 +217,17 @@ def _format_scaled(k: int, digits: int) -> str:
 class _Certification:
     """The rule behind every certified decimal: convergents are extended
     until consecutive ones differ by less than 10^-(digits+2) and both
-    interval endpoints agree on the emitted digits once reduced, so every
-    printed digit is guaranteed.  The default reduction truncates, which
-    makes shorter outputs prefixes of longer ones; half_even rounds the
-    last digit half to even instead."""
+    interval endpoints agree on the emitted digits once truncated, so every
+    printed digit is guaranteed and shorter outputs are prefixes of longer
+    ones."""
 
-    def __init__(self, digits: int, half_even: bool):
+    def __init__(self, digits: int):
         if digits < 1:
             raise ValueError("digits must be >= 1")
         self.digits = digits
         self.scale = 10 ** digits
         self.limit = 10 ** (digits + 2)
         self.limit_bits = self.limit.bit_length()
-        self.reduce = _round_half_even if half_even else operator.floordiv
 
     def close(self, q: int, q_prev: int) -> bool:
         # Consecutive convergents differ by exactly 1 / (q_{n-1} q_n).  For
@@ -253,21 +242,21 @@ class _Certification:
         """The certified decimal at this convergent, or None if it does not certify yet."""
         if pair.index < 2 or not self.close(pair.q, pair.q_prev):
             return None
-        k = self.reduce(pair.p * self.scale, pair.q)
-        if k != self.reduce(pair.p_prev * self.scale, pair.q_prev):
+        k = pair.p * self.scale // pair.q
+        if k != pair.p_prev * self.scale // pair.q_prev:
             return None
         low, high = bracket(pair)
         return CertifiedDecimal(_format_scaled(k, self.digits), self.digits, low, high, pair.index)
 
 
-def evaluate(quotients: Iterable[int], digits: int, half_even: bool = False) -> CertifiedDecimal:
+def evaluate(quotients: Iterable[int], digits: int) -> CertifiedDecimal:
     """Certified decimal expansion of alpha = [0; a_1, a_2, ...] to `digits` places.
 
     Steps the convergent recurrence one term at a time and stops at the
     first convergent that certifies (see `_Certification`); it serves any
     quotient stream and is the reference for `evaluate_tm`.
     """
-    rule = _Certification(digits, half_even)
+    rule = _Certification(digits)
     for pair in convergent_stream(quotients):
         result = rule.certify(pair)
         if result is not None:
@@ -320,7 +309,7 @@ class MoebiusMap(NamedTuple):
         return (x, y) if x <= y else (y, x)
 
 
-def evaluate_tm(amap: AlphabetMap, digits: int, half_even: bool = False) -> CertifiedDecimal:
+def evaluate_tm(amap: AlphabetMap, digits: int) -> CertifiedDecimal:
     """`evaluate` of the quotients amap(t_0), amap(t_1), ... of TM_m, from block products.
 
     TM_m is the fixed point of the m-uniform morphism phi, so the block
@@ -340,7 +329,7 @@ def evaluate_tm(amap: AlphabetMap, digits: int, half_even: bool = False) -> Cert
     passed m^k terms, so even a large m builds about as many terms as the
     certificate needs.
     """
-    rule = _Certification(digits, half_even)
+    rule = _Certification(digits)
     m = amap.m
     blocks: dict[tuple[int, int], MoebiusMap] = {}
 

@@ -1,5 +1,7 @@
 """Command-line front end: sequence generation, analyzers, continued
 fractions, and a one-shot verification suite with machine-readable output.
+Each command checks its arguments, calls the library (`verify-all` calls
+`verify.checks`) and writes the records it returns through `Writer`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or output
 that cannot be written (one `error:` line), 3 internal error (any other
@@ -23,19 +25,13 @@ import sys
 from types import SimpleNamespace
 from typing import IO, Callable, Iterable, Sequence
 
-from . import analysis, cf, tm
-from .words import FiniteWord, ModAlphabet
+from . import analysis, cf, tm, verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
-
-# Most terms or digit words that verify-all scans one by one in Python: the
-# congruence scan reads at most this many terms, and the recursion suite
-# exhausts the digit words of length k only where m^k stays within it.
-SCAN_CAP = 100_000
 
 
 class UsageError(Exception):
@@ -448,189 +444,10 @@ def cmd_patterns(args: SimpleNamespace, writer: Writer) -> int:
     return EXIT_OK
 
 
-def _verify_suites(args: SimpleNamespace, amap: cf.AlphabetMap) -> Iterable[tuple[str, str, bool, str]]:
-    """Yield (suite, property, passed, detail) for every check in the run."""
-    m, length = args.m, args.length
-
-    # The morphic prefix, read once (its lazy word is dropped at once) and
-    # checked once by FiniteWord: every check below reads this one object.
-    morphic = FiniteWord(tm.tm_morphic(m).word.symbols(length), ModAlphabet(m))
-    data = morphic.symbols  # bytes for m <= 256, else a tuple
-    mismatch = _first_digit_sum_mismatch(data, m, args.inject_flip)
-    yield (
-        "equivalence",
-        "digit-sum and morphic constructions agree termwise",
-        mismatch is None,
-        f"checked {length} terms" if mismatch is None else f"first mismatch at index {mismatch}",
-    )
-    cong_len = min(length, SCAN_CAP)
-    report = tm.check_congruences(m, cong_len, morphic)
-    yield (
-        "congruences",
-        "index scaling, unit steps, and block offsets all hold",
-        report.all_hold,
-        f"checked {cong_len} terms"
-        if report.all_hold
-        else f"violations: {report.scaling_violations[:3]} {report.step_violations[:3]} {report.block_violations[:3]}",
-    )
-    triple = tm.find_triple_repeat(morphic, length)
-    yield (
-        "congruences",
-        "no three consecutive equal terms",
-        triple is None,
-        f"checked {length} terms" if triple is None else f"triple repeat at index {triple}",
-    )
-
-    word_lengths = [k for k in (2, 3, 4) if m ** k <= SCAN_CAP]
-    exhaustive = all(tm.lemma_recursion_holds(m, k) for k in word_lengths)
-    yield (
-        "recursion",
-        "power-image indexing equals digit sums on all short digit words",
-        exhaustive,
-        f"digit words of length <= {word_lengths[-1]}",
-    )
-
-    a_max = min(args.a_max, max(0, (length - 1) // 4))
-    b_max = min(args.b_max, max(1, (length - a_max - 2) // 2 - 1))
-    witness = analysis.find_period(morphic, a_max, b_max, length)
-    yield (
-        "aperiodicity",
-        f"no eventual period with preperiod <= {a_max}, period <= {b_max}",
-        witness is None,
-        "no witness in box"
-        if witness is None
-        else f"witness preperiod={witness.preperiod} period={witness.period}",
-    )
-
-    if m == 2:
-        ladder = analysis.palindromic_prefixes(morphic, length)
-        got = [n for n in ladder.indices if n >= 3]
-        expected = []
-        power = 4
-        while power <= length:
-            expected.append(power - 1)
-            power *= 4
-        yield (
-            "palindromes",
-            "palindromic prefix ends at exactly the powers-of-four ladder",
-            got == expected,
-            f"ladder {got}",
-        )
-    else:
-        occurrences = analysis.find_pattern(morphic, [1, 1, 0], length)
-        yield (
-            "palindromes",
-            "factor 1,1,0 never occurs",
-            not occurrences,
-            f"checked {length} terms" if not occurrences else f"found at {occurrences[:3]}",
-        )
-        positions = analysis.predicted_011_positions(m, m + 4)
-        in_range = [q for q in positions if q + 2 < length]
-        confirmed = all(list(data[q:q + 3]) == [0, 1, 1] for q in in_range)
-        yield (
-            "palindromes",
-            "every predicted 0,1,1 position within the prefix is confirmed",
-            confirmed,
-            f"{len(in_range)} of {len(positions)} positions inside prefix",
-        )
-
-    n_max = min(args.n_max, length)
-    exact = analysis.tm_complexity(m, n_max)
-    # a prefix that holds phi^r of every pair holds every factor, so its
-    # counts must equal the exact ones; a shorter prefix can only miss factors
-    covering = _covering_length(morphic, m ** exact.power)
-    prefix = analysis.complexity(morphic, n_max, covering or length)
-    if covering:
-        relation, off = "==", [n for n, p in prefix.table.items() if p != exact.p(n)]
-    else:
-        relation, off = "<=", [n for n, p in prefix.table.items() if p > exact.p(n)]
-    detail = (
-        f"r={exact.power}, {exact.windows} windows, max ratio {exact.max_ratio()}; "
-        f"{prefix.prefix_length}-term prefix counts {relation} exact"
-    )
-    if exact.violations:
-        detail += f"; violated at n={exact.violations[:3]}"
-    if off:
-        detail += f"; prefix counts off at n={off[:3]}"
-    yield (
-        "complexity",
-        f"p(n) <= {exact.bound_factor} * n for n <= {n_max}, exact on TM_{m}",
-        not exact.violations and not off,
-        detail,
-    )
-
-    count = min(1000, max(2, length))
-    _, ps, qs = zip(*cf.tm_convergent_rows(amap, count))
-    # p_n q_(n-1) - p_(n-1) q_n, from p_0 = 0 and q_0 = 1
-    determinants = map(operator.sub, map(operator.mul, ps, (1, *qs)), map(operator.mul, (0, *ps), qs))
-    det_ok = list(determinants) == [1, -1] * (count // 2) + [1] * (count % 2)
-    # a determinant of +-1 proves gcd(p_n, q_n) = 1 (Bezout), so gcd runs only when one is off
-    cop_ok = det_ok or all(g == 1 for g in map(math.gcd, ps, qs))
-    yield (
-        "convergents",
-        "determinants alternate +-1 and convergents stay coprime",
-        det_ok and cop_ok,
-        f"first {count} convergents",
-    )
-    short = cf.evaluate_tm(amap, args.digits)
-    longer = cf.evaluate_tm(amap, args.digits + 6)
-    yield (
-        "convergents",
-        "certified decimal is prefix-stable across digit targets",
-        longer.text.startswith(short.text),
-        f"{short.text} vs {longer.text}",
-    )
-
-
-def _first_digit_sum_mismatch(data: Sequence[int], m: int, flip: int | None) -> int | None:
-    """The first index where the digit-sum construction disagrees with the
-    prefix `data` of the morphic one, or None: each chunk of
-    `tm.digit_sum_chunks` is compared in place (`bytes.startswith`, or a
-    tuple compare above 256 symbols), and no digit-sum prefix is kept.
-
-    With `flip`, the term at that index is changed to t + 1 (mod m) in
-    the one chunk that holds it, as a fault to detect.
-    """
-    start = 0
-    for chunk in tm.digit_sum_chunks(m):
-        end = min(start + len(chunk), len(data))
-        if end - start < len(chunk):
-            chunk = chunk[:end - start]
-        if flip is not None and start <= flip < end:
-            chunk = bytearray(chunk) if m <= 256 else list(chunk)
-            chunk[flip - start] = (chunk[flip - start] + 1) % m
-        if not (data.startswith(chunk, start) if m <= 256 else data[start:end] == tuple(chunk)):
-            return start + tm.first_mismatch(chunk, data[start:end])
-        if end == len(data):
-            return None
-        start = end
-
-
-def _covering_length(word: FiniteWord, block: int) -> int | None:
-    """(i + 2) * block, where i is the last first occurrence of any of the
-    m^2 pairs in the word, if that is at most its length.
-
-    With block = m^r, phi^r(t_i t_{i+1}) ends there, so that prefix holds
-    every factor of length <= block + 1.  None when a pair is missing from
-    the word, when the prefix would be longer, or when m > 256, whose
-    terms are not packed.
-    """
-    m, data = word.m, word.symbols
-    if m > 256:
-        return None
-    last = 0
-    for pair in itertools.product(range(m), repeat=2):  # (0, 0) first: a repeat shows up last
-        pos = data.find(bytes(pair))
-        if pos < 0:
-            return None
-        last = max(last, pos)
-    covering = (last + 2) * block
-    return covering if covering <= len(data) else None
-
-
 def cmd_verify_all(args: SimpleNamespace, writer: Writer) -> int:
-    if args.m ** 2 > SCAN_CAP:
-        raise UsageError(f"verify-all needs --m <= {math.isqrt(SCAN_CAP)} (m^2 <= {SCAN_CAP}), got {args.m}")
+    if args.m ** 2 > verify.SCAN_CAP:
+        raise UsageError(
+            f"verify-all needs --m <= {math.isqrt(verify.SCAN_CAP)} (m^2 <= {verify.SCAN_CAP}), got {args.m}")
     # the congruence scan needs m terms and the period search needs 3
     min_length = max(args.m, 3)
     if args.length < min_length:
@@ -639,24 +456,14 @@ def cmd_verify_all(args: SimpleNamespace, writer: Writer) -> int:
         raise UsageError(f"--inject-flip must be in [0, {args.length}), got {args.inject_flip}")
     amap = _map_arg(args.map_spec or "", args.m)
     failures = 0
-    for suite, prop, passed, detail in _verify_suites(args, amap):
-        record = {
-            "suite": suite,
-            "property": prop,
-            "status": "pass" if passed else "FAIL",
-            "detail": detail,
-        }
-        writer.emit(record)
-        if not passed:
-            failures += 1
-    writer.emit(
-        {
-            "suite": "summary",
-            "property": "all checks",
-            "status": "pass" if failures == 0 else "FAIL",
-            "detail": f"{failures} failing checks",
-        }
-    )
+    for suite, prop, passed, detail in verify.checks(
+        args.m, args.length, amap, n_max=args.n_max, a_max=args.a_max, b_max=args.b_max, digits=args.digits,
+        inject_flip=args.inject_flip,
+    ):
+        writer.emit({"suite": suite, "property": prop, "status": "pass" if passed else "FAIL", "detail": detail})
+        failures += not passed
+    writer.emit({"suite": "summary", "property": "all checks", "status": "pass" if failures == 0 else "FAIL",
+                 "detail": f"{failures} failing checks"})
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
@@ -665,14 +472,14 @@ def cmd_verify_all(args: SimpleNamespace, writer: Writer) -> int:
 # "dest", its name in the parsed arguments (else the flag's, - as _); "help"
 _OPTIONS = {
     "--m": {"type": _modulus, "required": True, "help": "alphabet modulus (>= 2)"},
-    "--format": {"choices": ["plain", "json-lines", "csv"], "default": "plain"},
+    "--format": {"choices": ["plain", "json-lines", "csv"], "default": "plain", "help": "output format"},
     "--out": {"type": _path, "help": "output path (default stdout)"},
-    "--len": {"dest": "length", "type": _positive},
-    "--map": {"dest": "map_spec"},
-    "--n-max": {"type": _positive},
-    "--a-max": {"type": _nonnegative, "default": 50},
-    "--b-max": {"type": _positive},
-    "--digits": {"type": _positive, "default": 12},
+    "--len": {"dest": "length", "type": _positive, "help": "number of terms"},
+    "--map": {"dest": "map_spec", "help": "symbol:value,... quotient map"},
+    "--n-max": {"type": _positive, "help": "longest factor length counted"},
+    "--a-max": {"type": _nonnegative, "default": 50, "help": "longest preperiod searched"},
+    "--b-max": {"type": _positive, "help": "longest period searched"},
+    "--digits": {"type": _positive, "default": 12, "help": "certified decimal places"},
 }
 _COMMON = ("--m", "--format", "--out")  # the options every command takes, first
 
@@ -680,15 +487,15 @@ _COMMON = ("--m", "--format", "--out")  # the options every command takes, first
 # of its _OPTIONS entry, and the command takes the _COMMON options before them
 COMMANDS: dict[str, tuple[Callable[[SimpleNamespace, Writer], int], str, dict[str, dict]]] = {
     "gen": (cmd_gen, "emit the first L terms of the sequence", {
-        "--len": {"default": 32}, "--map": {"help": "symbol:value,... quotient map"},
+        "--len": {"default": 32}, "--map": {},
     }),
     "verify-all": (cmd_verify_all, "run every verification suite", {
         "--len": {"default": 100_000}, "--n-max": {"default": 200}, "--a-max": {}, "--b-max": {"default": 400},
         "--digits": {}, "--map": {}, "--inject-flip": {"type": _integer, "help": "corrupt one term (fault-injection demo)"},
     }),
     "cf": (cmd_cf, "convergent table and certified decimal", {
-        "--m": {"required": False}, "--map": {}, "--digits": {"help": "certified decimal places"},
-        "--convergents": {"dest": "convergent_count", "type": _positive},
+        "--m": {"required": False}, "--map": {}, "--digits": {},
+        "--convergents": {"dest": "convergent_count", "type": _positive, "help": "convergent rows written first"},
     }),
     "complexity": (cmd_complexity, "distinct-factor profile and ratio diagnostic", {
         "--len": {"default": 10_000}, "--n-max": {"default": 100},
@@ -698,7 +505,8 @@ COMMANDS: dict[str, tuple[Callable[[SimpleNamespace, Writer], int], str, dict[st
     }),
     "palindrome": (cmd_palindrome, "palindromic prefix ladder", {"--len": {"default": 10_000}}),
     "patterns": (cmd_patterns, "factor occurrences and predicted 0,1,1 positions", {
-        "--len": {"default": 10_000}, "--pattern": {"help": "comma-separated symbols"}, "--k-max": {"type": _positive},
+        "--len": {"default": 10_000}, "--pattern": {"help": "comma-separated symbols"}, "--k-max": {
+            "type": _positive, "help": "largest k of the predicted 0,1,1 positions (default m + 4)"},
     }),
 }
 _DESCRIPTION = "Generalized Thue-Morse sequences, their combinatorics, and exact continued fractions."
@@ -727,13 +535,15 @@ def _usage(command: str | None) -> str:
 
 def _help(command: str | None) -> str:
     """The usage line, a description, and one line for -h and each command
-    (top level) or each option (a command), indented by two spaces."""
+    (top level) or each option (a command), indented by two spaces; an
+    option's line ends with its default, if it has one."""
     if command is None:
         description = _DESCRIPTION
         rows = [(name, help_line) for name, (_, help_line, _) in COMMANDS.items()]
     else:
         description = COMMANDS[command][1]
-        rows = [(f"{flag} {_metavar(keywords)}", keywords.get("help", ""))
+        rows = [(f"{flag} {_metavar(keywords)}", keywords.get("help", "") + (
+                    "" if keywords.get("default") is None else f" (default: {keywords['default']})"))
                 for flag, keywords in _option_table(command).items()]
     rows.insert(0, ("-h, --help", "show this help message and exit"))
     width = max(len(name) for name, _ in rows)

@@ -241,15 +241,6 @@ def test_evaluate_deterministic():
     assert a.terms_used == b.terms_used
 
 
-def test_evaluate_half_even_rounds_up():
-    # truncation and rounding differ exactly when the tail digits force a carry
-    truncated = evaluate(tm_quotients(2), 12)
-    rounded = evaluate(tm_quotients(2), 12, half_even=True)
-    assert truncated.text == "0.703042687325"
-    assert rounded.text == "0.703042687326"
-    assert evaluate(ones(), 10, half_even=True).text == "0.6180339887"
-
-
 def test_evaluate_rejects_bad_digits():
     with pytest.raises(ValueError):
         evaluate(ones(), 0)
@@ -258,24 +249,20 @@ def test_evaluate_rejects_bad_digits():
             evaluate_tm(AlphabetMap.identity_shift(2), digits)
 
 
-def fraction_evaluate(quotients, digits, half_even):
+def fraction_evaluate(quotients, digits):
     """Reference certification in Fraction arithmetic: stop at the first
     n >= 2 where convergents n-1 and n are closer than 10^-(digits+2) and
-    agree once scaled by 10^digits and truncated (or rounded half-even)."""
+    agree once scaled by 10^digits and truncated."""
     scale = 10 ** digits
     gap = Fraction(1, 10 ** (digits + 2))
-
-    def reduce(x):
-        return round(x * scale) if half_even else math.floor(x * scale)
-
     p_prev, p, q_prev, q = 1, 0, 0, 1
     prev = None
     for n, a in enumerate(quotients, start=1):
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
         cur = Fraction(p, q)
-        if prev is not None and abs(cur - prev) < gap and reduce(cur) == reduce(prev):
-            k = reduce(cur)
+        k = math.floor(cur * scale)
+        if prev is not None and abs(cur - prev) < gap and k == math.floor(prev * scale):
             text = f"{k // scale}." + str(k % scale).rjust(digits, "0")
             return text, n, min(prev, cur), max(prev, cur)
         prev = cur
@@ -299,19 +286,17 @@ def fields(result):
 def test_evaluate_matches_fraction_reference():
     for amap in REFERENCE_MAPS:
         for digits in (1, 2, 5, 12, 41, 150):
-            for half_even in (False, True):
-                got = evaluate(tm_quotients(amap.m, amap), digits, half_even=half_even)
-                want = fraction_evaluate(tm_quotients(amap.m, amap), digits, half_even)
-                assert fields(got) == want, (amap, digits, half_even)
+            got = evaluate(tm_quotients(amap.m, amap), digits)
+            want = fraction_evaluate(tm_quotients(amap.m, amap), digits)
+            assert fields(got) == want, (amap, digits)
 
 
 def test_evaluate_tm_matches_evaluate_and_fraction_reference():
     for amap in REFERENCE_MAPS:
         for digits in (1, 2, 5, 12, 41, 150):
-            for half_even in (False, True):
-                got = fields(evaluate_tm(amap, digits, half_even=half_even))
-                assert got == fields(evaluate(tm_quotients(amap.m, amap), digits, half_even=half_even))
-                assert got == fraction_evaluate(tm_quotients(amap.m, amap), digits, half_even)
+            got = fields(evaluate_tm(amap, digits))
+            assert got == fields(evaluate(tm_quotients(amap.m, amap), digits))
+            assert got == fraction_evaluate(tm_quotients(amap.m, amap), digits)
 
 
 @settings(max_examples=150, deadline=None)
@@ -320,10 +305,9 @@ def test_evaluate_tm_matches_evaluate_on_random_maps(data):
     m = data.draw(st.integers(2, 7), label="m")
     image = data.draw(st.lists(st.integers(1, 60), min_size=m, max_size=m, unique=True), label="image")
     digits = data.draw(st.integers(1, 300), label="digits")
-    half_even = data.draw(st.booleans(), label="half_even")
     amap = AlphabetMap(m, dict(enumerate(image)))
-    got = evaluate_tm(amap, digits, half_even=half_even)
-    assert fields(got) == fields(evaluate(tm_quotients(m, amap), digits, half_even=half_even))
+    got = evaluate_tm(amap, digits)
+    assert fields(got) == fields(evaluate(tm_quotients(m, amap), digits))
 
 
 def test_evaluate_tm_past_the_int_str_digit_limit():

@@ -4,7 +4,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import os
 import random
 import re
@@ -16,7 +15,7 @@ import pytest
 
 from conftest import oracle_digit_sum
 import tmcf
-from tmcf import analysis, cf, cli, tm
+from tmcf import analysis, cf, cli
 from tmcf.cli import (
     _COMMON, _OPTIONS, _PROBE, COMMANDS, EXIT_BROKEN_PIPE, EXIT_INTERNAL, UsageError, Writer, main, parse_args,
     parse_map_spec,
@@ -557,34 +556,6 @@ def test_cf_convergents_past_the_int_str_digit_limit(capsys):
     assert json.loads(lines[-1])["kind"] == "decimal"
 
 
-def test_verify_all_fails_on_a_wrong_convergent(capsys, monkeypatch):
-    # gcd(p_n, q_n) = 1 follows from determinants of +-1: it is computed
-    # only when one is off, here at n = 500 and 501
-    rows = cf.tm_convergent_rows
-    table = {n: (p, q) for n, p, q in rows(cf.AlphabetMap(2), 1000)}
-    gcd_args = []
-    gcd = math.gcd
-    monkeypatch.setattr(math, "gcd", lambda *args: gcd_args.append(args) or gcd(*args))
-    argv = ["verify-all", "--m", "2", "--len", "5000", "--n-max", "30", "--format", "json-lines"]
-
-    def convergents_record():
-        records = [json.loads(line) for line in out.splitlines()]
-        return [r for r in records if r["property"].startswith("determinants")]
-
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert convergents_record() == [{"suite": "convergents", "property": "determinants alternate +-1 and convergents stay coprime",
-                                     "status": "pass", "detail": "first 1000 convergents"}]
-    assert table[500] not in gcd_args
-
-    monkeypatch.setattr(cf, "tm_convergent_rows", lambda amap, count: (
-        (n, p, q + (n == 500)) for n, p, q in rows(amap, count)))
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 1
-    assert [r["status"] for r in convergents_record()] == ["FAIL"]
-    assert (table[500][0], table[500][1] + 1) in gcd_args
-
-
 def test_complexity_command(capsys):
     code, out, _ = run_cli(
         capsys, "complexity", "--m", "2", "--len", "16384", "--n-max", "5", "--format", "json-lines"
@@ -697,6 +668,12 @@ def test_command_help_lists_the_options_of_its_table_entry(capsys, command):
     assert err == ""
     flags = re.findall(r"^  (-[-\w]+)", out, re.MULTILINE)
     assert sorted(flags) == sorted({"-h", *_COMMON, *COMMANDS[command][2]})
+    # each option has a help text, and its line ends with its default, if it has one
+    lines = {line.split()[0]: line for line in out.splitlines() if line.startswith("  --")}
+    for flag, keywords in cli._option_table(command).items():
+        assert keywords.get("help"), flag
+        default = keywords.get("default")
+        assert lines[flag].endswith(f"(default: {default})") == (default is not None), lines[flag]
 
 
 def test_help_to_a_closed_stdout_still_exits_0(monkeypatch):
@@ -995,49 +972,6 @@ def test_verify_all_detects_injected_fault(capsys):
     assert "137" in failed[0]["detail"]
 
 
-def _verify_args(*argv: str) -> tuple[object, cf.AlphabetMap]:
-    args = parse_args(["verify-all", *argv])
-    return args, cli._map_arg("", args.m)
-
-
-# (m, length, flips): the chunks of digit_sum_chunks end at every power of m
-# up to 2^16 and then every 2^16 terms (m = 2), every 3^10 terms from 3^10
-# on (m = 3), and every 8192 terms (m = 300)
-@pytest.mark.parametrize("m, length, flips", [
-    (2, 140_000, (0, 1, 2, 3, 1023, 1024, 65_535, 65_536, 131_071, 131_072, 139_999)),
-    (3, 130_000, (0, 1, 2, 3, 19_682, 19_683, 39_365, 59_048, 59_049, 118_097, 118_098, 129_999)),
-    (300, 20_000, (0, 299, 300, 8191, 8192, 16_383, 16_384, 19_999)),
-])
-def test_equivalence_flips_at_chunk_edges(m, length, flips):
-    # the streamed check against first_mismatch on the two fully built prefixes
-    digit_sums = tm.tm_digit_sum_sequence(m).word.symbols(length)
-    morphic = tm.tm_morphic(m).word.symbols(length)
-    for flip in (None, *flips):
-        expected = list(digit_sums)
-        if flip is not None:
-            expected[flip] = (expected[flip] + 1) % m
-        mismatch = tm.first_mismatch(expected, list(morphic))
-        assert mismatch == flip
-        argv = ["--m", str(m), "--len", str(length)] + ([] if flip is None else ["--inject-flip", str(flip)])
-        suite, _, passed, detail = next(cli._verify_suites(*_verify_args(*argv)))
-        assert (suite, passed) == ("equivalence", flip is None)
-        assert detail == (f"checked {length} terms" if flip is None else f"first mismatch at index {mismatch}")
-
-
-def test_verify_suites_read_one_prefix():
-    # at 10^6 terms of TM_2 the morphic prefix (1 MB) and, while it is read,
-    # the lazy word's cache are the only buffers of the prefix's size: no
-    # digit-sum prefix and no copy per check (three of them peaked at 3.06 MB)
-    tracemalloc.start()
-    try:
-        records = list(cli._verify_suites(*_verify_args("--m", "2", "--len", "1000000")))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert all(passed for _, _, passed, _ in records)
-    assert peak < 2.5 * 2 ** 20, peak
-
-
 @pytest.mark.parametrize(
     "m, length, n_max, detail",
     [
@@ -1056,29 +990,6 @@ def test_verify_all_counts_factors_exactly(capsys, m, length, n_max, detail):
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     assert [r["detail"] for r in records if r["suite"] == "complexity"] == [detail]
-
-
-@pytest.mark.parametrize("length", ["20000", "100"])
-@pytest.mark.parametrize("delta", [-1, 1])
-def test_verify_all_fails_on_a_wrong_exact_count(capsys, monkeypatch, length, delta):
-    exact = analysis.tm_complexity
-
-    def miscount(m, n_max):
-        profile = exact(m, n_max)
-        return profile._replace(table={n: p + delta for n, p in profile.table.items()})
-
-    monkeypatch.setattr(analysis, "tm_complexity", miscount)
-    code, out, _ = run_cli(capsys, "verify-all", "--m", "2", "--len", length, "--n-max", "50", "--format", "json-lines")
-    records = [json.loads(line) for line in out.splitlines()]
-    failed = [r for r in records if r["status"] == "FAIL"]
-    if length == "100" and delta == 1:
-        # a 100-term prefix is shorter than the 448 that hold every factor:
-        # it can only bound the counts from below, and an overcount passes
-        assert code == 0 and not failed
-        return
-    assert code == 1
-    assert [r["suite"] for r in failed] == ["complexity", "summary"]
-    assert "prefix counts off at n=[1, 2, 3]" in failed[0]["detail"]
 
 
 def test_verify_all_json_roundtrip(capsys):

@@ -1,0 +1,120 @@
+import io
+import json
+import math
+import tracemalloc
+
+import pytest
+
+from tmcf import analysis, cf, cli, tm, verify
+
+# the defaults of `tmcf verify-all`
+DEFAULTS = {"n_max": 200, "a_max": 50, "b_max": 400, "digits": 12}
+
+
+def run_checks(m, length, inject_flip=None, **limits):
+    return list(verify.checks(m, length, cf.AlphabetMap(m), **{**DEFAULTS, **limits}, inject_flip=inject_flip))
+
+
+# (m, length, flips): the chunks of digit_sum_chunks end at every power of m
+# up to 2^16 and then every 2^16 terms (m = 2), every 3^10 terms from 3^10
+# on (m = 3), and every 8192 terms (m = 300)
+@pytest.mark.parametrize("m, length, flips", [
+    (2, 140_000, (0, 1, 2, 3, 1023, 1024, 65_535, 65_536, 131_071, 131_072, 139_999)),
+    (3, 130_000, (0, 1, 2, 3, 19_682, 19_683, 39_365, 59_048, 59_049, 118_097, 118_098, 129_999)),
+    (300, 20_000, (0, 299, 300, 8191, 8192, 16_383, 16_384, 19_999)),
+])
+def test_equivalence_flips_at_chunk_edges(m, length, flips):
+    # the streamed check against first_mismatch on the two fully built prefixes
+    digit_sums = tm.tm_digit_sum_sequence(m).word.symbols(length)
+    morphic = tm.tm_morphic(m).word.symbols(length)
+    for flip in (None, *flips):
+        expected = list(digit_sums)
+        if flip is not None:
+            expected[flip] = (expected[flip] + 1) % m
+        mismatch = tm.first_mismatch(expected, list(morphic))
+        assert mismatch == flip
+        checks = verify.checks(m, length, cf.AlphabetMap(m), **DEFAULTS, inject_flip=flip)
+        suite, _, passed, detail = next(checks)
+        assert (suite, passed) == ("equivalence", flip is None)
+        assert detail == (f"checked {length} terms" if flip is None else f"first mismatch at index {mismatch}")
+
+
+def test_checks_read_one_prefix():
+    # at 10^6 terms of TM_2 the morphic prefix (1 MB) and, while it is read,
+    # the lazy word's cache are the only buffers of the prefix's size: no
+    # digit-sum prefix and no copy per check (three of them peaked at 3.06 MB)
+    tracemalloc.start()
+    try:
+        records = run_checks(2, 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(passed for _, _, passed, _ in records)
+    assert peak < 2.5 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("length", [20000, 100])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_checks_fail_on_a_wrong_exact_count(monkeypatch, length, delta):
+    exact = analysis.tm_complexity
+
+    def miscount(m, n_max):
+        profile = exact(m, n_max)
+        return profile._replace(table={n: p + delta for n, p in profile.table.items()})
+
+    monkeypatch.setattr(analysis, "tm_complexity", miscount)
+    failed = [(suite, detail) for suite, _, passed, detail in run_checks(2, length, n_max=50) if not passed]
+    if length == 100 and delta == 1:
+        # a 100-term prefix is shorter than the 448 that hold every factor:
+        # it can only bound the counts from below, and an overcount passes
+        assert not failed
+        return
+    assert [suite for suite, _ in failed] == ["complexity"]
+    assert "prefix counts off at n=[1, 2, 3]" in failed[0][1]
+
+
+def test_checks_fail_on_a_wrong_convergent(monkeypatch):
+    # gcd(p_n, q_n) = 1 follows from determinants of +-1: it is computed
+    # only when one is off, here at n = 500 and 501
+    rows = cf.tm_convergent_rows
+    table = {n: (p, q) for n, p, q in rows(cf.AlphabetMap(2), 1000)}
+    gcd_args = []
+    gcd = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: gcd_args.append(args) or gcd(*args))
+
+    def convergents_record(records):
+        return [r for r in records if r[1].startswith("determinants")]
+
+    records = run_checks(2, 5000, n_max=30)
+    assert all(passed for _, _, passed, _ in records)
+    assert convergents_record(records) == [("convergents", "determinants alternate +-1 and convergents stay coprime",
+                                            True, "first 1000 convergents")]
+    assert table[500] not in gcd_args
+
+    monkeypatch.setattr(cf, "tm_convergent_rows", lambda amap, count: (
+        (n, p, q + (n == 500)) for n, p, q in rows(amap, count)))
+    records = run_checks(2, 5000, n_max=30)
+    assert not all(passed for _, _, passed, _ in records)
+    assert [passed for _, _, passed, _ in convergents_record(records)] == [False]
+    assert (table[500][0], table[500][1] + 1) in gcd_args
+
+
+@pytest.mark.parametrize("m, length, flip", [
+    (2, 5000, None), (2, 5000, 137), (3, 4000, None), (3, 4000, 1000), (300, 20_000, None), (300, 20_000, 8192),
+])
+def test_verify_all_writes_what_checks_yield(capsys, m, length, flip):
+    # the CLI's records are the library's tuples, rendered by Writer, and one summary
+    argv = ["verify-all", "--m", str(m), "--len", str(length), "--format", "json-lines"]
+    code = cli.main(argv + ([] if flip is None else ["--inject-flip", str(flip)]))
+    out = capsys.readouterr().out
+    stream = io.StringIO()
+    writer = cli.Writer(stream, "json-lines")
+    failures = 0
+    for suite, prop, passed, detail in run_checks(m, length, flip):
+        writer.emit({"suite": suite, "property": prop, "status": "pass" if passed else "FAIL", "detail": detail})
+        failures += not passed
+    writer.emit({"suite": "summary", "property": "all checks", "status": "FAIL" if failures else "pass",
+                 "detail": f"{failures} failing checks"})
+    assert out == stream.getvalue()
+    assert (code, failures) == ((0, 0) if flip is None else (1, 1))
+    assert json.loads(out.splitlines()[0])["status"] == ("pass" if flip is None else "FAIL")
