@@ -2,10 +2,13 @@
 palindromic prefixes, and factor occurrence tooling.
 
 All analyzers only read a materialized prefix, so distinct analyses can
-run concurrently over the same sequence.  Most scan every position.
-`complexity` reads a prefix that repeats its aligned blocks, as a prefix
-of TM_m does, from its distinct block pairs and its tail
-(`_block_pair_windows`), and scans every window of any other prefix.
+run concurrently over the same sequence.  Most scan every position.  A
+prefix that repeats its aligned blocks (`tm._repeated_blocks`), as a
+prefix of TM_m does, is read from its distinct block pairs and its tail
+instead: `complexity` builds its windows there (`_block_pair_windows`),
+and `find_pattern` decides there that a factor is absent
+(`tm._factor_cover`).  Any other prefix is scanned whole, and so is one
+that holds the factor looked for, to list where.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
-from .tm import Word, _prefix_of, tm_digit_sum, tm_digit_sum_sequence
+from .tm import Word, _factor_cover, _prefix_of, _repeated_blocks, tm_digit_sum, tm_digit_sum_sequence
 from .words import FiniteWord, ModAlphabet, WordRangeError
 
 
@@ -86,44 +89,24 @@ def _power_exponent(m: int, n_max: int) -> int:
     return r
 
 
-# `_block_pair_windows` checks the blocks against at most this many bytes
-# of expected blocks at a time.
-_CHECK_BYTES = 1 << 16
-
-
 def _block_pair_windows(data: bytes, symbols: Sequence[int], n_max: int, width: int,
                         size: int) -> set[bytes] | None:
     """The window set of `_prefix_windows`, read from aligned block pairs;
-    None when the prefix does not repeat its blocks.
+    None when the prefix does not repeat its blocks of `size` >= n_max - 1
+    symbols (`_repeated_blocks`, which states the precondition, checks it
+    on the prefix's own bytes, and shows why the windows of the distinct
+    pair spans and of the tail are exactly the prefix's window set).
 
-    Cut the prefix into Q = len(symbols) // size aligned blocks of `size`
-    >= n_max - 1 symbols.  The precondition, checked on the prefix's own
-    bytes, is Q >= 2, size >= 2, and that each block q < Q equals the
-    block at the first q' with t_q' = t_q; TM_m = phi^r(TM_m) has it at
-    size = m^r, since its block q is phi^r(t_q).  Then a window that starts before
-    (Q - 1) * size lies, at an offset below `size`, in the span of the
-    blocks of a pair t_q t_{q+1}, q <= Q - 2.  Those of the distinct
-    pairs, plus `_prefix_windows` of the tail from (Q - 1) * size (fewer
-    than 2 * size symbols), are exactly the prefix's window set.  A window
-    that ends inside block a does not depend on the pair's b, so it is
-    built once per label a; only the n_max - 1 windows that cross into
-    block b are built per pair.
+    A window that ends inside block a does not depend on the pair's b, so
+    it is built once per label a; only the n_max - 1 windows that cross
+    into block b are built per pair.
     """
-    count = len(symbols) // size
-    if count < 2 or size < 2:  # blocks of one symbol save nothing over the scan
+    blocks = _repeated_blocks(data, symbols, size, width)
+    if blocks is None:
         return None
+    count = len(symbols) // size
     labels = symbols[:count]
     stride = size * width
-    step = max(_CHECK_BYTES // stride, 1)
-    blocks: dict[int, bytes] = {}
-    for q in range(0, count, step):
-        chunk = labels[q:q + step]
-        for a in set(chunk).difference(blocks):  # at most m labels; a block holds >= m symbols
-            k = q + chunk.index(a)
-            blocks[a] = data[k * stride:(k + 1) * stride]
-        # startswith compares in place: no slice of the prefix is copied
-        if not data.startswith(b"".join(map(blocks.__getitem__, chunk)), q * stride):
-            return None
     full = n_max * width  # bytes of a window
     cross = stride - full + width  # bytes of block a before its first crossing window
     pairs = set(zip(labels, labels[1:]))
@@ -193,8 +176,8 @@ def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityP
     a packed prefix (m <= 256) is read as it is.  A prefix that repeats
     its blocks of m^r symbols, r the least with m^r >= n_max - 1, as every
     prefix of TM_m does, gives its windows from its distinct aligned block
-    pairs and its tail (`_block_pair_windows`, which states the exact
-    precondition and checks it on the prefix): ~0.01 s for 10^6 packed
+    pairs and its tail (`_block_pair_windows`; `tm._repeated_blocks`
+    states the exact precondition and checks it): ~0.01 s for 10^6 packed
     terms of TM_5 at n_max = 200.  Any other prefix, a random or a flipped one, or
     one shorter than two blocks, has every window sliced and hashed
     (`_prefix_windows`); a word whose windows are all distinct keeps every
@@ -379,7 +362,14 @@ _HEAD = 64
 
 
 def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: int | None = None) -> list[int]:
-    """All start indices of a factor, over the word's alphabet, inside the prefix."""
+    """All start indices of a factor, over the word's alphabet, inside the prefix.
+
+    Over m <= 256 symbols a prefix that repeats its blocks, as TM_m's
+    prefixes do, is found free of the factor in its `_factor_cover` (a
+    few KB at small m); a factor the cover holds, or any other prefix, is
+    scanned for with `bytes.find` over the whole prefix, which lists
+    every occurrence.
+    """
     symbols, m = _prefix_of(word, length)
     pat = _prefix_of(pattern, None, m)[0]
     if not pat:
@@ -390,6 +380,9 @@ def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: 
         pat = tuple(pat)
         return [i for i in range(len(symbols) - len(pat) + 1) if tuple(symbols[i:i + len(pat)]) == pat]
     out = []
+    cover = _factor_cover(symbols, m, len(pat))
+    if cover is not None and pat not in cover:
+        return out
     pos = symbols.find(pat)
     while pos != -1:
         out.append(pos)

@@ -276,15 +276,92 @@ def _congruences_hold(t: bytes, m: int, length: int) -> bool:
 
 
 def find_triple_repeat(word: Word, length: int | None = None) -> int | None:
-    """First index j with t_j = t_{j+1} = t_{j+2}, or None (expected for TM_m)."""
+    """First index j with t_j = t_{j+1} = t_{j+2}, or None (expected for TM_m).
+
+    Over m <= 256 symbols a prefix that repeats its blocks, as TM_m's
+    prefixes do, is found free of the m runs s, s, s in its
+    `_factor_cover` (a few KB at small m); any other prefix, or one whose
+    cover holds a run, is scanned whole with `bytes.find`, which names
+    the first index.
+    """
     symbols, m = _prefix_of(word, length)
     if m <= 256:
-        found = (symbols.find(bytes((s, s, s))) for s in range(m))
+        runs = [bytes((s, s, s)) for s in range(m)]
+        cover = _factor_cover(symbols, m, 3)
+        if cover is not None and not any(map(cover.__contains__, runs)):
+            return None
+        found = (symbols.find(run) for run in runs)
         return min((pos for pos in found if pos >= 0), default=None)
     for j in range(len(symbols) - 2):
         if symbols[j] == symbols[j + 1] == symbols[j + 2]:
             return j
     return None
+
+
+# `_repeated_blocks` checks the blocks against at most this many bytes of
+# expected blocks at a time.
+_CHECK_BYTES = 1 << 16
+
+
+def _repeated_blocks(data: bytes, symbols: Sequence[int], size: int, width: int = 1) -> dict[int, bytes] | None:
+    """The distinct aligned blocks of a prefix, by label, if it repeats its
+    blocks; else None.
+
+    `data` holds `symbols` packed `width` bytes each.  Cut the prefix into
+    Q = len(symbols) // size aligned blocks of `size` symbols and label
+    block q with t_q = symbols[q].  The prefix repeats its blocks when
+    Q >= 2, size >= 2, and each block q < Q equals the block at the first
+    q' with t_q' = t_q.  TM_m = phi^r(TM_m) does at size = m^r, since its
+    block q is phi^r(t_q).  The check reads the prefix's own bytes, about
+    _CHECK_BYTES of expected blocks at a time, compared in place.
+
+    Then a factor of length <= size + 1 that starts before (Q - 1) * size
+    starts in a block q <= Q - 2, at an offset below size, so it lies in
+    the span of the blocks of a distinct pair of labels t_q t_{q+1}.  Any
+    other factor lies in the tail from (Q - 1) * size, of fewer than
+    2 * size symbols.
+    """
+    count = len(symbols) // size
+    if count < 2 or size < 2:  # blocks of one symbol save nothing over a scan
+        return None
+    labels = symbols[:count]
+    stride = size * width
+    step = max(_CHECK_BYTES // stride, 1)
+    blocks: dict[int, bytes] = {}
+    for q in range(0, count, step):
+        chunk = labels[q:q + step]
+        for a in set(chunk).difference(blocks):  # at most m labels; a block holds >= m symbols
+            k = q + chunk.index(a)
+            blocks[a] = data[k * stride:(k + 1) * stride]
+        # startswith compares in place: no slice of the prefix is copied
+        if not data.startswith(b"".join(map(blocks.__getitem__, chunk)), q * stride):
+            return None
+    return blocks
+
+
+def _factor_cover(data: bytes, m: int, n: int) -> bytes | None:
+    """Bytes that hold every factor of length <= n of a packed prefix over
+    m <= 256 symbols, or None when the prefix does not repeat its blocks.
+
+    The cover joins the distinct blocks of `_repeated_blocks`, for each
+    distinct pair a b the last n - 1 symbols of block a and the first
+    n - 1 of block b (a factor in the pair's span lies in one of these),
+    and the tail.  A factor absent from it is absent from the prefix; one
+    found in it may straddle two joined parts.  The blocks are of the
+    least size = m^r >= n - 1 with m * size^2 >= len(data), so the labels
+    checked (len / size) are about as many as the bytes of distinct
+    blocks (at most m * size).
+    """
+    size = m
+    while size < n - 1 or m * size * size < len(data):
+        size *= m
+    blocks = _repeated_blocks(data, data, size)
+    if blocks is None:
+        return None
+    count = len(data) // size
+    edge = n - 1
+    crossings = [blocks[a][size - edge:] + blocks[b][:edge] for a, b in set(zip(data[:count], data[1:count]))]
+    return b"".join([*blocks.values(), *crossings, data[(count - 1) * size:]])
 
 
 def _prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Sequence[int], int]:

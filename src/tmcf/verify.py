@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from typing import Iterator, Sequence
 
 from . import analysis, cf, tm
@@ -26,15 +25,29 @@ SCAN_CAP = 100_000
 
 def checks(m: int, length: int, amap: cf.AlphabetMap, *, n_max: int, a_max: int, b_max: int, digits: int,
            inject_flip: int | None = None) -> Iterator[tuple[str, str, bool, str]]:
-    """Yield (suite, property, passed, detail) for every check in the run.
+    """(suite, property, passed, detail) for every check in the run, one at a time.
 
     The checks read the first `length` terms of TM_m and the continued
     fraction of its quotients under `amap`; n_max, a_max and b_max bound
     the complexity count and the period box, and `digits` the certified
     decimal.  With `inject_flip`, the digit-sum term at that index is
-    changed, as a fault for the equivalence check to detect.  The caller
-    keeps m^2 <= SCAN_CAP, length >= max(m, 3) and 0 <= inject_flip < length.
+    changed, as a fault for the equivalence check to detect.  A ValueError
+    that names the argument is raised at the call, before any check runs,
+    unless m^2 <= SCAN_CAP, length >= max(m, 3) and 0 <= inject_flip < length.
     """
+    ModAlphabet(m)  # rejects a modulus below 2
+    if m ** 2 > SCAN_CAP:
+        raise ValueError(f"m must have m^2 <= SCAN_CAP = {SCAN_CAP}, got m={m}")
+    # the congruence scan needs m terms and the period search needs 3
+    if length < max(m, 3):
+        raise ValueError(f"length must be >= max(m, 3) = {max(m, 3)}, got length={length}")
+    if inject_flip is not None and not 0 <= inject_flip < length:
+        raise ValueError(f"inject_flip must be in [0, length) = [0, {length}), got inject_flip={inject_flip}")
+    return _checks(m, length, amap, n_max, a_max, b_max, digits, inject_flip)
+
+
+def _checks(m: int, length: int, amap: cf.AlphabetMap, n_max: int, a_max: int, b_max: int, digits: int,
+            inject_flip: int | None) -> Iterator[tuple[str, str, bool, str]]:
     # The morphic prefix, read once (its lazy word is dropped at once) and
     # checked once by FiniteWord: every check below reads this one object.
     morphic = FiniteWord(tm.tm_morphic(m).word.symbols(length), ModAlphabet(m))
@@ -144,9 +157,7 @@ def checks(m: int, length: int, amap: cf.AlphabetMap, *, n_max: int, a_max: int,
 
     count = min(1000, max(2, length))
     _, ps, qs = zip(*cf.tm_convergent_rows(amap, count))
-    # p_n q_(n-1) - p_(n-1) q_n, from p_0 = 0 and q_0 = 1
-    determinants = map(operator.sub, map(operator.mul, ps, (1, *qs)), map(operator.mul, (0, *ps), qs))
-    det_ok = list(determinants) == [1, -1] * (count // 2) + [1] * (count % 2)
+    det_ok = _determinants_alternate(ps, qs)
     # a determinant of +-1 proves gcd(p_n, q_n) = 1 (Bezout), so gcd runs only when one is off
     cop_ok = det_ok or all(g == 1 for g in map(math.gcd, ps, qs))
     yield (
@@ -163,6 +174,37 @@ def checks(m: int, length: int, amap: cf.AlphabetMap, *, n_max: int, a_max: int,
         longer.text.startswith(short.text),
         f"{short.text} vs {longer.text}",
     )
+
+
+def _determinants_alternate(ps: Sequence[int], qs: Sequence[int]) -> bool:
+    """Whether D_n = p_n q_(n-1) - p_(n-1) q_n = (-1)^(n-1) for each row
+    n >= 1 of convergents p_n / q_n, from p_0 = 0 and q_0 = 1.
+
+    Decided by the recurrence, in operations of linear size (a division
+    with a small quotient, a product by it), where D_n itself takes two
+    products of numbers of about n digits.
+    """
+    # D_1 = p_1 q_0 - p_0 q_1 = p_1 must be 1.  For n >= 2 the test asks
+    # that a = (p_n - p_(n-2)) / p_(n-1) be an integer and that
+    # q_n - q_(n-2) = a q_(n-1).  Then p_n = a p_(n-1) + p_(n-2) and
+    # q_n = a q_(n-1) + q_(n-2), so D_n = p_(n-2) q_(n-1) - p_(n-1) q_(n-2)
+    # = -D_(n-1), and by induction D_n = (-1)^(n-1).  Conversely, let
+    # D_(n-1) = +-1 and D_n = -D_(n-1).  Expanding both gives
+    # (p_n - p_(n-2)) q_(n-1) = p_(n-1) (q_n - q_(n-2)), and D_(n-1) = +-1
+    # gives gcd(p_(n-1), q_(n-1)) = 1 (Bezout), so p_(n-1) divides
+    # p_n - p_(n-2): a is an integer and the test passes, provided
+    # p_(n-1) != 0.  Convergents of positive partial quotients have
+    # p_n >= 1 for n >= 1, so a row with p_(n-1) = 0 fails the test.
+    p, q = (0, *ps), (1, *qs)
+    if p[1] != 1:
+        return False
+    for n in range(2, len(p)):
+        if not p[n - 1]:
+            return False
+        a, rest = divmod(p[n] - p[n - 2], p[n - 1])
+        if rest or q[n] - q[n - 2] != a * q[n - 1]:
+            return False
+    return True
 
 
 def _first_digit_sum_mismatch(data: Sequence[int], m: int, flip: int | None) -> int | None:

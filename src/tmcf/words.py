@@ -257,8 +257,8 @@ class LazyWord:
         return f"LazyWord(m={self.alphabet.m}, prefix~{head}...)"
 
 
-# symbols produced per chunk by a column-wise fixed point
-_COLUMN_CHUNK = 1 << 16
+# symbols produced per chunk by a fixed point, at most (a single image may be longer)
+_FIXED_POINT_CHUNK = 1 << 16
 
 # bytes(range(m)) for each packed modulus: translate(None, _ALPHABETS[m]) keeps
 # exactly the bytes outside the alphabet
@@ -322,8 +322,8 @@ class Morphism(_Frozen):
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"morphism power requires an integer k >= 1, got {k!r}")
         result = self
-        for _ in range(k - 1):
-            result = Morphism([self.apply(img) for img in result.images], self.m)
+        for _ in range(k - 1):  # phi^(i+1)(a) = phi^i(phi(a)): a join of |phi(a)| images of phi^i
+            result = Morphism([result.apply(img) for img in self.images], self.m)
         return result
 
     def uniformity(self) -> int | None:
@@ -344,39 +344,28 @@ class Morphism(_Frozen):
         The word is the limit of iterated images: it is read back as the
         source it expands, so each materialized prefix of length
         |phi^k(symbol)| equals the k-th power image.  A k-uniform morphism
-        over m <= 256 symbols expands a run w of the packed word at once,
-        column by column: symbol i of each image is w.translate(column i),
-        stored at out[i::k].  Other morphisms join the images of a run per
-        chunk (`_streamed_fixed_point`), which also serves as the reference.
+        has the fixed point of phi^j, for the largest j >= 1 whose m
+        images hold at most _FIXED_POINT_CHUNK symbols in all: each chunk
+        of `_streamed_fixed_point` of phi^j is then one join of a few large
+        images.  Other morphisms stream their own images, whose lengths may
+        grow too slowly for a power to pay.  Prolongability is checked on
+        phi itself, since a power can be prolongable where phi is not.
         """
         k = self.uniformity()
-        if self.m > 256 or k is None:
+        if k is None:
             return self._streamed_fixed_point(symbol)
         self._check_orbit_grows(symbol)
-        columns = [bytes(img.symbols[i] for img in self.images) + bytes(256 - self.m) for i in range(k)]
-        batch = max(1, _COLUMN_CHUNK // k)
-
-        def chunks() -> Iterator[bytes]:
-            yield self.images[symbol].symbols
-            src = 1
-            while True:
-                run = expanded[src:src + batch]  # a copy: the cache may grow below it
-                out = bytearray(k * len(run))
-                for i, column in enumerate(columns):
-                    out[i::k] = run.translate(column)
-                yield out
-                src += len(run)
-
-        word = LazyWord.from_chunks(chunks(), self.m)
-        expanded = word._cache  # no reference cycle; see _streamed_fixed_point
-        return word
+        j = 1
+        while self.m * k ** (j + 1) <= _FIXED_POINT_CHUNK:
+            j += 1
+        return self.power(j)._streamed_fixed_point(symbol)
 
     def _streamed_fixed_point(self, symbol: int) -> LazyWord:
         """The fixed point grown by the images of a run of itself per chunk; any morphism, any m."""
         self._check_orbit_grows(symbol)
         images = [img.symbols for img in self.images]
         join = b"".join if self.m <= 256 else itertools.chain.from_iterable
-        batch = max(1, _COLUMN_CHUNK // max(map(len, images)))
+        batch = max(1, _FIXED_POINT_CHUNK // max(map(len, images)))
 
         def chunks() -> Iterator[Iterable[int]]:
             # each yielded block is in the word's cache before the next is requested

@@ -378,6 +378,58 @@ def test_triple_repeat_on_packed_and_plain_words():
     assert find_triple_repeat(tm_morphic(2), 100_000) is None
 
 
+def occurrences_by_scan(word, factor):
+    return [i for i in range(len(word) - len(factor) + 1) if word[i:i + len(factor)] == factor]
+
+
+def planted_tm3(block=None, extra=None):
+    """550 terms of TM_3, 20 aligned blocks of 27 and 10 more, with the
+    block of one label (every copy of it) or the 10 last terms replaced."""
+    t = tm_digit_sum_sequence(3).prefix(550)
+    blocks = {a: t[27 * a:27 * a + 27] for a in range(3)}  # block q of TM_3 is phi^3(t_q)
+    if block:
+        blocks.update(block)
+    return [s for q in range(20) for s in blocks[t[q]]] + (extra or t[540:])
+
+
+@pytest.mark.parametrize("word, first", [
+    # 1,1,0 and 2,2,2 inside every block of label 1
+    pytest.param(planted_tm3(block={1: [1, 2, 0, 2, 0, 1, 0, 1, 2, 2, 1, 1, 0, 1, 2, 1, 2, 0,
+                                        0, 1, 2, 2, 2, 0, 2, 0, 1]}), 27 + 20, id="inside-a-block"),
+    # the block of 2 ends with 2, 2: a run 2, 2, 2 crosses only from a 2 into a 2,
+    # and the labels first hold the pair 2, 2 at q = 17 of 20
+    pytest.param(planted_tm3(block={2: [2, 0, 1, 0, 1, 2, 1, 2, 0, 0, 1, 2, 1, 2, 0, 2, 0, 1,
+                                        1, 2, 0, 2, 0, 1, 0, 2, 2]}), 18 * 27 - 2, id="across-a-late-pair"),
+    # 1,1,0 and 2,2,2 only in the 10 terms after the last whole block
+    pytest.param(planted_tm3(extra=[0, 1, 1, 0, 2, 0, 2, 2, 2, 1]), 546, id="in-the-tail"),
+])
+def test_factor_scans_on_words_that_repeat_their_blocks(word, first):
+    # every one of these words repeats its blocks, so an absent factor is
+    # decided from the cover alone; each holds a factor the cover must keep
+    assert tm._factor_cover(bytes(word), 3, 3) is not None
+    assert first_triple_by_scan(word) == first
+    assert find_triple_repeat(word) == find_triple_repeat(FiniteWord(word, ModAlphabet(3))) == first
+    for factor in ([1, 1, 0], [2, 2, 2], [0, 0, 2], [2, 1]):
+        assert find_pattern(word, factor) == occurrences_by_scan(word, factor), factor
+
+
+def test_factor_scans_on_fixed_points_of_random_uniform_morphisms():
+    # a fixed point of a k-uniform morphism repeats its blocks of k^r
+    # symbols for every r, so the cover decides each absent factor
+    rng = random.Random(25)
+    for _ in range(200):
+        m = rng.randrange(2, 5)
+        images = [[0] + [rng.randrange(m) for _ in range(m - 1)]]
+        images += [[rng.randrange(m) for _ in range(m)] for _ in range(m - 1)]
+        word = Morphism(images, m).fixed_point(0).prefix(rng.randrange(m * m, 3000))
+        if len(set(word)) < m:  # the word's modulus is its largest symbol + 1
+            continue
+        assert find_triple_repeat(word) == first_triple_by_scan(word), images
+        for n in (1, 2, 3, 5, 9):
+            factor = [rng.randrange(m) for _ in range(n)]
+            assert find_pattern(word, factor) == occurrences_by_scan(word, factor), (images, factor)
+
+
 def test_triple_repeat_needs_a_length_for_infinite_words():
     with pytest.raises(ValueError, match="explicit prefix length"):
         find_triple_repeat(tm_morphic(2))

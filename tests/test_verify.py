@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -118,3 +119,63 @@ def test_verify_all_writes_what_checks_yield(capsys, m, length, flip):
     assert out == stream.getvalue()
     assert (code, failures) == ((0, 0) if flip is None else (1, 1))
     assert json.loads(out.splitlines()[0])["status"] == ("pass" if flip is None else "FAIL")
+
+
+@pytest.mark.parametrize("m, length, flip, named", [
+    (317, 1_000_000, None, "m=317"),
+    (3, 2, None, "length=2"),
+    (5, 4, None, "length=4"),
+    (2, 1000, 5000, "inject_flip=5000"),
+    (2, 1000, 1000, "inject_flip=1000"),
+    (2, 1000, -1, "inject_flip=-1"),
+])
+def test_checks_reject_bad_arguments_at_the_call(m, length, flip, named):
+    # raised by the call itself, before any check runs or the prefix is read
+    with pytest.raises(ValueError, match=named):
+        verify.checks(m, length, cf.AlphabetMap(m), **DEFAULTS, inject_flip=flip)
+
+
+@pytest.mark.parametrize("m, length, flip", [(2, 3, None), (2, 3, 2), (3, 3, 0), (5, 5, 4), (316, 316, None)])
+def test_checks_accept_the_smallest_arguments(m, length, flip):
+    records = run_checks(m, length, flip)
+    assert [suite for suite, _, passed, _ in records if not passed] == ([] if flip is None else ["equivalence"])
+
+
+def alternate_by_products(ps, qs):
+    """The oracle: each D_n as ConvergentPair.determinant, from p_0 = 0 and q_0 = 1."""
+    rows = zip(itertools.count(1), ps, qs, (0, *ps), (1, *qs))
+    return all(cf.ConvergentPair(*row).determinant == (-1) ** (row[0] - 1) for row in rows)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_determinant_recurrence_agrees_with_the_products(m):
+    _, ps, qs = map(list, zip(*cf.tm_convergent_rows(cf.AlphabetMap(m), 1000)))
+    assert verify._determinants_alternate(ps, qs) and alternate_by_products(ps, qs)
+    tables = []
+    for n in (1, 2, 500, 1000):  # one p_n off by one
+        off = ps.copy()
+        off[n - 1] += 1
+        tables.append((off, qs))
+    for n in (1, 500):  # one q_n off by one
+        off = qs.copy()
+        off[n - 1] += 1
+        tables.append((ps, off))
+    tables.append(([-p for p in ps], qs))  # every D_n negated: only D_1 shows it
+    swapped_p, swapped_q = ps.copy(), qs.copy()  # rows 300 and 301 swapped
+    swapped_p[299:301], swapped_q[299:301] = ps[300:298:-1], qs[300:298:-1]
+    tables.append((swapped_p, swapped_q))
+    for n in (2, 600):  # p_(n-1) = 0 at row n + 1
+        zero = ps.copy()
+        zero[n - 1] = 0
+        tables.append((zero, qs))
+    for bad_ps, bad_qs in tables:
+        assert not verify._determinants_alternate(bad_ps, bad_qs)
+        assert not alternate_by_products(bad_ps, bad_qs)
+
+
+def test_determinant_recurrence_fails_on_a_zero_numerator():
+    # D_1, D_2, D_3 = 1, -1, 1 here, but p_2 = 0 cannot be a numerator of a
+    # continued fraction of positive quotients: the test fails, and divides by nothing
+    ps, qs = [1, 0, 1], [1, 1, 0]
+    assert alternate_by_products(ps, qs)
+    assert not verify._determinants_alternate(ps, qs)

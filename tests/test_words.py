@@ -158,8 +158,11 @@ def test_fixed_point_prefixes():
 
 
 def test_fixed_point_requires_prolongable_growth():
-    with pytest.raises(ValueError):
-        Morphism([[1, 0], [0, 1]], 2).fixed_point(0)
+    # phi^2(0) = 0110 starts with 0, but phi(0) = 10 does not: phi has no fixed point at 0
+    swap = Morphism([[1, 0], [0, 1]], 2)
+    assert swap.power(2).is_prolongable(0)
+    with pytest.raises(ValueError, match="not prolongable"):
+        swap.fixed_point(0)
     with pytest.raises(ValueError):
         Morphism([[0], [1, 0]], 2).fixed_point(0)
 
@@ -188,7 +191,7 @@ def test_non_uniform_fixed_points_match_power_images_across_runs():
         for _ in range(k):
             image = phi.apply(image)  # phi^k(0), without the powers of every other symbol
         expected = list(image)
-        assert len(expected) > 4 * words_module._COLUMN_CHUNK
+        assert len(expected) > 4 * words_module._FIXED_POINT_CHUNK
         word = phi.fixed_point(0)
         assert word.prefix(len(expected)) == expected
         assert word.symbols(len(expected)) == (bytes(expected) if phi.m <= 256 else expected)
@@ -314,7 +317,7 @@ def uniform_morphisms(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(uniform_morphisms(), st.data())
-def test_columnwise_fixed_point_matches_the_streamed_one(phi, data):
+def test_power_fixed_point_matches_the_streamed_one(phi, data):
     k = phi.uniformity()
     j = data.draw(st.integers(1, 5 if k < 4 else 4))
     fast, slow = phi.fixed_point(0), phi._streamed_fixed_point(0)
@@ -324,10 +327,19 @@ def test_columnwise_fixed_point_matches_the_streamed_one(phi, data):
     assert fast.prefix(k ** j) == list(phi.power(j)(0))
 
 
-def test_columnwise_fixed_point_crosses_its_chunks():
-    phi = tm_phi(3)
-    n = 3 * words_module._COLUMN_CHUNK + 5
+@pytest.mark.parametrize("m", [2, 3, 5, 16, 256])
+def test_power_fixed_point_crosses_its_chunks(m):
+    # the fixed point of phi^j grows by chunks of up to _FIXED_POINT_CHUNK symbols
+    phi = tm_phi(m)
+    n = 3 * words_module._FIXED_POINT_CHUNK + 5
     assert phi.fixed_point(0).symbols(n) == phi._streamed_fixed_point(0).symbols(n)
+
+
+def test_only_uniform_fixed_points_take_a_power(monkeypatch):
+    # phi^j of 0 -> 01, 1 -> 1 is 0 1^j: a power would grow by one symbol a level
+    monkeypatch.setattr(Morphism, "power", lambda self, k: pytest.fail("a power was built"))
+    grow_by_one = Morphism([[0, 1], [1]], 2)
+    assert grow_by_one.fixed_point(0).symbols(10 ** 5) == bytes([0] + [1] * (10 ** 5 - 1))
 
 
 def test_large_alphabet_fixed_point_streams():
