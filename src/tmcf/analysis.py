@@ -321,10 +321,11 @@ def palindromic_prefixes(
     offset 1, since it may overlap its next occurrence.  Ends below
     _HEAD - 1, and all over 256 symbols, are candidates with k = 0.  A
     candidate's first k symbols are compared with its last k reversed, k
-    doubling up to half its length.  `work_cap` bounds the work, charging
-    a candidate the symbols it compares (at least 1) and a new needle its
-    length: a constant word stops within 2 * work_cap + 2 symbols, and the
-    ladder holds every end below `scanned_length` and is marked incomplete.
+    doubling up to half its length, each doubling only the new symbols,
+    _PIECE at a time.  `work_cap` bounds the work, charging a candidate the
+    symbols it compares (at least 1) and a new needle its length: a
+    constant word stops within 2 * work_cap + 2 symbols, and the ladder
+    holds every end below `scanned_length` and is marked incomplete.
     """
     data, m = _prefix_of(word, length)
     found = []
@@ -343,9 +344,10 @@ def palindromic_prefixes(
         cost = 0
         ok = True
         while ok and k < half:
-            k = min(2 * k or 1, half)
+            low, k = k, min(2 * k or 1, half)
             cost += k
-            ok = data[:k] == data[n:n - k:-1]  # n - k >= 0, since k <= half <= n
+            # x[low..k) against x(n-k..n-low] reversed; n - k >= 0, since k <= half <= n
+            ok = all(data[i:(j := min(i + _PIECE, k))] == data[n - i:n - j:-1] for i in range(low, k, _PIECE))
         grow = ok and needle and n + 1 >= 2 * len(needle)
         if work_cap is not None:
             budget -= (cost or 1) + (n + 1 if grow else 0)
@@ -359,6 +361,9 @@ def palindromic_prefixes(
 
 # Length of the reversed head that `palindromic_prefixes` looks for first.
 _HEAD = 64
+
+# Symbols that `palindromic_prefixes` compares per slice, at most.
+_PIECE = 1 << 16
 
 
 def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: int | None = None) -> list[int]:

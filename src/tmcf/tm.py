@@ -11,8 +11,9 @@ only the `words` primitives, so the comparison is a genuine oracle.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .words import (
     FiniteWord,
@@ -133,13 +134,21 @@ def digit_sum_chunks(m: int) -> Iterator[Sequence[int]]:
 
 
 def tm_digit_sum_sequence(m: int) -> TmSequence:
-    """TM_m as a lazy word read from `digit_sum_chunks`, which builds it by
-    the block identity t_{a m^k + r} = t_r + s_m(a) (mod m) for r < m^k.
+    """TM_m as a lazy word whose first n terms join the chunks of
+    `digit_sum_chunks` cut to n: the block identity t_{a m^k + r} =
+    t_r + s_m(a) (mod m) for r < m^k.
 
     `tm_digit_sum` stays available for random access without
     materializing a prefix.
     """
-    return TmSequence(m, LazyWord.from_chunks(digit_sum_chunks(m), m), "digit_sum")
+    def fill(n: int) -> Iterable[int]:
+        chunks, parts = digit_sum_chunks(m), []
+        while n > 0:
+            parts.append(chunk := next(chunks)[:n])
+            n -= len(chunk)
+        return (b"".join if m <= 256 else itertools.chain.from_iterable)(parts)
+
+    return TmSequence(m, LazyWord(ModAlphabet(m), fill), "digit_sum")
 
 
 def first_mismatch(a: Sequence[int], b: Sequence[int]) -> int | None:
@@ -275,23 +284,25 @@ def _congruences_hold(t: bytes, m: int, length: int) -> bool:
     return all(up[r:length - 1:m] == t[r + 1:length:m] for r in range(m - 1))
 
 
+# Three equal bytes; DOTALL lets "." match byte 10 (b"\n") too.
+_TRIPLE = re.compile(rb"(.)\1\1", re.DOTALL)
+
+
 def find_triple_repeat(word: Word, length: int | None = None) -> int | None:
     """First index j with t_j = t_{j+1} = t_{j+2}, or None (expected for TM_m).
 
     Over m <= 256 symbols a prefix that repeats its blocks, as TM_m's
-    prefixes do, is found free of the m runs s, s, s in its
+    prefixes do, is found free of runs s, s, s by one search of its
     `_factor_cover` (a few KB at small m); any other prefix, or one whose
-    cover holds a run, is scanned whole with `bytes.find`, which names
-    the first index.
+    cover holds a run, is searched whole, and the first match names the
+    first index.
     """
     symbols, m = _prefix_of(word, length)
     if m <= 256:
-        runs = [bytes((s, s, s)) for s in range(m)]
         cover = _factor_cover(symbols, m, 3)
-        if cover is not None and not any(map(cover.__contains__, runs)):
+        if cover is not None and not _TRIPLE.search(cover):
             return None
-        found = (symbols.find(run) for run in runs)
-        return min((pos for pos in found if pos >= 0), default=None)
+        return found.start() if (found := _TRIPLE.search(symbols)) else None
     for j in range(len(symbols) - 2):
         if symbols[j] == symbols[j + 1] == symbols[j + 2]:
             return j
@@ -367,10 +378,10 @@ def _factor_cover(data: bytes, m: int, n: int) -> bytes | None:
 def _prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Sequence[int], int]:
     """The first `length` symbols of a word (all of a finite one) and their modulus.
 
-    Over m <= 256 symbols they are `bytes`: a lazy word's from
-    `LazyWord.symbols`, a `FiniteWord`'s own, or any other sequence or
-    iterable cut to `length` and packed by `ModAlphabet.pack` (`bytes` with
-    no copy).  Above 256 symbols they are the word's sequence or a slice
+    Over m <= 256 symbols they are `bytes`: a lazy word's buffer (uncut on
+    a fresh word) from `LazyWord.symbols`, a `FiniteWord`'s own, or any
+    other sequence or iterable cut to `length` and packed by
+    `ModAlphabet.pack` (`bytes` with no copy).  Above 256 symbols they are the word's sequence or a slice
     of it, which callers only read.  Infinite words need a length.  A
     word's modulus is its alphabet's and must equal a given `m`; a plain
     sequence's is `m`, else max(symbols) + 1 and at least 2.  A symbol

@@ -48,8 +48,8 @@ def checks(m: int, length: int, amap: cf.AlphabetMap, *, n_max: int, a_max: int,
 
 def _checks(m: int, length: int, amap: cf.AlphabetMap, n_max: int, a_max: int, b_max: int, digits: int,
             inject_flip: int | None) -> Iterator[tuple[str, str, bool, str]]:
-    # The morphic prefix, read once (its lazy word is dropped at once) and
-    # checked once by FiniteWord: every check below reads this one object.
+    # The morphic prefix: one fill of a fresh lazy word (dropped at once), kept
+    # by FiniteWord without a copy.  Every check below reads this one object.
     morphic = FiniteWord(tm.tm_morphic(m).word.symbols(length), ModAlphabet(m))
     data = morphic.symbols  # bytes for m <= 256, else a tuple
     mismatch = _first_digit_sum_mismatch(data, m, inject_flip)

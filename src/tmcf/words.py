@@ -6,8 +6,7 @@ are least-significant-digit first throughout.
 from __future__ import annotations
 
 import itertools
-import threading
-from collections.abc import Iterable, Iterator, Sequence  # isinstance on them is faster than on typing's aliases
+from collections.abc import Callable, Iterable, Iterator, Sequence  # isinstance on them is faster than on typing's aliases
 from typing import Union
 
 
@@ -158,34 +157,25 @@ def value(word: Union[FiniteWord, Sequence[int]], m: int) -> int:
 
 
 class LazyWord:
-    """A right-infinite word materialized on demand.
+    """A right-infinite word read from a prefix function.
 
-    Backed by an infinite source of symbol chunks.  `iter` raises TypeError,
-    so code that would walk the whole word fails at once.  The materialized
-    prefix only ever grows and existing entries never change, so reads at
-    already-materialized indices are lock-free; extension is serialized by
-    an internal lock and appends monotonically, so a reader racing an
-    extension still observes a consistent prefix.
-
-    For m <= 256 the prefix is packed one byte per symbol in a
-    `bytearray`, else kept in a `list`.  Every chunk passes
-    `ModAlphabet.pack` before it is stored.  `prefix` and slices return a new
-    `list` either way; `symbols` returns the prefix in the cache's own
-    form, `bytes` when packed, which the analyzers scan without
-    converting.
+    `fill(n)` returns the first n symbols, as `bytes` or any iterable of
+    ints.  The word keeps one buffer, the last fill as `ModAlphabet.pack`
+    checks it: `bytes` for m <= 256, else a sequence.  A read past it
+    replaces it with fill(max(n, 2 * len(buffer))), and a fill that comes
+    back short raises WordRangeError.  A buffer never changes, so readers
+    take no lock, and `symbols` hands it out without a copy when it holds
+    just the symbols asked for, as on a fresh word.  `prefix` and slices
+    return a new `list`; `iter` raises TypeError, so code that would walk
+    the whole word fails at once.
     """
 
-    __slots__ = ("alphabet", "_cache", "_lock", "_chunks")
+    __slots__ = ("alphabet", "_fill", "_buffer")
 
-    def __init__(self, alphabet: ModAlphabet, chunk_source: Iterator[Sequence[int]]):
+    def __init__(self, alphabet: ModAlphabet, fill: Callable[[int], Iterable[int]]):
         self.alphabet = alphabet
-        self._cache: bytearray | list[int] = bytearray() if alphabet.m <= 256 else []
-        self._lock = threading.Lock()
-        self._chunks = chunk_source
-
-    @classmethod
-    def from_chunks(cls, chunk_source: Iterable[Sequence[int]], m: int) -> "LazyWord":
-        return cls(ModAlphabet(m), iter(chunk_source))
+        self._fill = fill
+        self._buffer: bytes | Sequence[int] = b"" if alphabet.m <= 256 else []
 
     def __iter__(self):
         # without this, iter() would fall back on __getitem__ and never end
@@ -195,22 +185,17 @@ class LazyWord:
     def m(self) -> int:
         return self.alphabet.m
 
-    def _materialize(self, n: int) -> None:
-        with self._lock:
-            # chunk sources batch on their own; pull only what is needed
-            extend, pack = self._cache.extend, self.alphabet.pack
-            while len(self._cache) < n:
-                try:
-                    chunk = next(self._chunks)
-                except StopIteration:
-                    raise WordRangeError(
-                        f"backing source exhausted at length {len(self._cache)}; "
-                        "LazyWord sources must be infinite"
-                    ) from None
-                try:
-                    extend(pack(chunk))
-                except SymbolError as err:
-                    raise SymbolError(f"chunk {err}") from None
+    def _read(self, n: int) -> bytes | Sequence[int]:
+        """A buffer of at least n symbols: the current one, or a new fill."""
+        buffer = self._buffer
+        if n <= len(buffer):
+            return buffer
+        buffer = self.alphabet.pack(self._fill(max(n, 2 * len(buffer))))
+        if len(buffer) < n:
+            raise WordRangeError(f"fill returned {len(buffer)} of {n} symbols; LazyWord fills must be unbounded")
+        if len(buffer) > len(self._buffer):  # a reader that loses a race here costs a refill, never a wrong symbol
+            self._buffer = buffer
+        return buffer
 
     def __getitem__(self, key):
         """A symbol, or for a slice [i:j] with 0 <= i <= j the symbols as a list."""
@@ -222,42 +207,30 @@ class LazyWord:
                 raise WordRangeError("LazyWord slices need a finite stop")
             if start < 0 or key.stop < start:
                 raise WordRangeError(f"invalid range [{start}:{key.stop})")
-            if key.stop > len(self._cache):
-                self._materialize(key.stop)
-            part = self._cache[start:key.stop]
+            part = self._read(key.stop)[start:key.stop]
             return part if isinstance(part, list) else list(part)
         if key < 0:
             raise WordRangeError("LazyWord has no negative indices")
-        if key >= len(self._cache):
-            self._materialize(key + 1)
-        return self._cache[key]
+        return self._read(key + 1)[key]
 
     def prefix(self, n: int) -> list[int]:
         """The first n symbols: the same list as self[0:n]."""
         return self[0:n]
 
     def symbols(self, n: int) -> bytes | list[int]:
-        """The first n symbols in the cache's form, as a copy no later growth touches.
-
-        `bytes` when m <= 256 (one copy of the packed cache), else the list
-        self[0:n].  The live cache is never handed out: a `memoryview` of
-        it would make the next extension fail.
-        """
-        if not isinstance(self._cache, bytearray):
+        """The first n symbols: `bytes` when m <= 256, else the list self[0:n]."""
+        if self.alphabet.m > 256:
             return self[0:n]
         if n < 0:
             raise WordRangeError(f"invalid range [0:{n})")
-        if n > len(self._cache):
-            self._materialize(n)
-        with self._lock, memoryview(self._cache) as view:
-            return view[:n].tobytes()
+        return self._read(n)[:n]  # the bytes buffer itself when it holds n symbols
 
     def __repr__(self) -> str:
-        head = list(self._cache[:8])
-        return f"LazyWord(m={self.alphabet.m}, prefix~{head}...)"
+        return f"LazyWord(m={self.alphabet.m}, prefix~{list(self._buffer[:8])}...)"
 
 
-# symbols produced per chunk by a fixed point, at most (a single image may be longer)
+# symbols, at most, in the m images of the power that `fixed_point` reads, and
+# per run that `_streamed_fixed_point` expands (a single image may be longer)
 _FIXED_POINT_CHUNK = 1 << 16
 
 # bytes(range(m)) for each packed modulus: translate(None, _ALPHABETS[m]) keeps
@@ -341,47 +314,56 @@ class Morphism(_Frozen):
     def fixed_point(self, symbol: int) -> LazyWord:
         """The infinite fixed point based at a prolongable symbol.
 
-        The word is the limit of iterated images: it is read back as the
-        source it expands, so each materialized prefix of length
-        |phi^k(symbol)| equals the k-th power image.  A k-uniform morphism
-        has the fixed point of phi^j, for the largest j >= 1 whose m
-        images hold at most _FIXED_POINT_CHUNK symbols in all: each chunk
-        of `_streamed_fixed_point` of phi^j is then one join of a few large
-        images.  Other morphisms stream their own images, whose lengths may
-        grow too slowly for a power to pay.  Prolongability is checked on
-        phi itself, since a power can be prolongable where phi is not.
+        The word is the limit of iterated images, so its prefix of length
+        |phi^k(symbol)| is the k-th power image.  A k-uniform morphism is
+        read through phi^j, the largest power whose m images hold at most
+        _FIXED_POINT_CHUNK symbols in all: the first n symbols are the
+        images under phi^j of the first ceil(n / k^j), cut to n, one join
+        per level down to the image of the symbol.  Other morphisms fill
+        with `_streamed_fixed_point`, as their image lengths may grow too
+        slowly for a power to pay.  Prolongability is checked on phi
+        itself, since a power can be prolongable where phi is not.
         """
+        self._check_orbit_grows(symbol)
         k = self.uniformity()
         if k is None:
-            return self._streamed_fixed_point(symbol)
-        self._check_orbit_grows(symbol)
+            return LazyWord(self.alphabet, lambda n: self._streamed_fixed_point(symbol, n))
         j = 1
         while self.m * k ** (j + 1) <= _FIXED_POINT_CHUNK:
             j += 1
-        return self.power(j)._streamed_fixed_point(symbol)
+        images = [img.symbols for img in self.power(j).images]
+        size = k ** j
+        join = b"".join if self.m <= 256 else lambda parts: list(itertools.chain.from_iterable(parts))
 
-    def _streamed_fixed_point(self, symbol: int) -> LazyWord:
-        """The fixed point grown by the images of a run of itself per chunk; any morphism, any m."""
-        self._check_orbit_grows(symbol)
+        def fill(n: int) -> Sequence[int]:
+            lengths = [n]  # the prefix lengths each level needs, longest first
+            while lengths[-1] > size:
+                lengths.append(-(-lengths[-1] // size))
+            word = images[symbol][:lengths.pop()]
+            for length in reversed(lengths):  # the images of word, the last one cut
+                parts = list(map(images.__getitem__, word))
+                parts[-1] = parts[-1][:length - (len(word) - 1) * size]
+                word = join(parts)
+            return word
+
+        return LazyWord(self.alphabet, fill)
+
+    def _streamed_fixed_point(self, symbol: int, n: int) -> Sequence[int]:
+        """The first n symbols of the fixed point at a prolongable symbol,
+        grown by the images of a run of itself at a time; any morphism, any m."""
         images = [img.symbols for img in self.images]
         join = b"".join if self.m <= 256 else itertools.chain.from_iterable
         batch = max(1, _FIXED_POINT_CHUNK // max(map(len, images)))
-
-        def chunks() -> Iterator[Iterable[int]]:
-            # each yielded block is in the word's cache before the next is requested
-            yield images[symbol]
-            src = 1
-            while src < len(expanded):
-                run = expanded[src:src + batch]  # a copy: the cache may grow below it
-                yield join(map(images.__getitem__, run))
-                src += len(run)
-            raise WordRangeError("morphism erases the orbit; fixed point stalls")
-
-        word = LazyWord.from_chunks(chunks(), self.m)
-        # the source holds the cache, not the word, so the two form no
-        # reference cycle and a dropped word is freed at once
-        expanded = word._cache
-        return word
+        word = bytearray(images[symbol]) if self.m <= 256 else list(images[symbol])
+        src = 1
+        while len(word) < n:
+            if src >= len(word):
+                raise WordRangeError("morphism erases the orbit; fixed point stalls")
+            run = word[src:src + batch]
+            word += join(map(images.__getitem__, run))
+            src += len(run)
+        del word[n:]
+        return bytes(word) if self.m <= 256 else word
 
     def _check_orbit_grows(self, symbol: int) -> None:
         if not self.is_prolongable(symbol):

@@ -621,6 +621,22 @@ def test_palindrome_scan_matches_two_pointers_on_long_tm2():
     assert palindromic_prefixes(tm_morphic(2), length).indices == expected
 
 
+def test_palindrome_scan_copies_no_half_of_the_prefix():
+    # 2^22 terms of TM_2 close a palindrome at 4^11 - 1, whose halves of
+    # 2^21 symbols were once copied whole (4 MB traced); the comparisons
+    # now copy pieces of at most 2^16 symbols.  A FiniteWord is checked
+    # already, so no `pack` of the prefix is traced either.
+    word = FiniteWord(tm_morphic(2).word.symbols(2 ** 22), ModAlphabet(2))
+    tracemalloc.start()
+    try:
+        ladder = palindromic_prefixes(word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ladder.indices[-1] == 4 ** 11 - 1
+    assert peak < 2 ** 19, peak
+
+
 def test_palindrome_scan_work_cap_on_tm2():
     true_ends = (0,) + tuple(4 ** j - 1 for j in range(1, 11))
     reached = []

@@ -272,7 +272,7 @@ def test_prefix_of_reads_in_place():
     word = FiniteWord(symbols, ModAlphabet(3))
     assert _prefix_of(word, None) == (packed, 3)
     assert _prefix_of(word, None)[0] is word.symbols
-    # a packed lazy word hands out a bytes copy of its cache
+    # a packed lazy word hands out its bytes buffer
     assert _prefix_of(tm_morphic(3), 4, 3) == (bytes([0, 1, 2, 1]), 3)
     assert _prefix_of(tm_morphic(300), 4) == ([0, 1, 2, 3], 300)
     # the caller's modulus, or the largest symbol + 1 and at least 2
@@ -304,10 +304,10 @@ def test_bool_is_never_a_symbol():
     assert True not in ModAlphabet(2) and False not in ModAlphabet(2)
     with pytest.raises(AlphabetMapError, match="symbol True outside"):
         AlphabetMap(2, {True: 3})
-    for m in (2, 300):  # the packed cache and the list cache
-        word = LazyWord.from_chunks(itertools.chain([[0, 1]], [[0, True]], itertools.repeat([0])), m)
+    for m in (2, 300):  # a bytes buffer and a list buffer
+        word = LazyWord(ModAlphabet(m), lambda n: [0, 1, 0, True, *[0] * n][:n])
         assert word[1] == 1
-        with pytest.raises(SymbolError, match=f"chunk symbol True not in alphabet of modulus {m}"):
+        with pytest.raises(SymbolError, match=f"symbol True not in alphabet of modulus {m}"):
             word[3]
 
 
@@ -332,7 +332,7 @@ def test_every_form_of_a_prefix_reads_like_the_lazy_word():
     faulty = clean[:]
     faulty[12_345] = (faulty[12_345] + 1) % 3
     for symbols in (clean, faulty):
-        lazy = LazyWord.from_chunks(itertools.chain([symbols], itertools.repeat([0])), 3)
+        lazy = LazyWord(ModAlphabet(3), lambda k: (symbols + [0] * k)[:k])
         results = lambda word: (
             check_congruences(3, n, word),
             find_triple_repeat(word, n),
@@ -362,19 +362,23 @@ def test_triple_repeat_on_packed_and_plain_words():
     planted[12_345:12_348] = [2, 2, 2]
     rng = random.Random(4)
     wide = [rng.randrange(300) for _ in range(5000)] + [299] * 3 + [0]
+    newline = tm_digit_sum_sequence(11).prefix(20_000)
+    newline[7_000:7_003] = [10, 10, 10]  # byte 10 is b"\n", which "." matches only with DOTALL
     for word, length in (
         (tm_digit_sum_sequence(2), 100_000),
         (tm_morphic(5), 100_000),
         (planted, None),
         (FiniteWord(planted, ModAlphabet(3)), None),
-        (LazyWord.from_chunks([planted] + [[0]] * 10, 3), 20_000),
+        (LazyWord(ModAlphabet(3), lambda n: planted[:n]), 20_000),
+        (newline, None),
         (wide, None),
-        (LazyWord.from_chunks([wide] + [[1]] * 10, 300), len(wide)),
+        (LazyWord(ModAlphabet(300), lambda n: wide[:n]), len(wide)),
     ):
         expected = first_triple_by_scan(_prefix_of(word, length)[0])
         assert find_triple_repeat(word, length) == expected
     assert find_triple_repeat(planted) == 12_345  # planted between a 0 and a 1
     assert find_triple_repeat(wide) == 5000
+    assert find_triple_repeat(newline) == 7_000
     assert find_triple_repeat(tm_morphic(2), 100_000) is None
 
 

@@ -2,6 +2,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -41,9 +44,9 @@ def test_equivalence_flips_at_chunk_edges(m, length, flips):
 
 
 def test_checks_read_one_prefix():
-    # at 10^6 terms of TM_2 the morphic prefix (1 MB) and, while it is read,
-    # the lazy word's cache are the only buffers of the prefix's size: no
-    # digit-sum prefix and no copy per check (three of them peaked at 3.06 MB)
+    # at 10^6 terms of TM_2 the morphic prefix (1 MB) is the only buffer of
+    # the prefix's size that stays: no digit-sum prefix and no copy per
+    # check (three of them peaked at 3.06 MB)
     tracemalloc.start()
     try:
         records = run_checks(2, 1_000_000)
@@ -52,6 +55,34 @@ def test_checks_read_one_prefix():
         tracemalloc.stop()
     assert all(passed for _, _, passed, _ in records)
     assert peak < 2.5 * 2 ** 20, peak
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("m", [2, 7])
+def test_verify_all_peaks_near_one_byte_a_term(m):
+    # VmHWM, the process's peak resident set, read after the import and
+    # after the run; exec resets it, where ru_maxrss would carry the
+    # parent's.  When a lazy word kept a growing cache and handed out a
+    # copy of it, the two lived together, at about 2 bytes a term.
+    length = 20_000_000
+    code = (
+        "import os, sys\n"
+        "from tmcf import cli\n"
+        "def hwm():\n"
+        "    return next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "before = hwm()\n"
+        f"code = cli.main(['verify-all', '--m', '{m}', '--len', '{length}', '--format', 'json-lines', '--out', os.devnull])\n"
+        "print(code, before, hwm())\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    code, before_kb, after_kb = map(int, done.stdout.split())
+    assert code == 0
+    assert (after_kb - before_kb) * 1024 / length <= 1.3, (before_kb, after_kb)
 
 
 @pytest.mark.parametrize("length", [20000, 100])

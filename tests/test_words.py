@@ -1,4 +1,3 @@
-import itertools
 import random
 import sys
 import threading
@@ -204,8 +203,8 @@ def test_fixed_point_is_invariant_under_apply():
     assert list(phi.apply(v.prefix(500))) == v.prefix(1500)
 
 
-def test_lazyword_from_chunks_and_slicing():
-    w = LazyWord.from_chunks(itertools.repeat([0, 1, 2]), 3)
+def test_lazyword_slicing():
+    w = LazyWord(ModAlphabet(3), lambda n: [i % 3 for i in range(n)])
     assert w[5] == 2
     assert w[0:6] == [0, 1, 2, 0, 1, 2]
     assert w[2:2] == []
@@ -219,38 +218,45 @@ def test_lazyword_from_chunks_and_slicing():
 
 
 def test_lazyword_finite_source_errors():
-    w = LazyWord.from_chunks([[0, 1, 0]], 2)
+    w = LazyWord(ModAlphabet(2), lambda n: [0, 1, 0][:n])
     assert w[1] == 1
-    with pytest.raises(WordRangeError):
+    with pytest.raises(WordRangeError, match="fill returned 3 of 11 symbols"):
         w[10]
 
 
 def test_lazyword_repeated_reads_agree():
-    pulled = []
+    filled = []
 
-    def chunks():
-        for i in itertools.count(0, 16):
-            pulled.append(i)
-            yield [j % 5 for j in range(i, i + 16)]
+    def fill(n):
+        filled.append(n)
+        return [j % 5 for j in range(n)]
 
-    w = LazyWord.from_chunks(chunks(), 5)
+    w = LazyWord(ModAlphabet(5), fill)
     first = [w[i] for i in range(200)]
-    count = len(pulled)
-    second = [w[i] for i in range(200)]
-    assert first == second
-    assert len(pulled) == count  # cache hit, no recomputation
+    assert filled == [1, 2, 4, 8, 16, 32, 64, 128, 256]  # each read past the buffer doubles it
+    second = [w[i] for i in range(200)] + [w[0:256], w.symbols(256)]
+    assert first == second[:200]
+    assert len(filled) == 9  # a second read calls fill zero times
 
 
-def squares_mod_7():
-    """i^2 mod 7 for i = 0, 1, ..., in chunks of 16 symbols."""
-    for i in itertools.count(0, 16):
-        yield [(j * j) % 7 for j in range(i, i + 16)]
+def test_lazyword_symbols_are_the_filled_buffer():
+    prefix = bytes(j % 7 for j in range(1000))
+    w = LazyWord(ModAlphabet(7), lambda n: prefix[:n])
+    assert w.symbols(1000) is prefix  # a fresh word hands out its fill, no copy
+    assert w.symbols(10) == prefix[:10]
+    wide = LazyWord(ModAlphabet(300), lambda n: list(range(n)))
+    assert wide.symbols(5) == [0, 1, 2, 3, 4] and type(wide.symbols(5)) is list
+
+
+def squares_mod_7(n):
+    """i^2 mod 7 for i = 0, 1, ..., n - 1."""
+    return [(j * j) % 7 for j in range(n)]
 
 
 def test_lazyword_concurrent_reads_consistent():
-    # small chunks so that the readers race many extensions
-    w = LazyWord.from_chunks(squares_mod_7(), 7)
-    expected = [(i * i) % 7 for i in range(3000)]
+    # each reader's first reads race the others' fills
+    w = LazyWord(ModAlphabet(7), squares_mod_7)
+    expected = squares_mod_7(3000)
     results = {}
 
     def reader(tag, indices):
@@ -272,10 +278,10 @@ def test_lazyword_concurrent_reads_consistent():
 
 
 def test_packed_lazyword_under_racing_readers_and_copies():
-    # more threads than cores, switching often, while the cache grows in
-    # small chunks: a copy of the cache must never block an extension
-    w = LazyWord.from_chunks(squares_mod_7(), 7)
-    expected = [(i * i) % 7 for i in range(20_000)]
+    # more threads than cores, switching often, while the buffer is
+    # replaced by longer fills: every read must see a consistent prefix
+    w = LazyWord(ModAlphabet(7), squares_mod_7)
+    expected = squares_mod_7(20_000)
     errors, done = [], []
 
     def reader(seed):
@@ -320,19 +326,22 @@ def uniform_morphisms(draw):
 def test_power_fixed_point_matches_the_streamed_one(phi, data):
     k = phi.uniformity()
     j = data.draw(st.integers(1, 5 if k < 4 else 4))
-    fast, slow = phi.fixed_point(0), phi._streamed_fixed_point(0)
+    fast = phi.fixed_point(0)
     for n in (k ** j - 1, k ** j, k ** j + 1):
-        assert fast.prefix(n) == slow.prefix(n)
-        assert fast.symbols(n) == slow.symbols(n) == bytes(slow.prefix(n))
+        slow = phi._streamed_fixed_point(0, n)
+        assert fast.prefix(n) == list(slow)
+        assert fast.symbols(n) == slow
     assert fast.prefix(k ** j) == list(phi.power(j)(0))
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 16, 256])
 def test_power_fixed_point_crosses_its_chunks(m):
-    # the fixed point of phi^j grows by chunks of up to _FIXED_POINT_CHUNK symbols
+    # the fixed point of phi^j joins images of up to _FIXED_POINT_CHUNK
+    # symbols per level, and the streamed one a run of that many at a time
     phi = tm_phi(m)
     n = 3 * words_module._FIXED_POINT_CHUNK + 5
-    assert phi.fixed_point(0).symbols(n) == phi._streamed_fixed_point(0).symbols(n)
+    word = phi.fixed_point(0)
+    assert word.symbols(n // 3) + word.symbols(n)[n // 3:] == phi._streamed_fixed_point(0, n)
 
 
 def test_only_uniform_fixed_points_take_a_power(monkeypatch):
@@ -349,38 +358,25 @@ def test_large_alphabet_fixed_point_streams():
     assert word.symbols(301) == list(range(300)) + [1]
 
 
-def _list_backed(chunks, m):
-    """A LazyWord over the same chunks that keeps a list cache whatever m is."""
-    word = LazyWord.from_chunks(chunks, m)
-    word._cache = []
-    return word
-
-
-def test_packed_lazyword_reads_like_a_list_backed_one():
+def test_lazyword_reads_like_its_fill():
     rng = random.Random(9)
-    for m in (2, 5, 256):
+    for m in (2, 5, 256, 300):
         source = [rng.randrange(m) for _ in range(5000)]
-        chunks = [source[i:i + 37] for i in range(0, len(source), 37)]
-        packed = LazyWord.from_chunks(iter(chunks + [[0]] * 10), m)
-        plain = _list_backed(iter(chunks + [[0]] * 10), m)
-        assert isinstance(packed._cache, bytearray) and isinstance(plain._cache, list)
+        word = LazyWord(ModAlphabet(m), lambda n: source[:n])
         for _ in range(200):
             i = rng.randrange(4000)
             j = i + rng.randrange(200)
-            assert packed[i] == plain[i] == source[i]
-            assert packed[i:j] == plain[i:j] == source[i:j]
-            assert type(packed[i:j]) is list
-        prefix = packed.prefix(4321)
-        assert type(prefix) is list and prefix == packed[0:4321] == plain.prefix(4321)
-        assert packed.symbols(4321) == bytes(source[:4321])
-        assert type(packed.symbols(4321)) is bytes
-        assert plain.symbols(4321) == source[:4321]
+            assert word[i] == source[i]
+            assert word[i:j] == source[i:j] and type(word[i:j]) is list
+        prefix = word.prefix(4321)
+        assert type(prefix) is list and prefix == source[:4321]
+        assert word.symbols(4321) == (bytes(source[:4321]) if m <= 256 else source[:4321])
 
 
-def test_packed_symbols_are_a_copy_the_word_can_grow_past():
+def test_packed_symbols_stay_as_the_word_grows():
     word = tm_phi(2).fixed_point(0)
     head = word.symbols(8)
-    assert word.prefix(100_000)[:8] == list(head)  # the cache grew after the copy
+    assert word.prefix(100_000)[:8] == list(head)  # the buffer was replaced after the read
     assert head == bytes([0, 1, 1, 0, 1, 0, 0, 1])
     with pytest.raises(WordRangeError):
         word.symbols(-1)
@@ -390,18 +386,23 @@ def test_packed_symbols_are_a_copy_the_word_can_grow_past():
     "m, chunk, bad",
     [
         (3, [0, 1, 3], 3),            # inside range(256), outside the alphabet
-        (3, [0, 300], 300),           # outside range(256): no bytearray ValueError
+        (3, [0, 300], 300),           # outside range(256): no bytes ValueError
         (3, [0, -1], -1),
         (3, bytes([0, 2, 5]), 5),
         (256, [255, 256], 256),
-        (300, [0, 299, 300], 300),    # the list cache
+        (300, [0, 299, 300], 300),    # a list buffer
         (300, [-2], -2),
         (2, [0, "1"], "1"),
     ],
     ids=["past-m", "past-255", "negative", "bytes", "m256", "list-cache", "list-negative", "no-int"],
 )
 def test_chunk_symbols_outside_the_alphabet(m, chunk, bad):
-    word = LazyWord.from_chunks(itertools.chain([[0, 1]], [chunk], itertools.repeat([0])), m)
+    def fill(n):  # [0, 1], then the chunk, then zeros, in the chunk's own type
+        if isinstance(chunk, bytes):
+            return (bytes([0, 1]) + chunk + bytes(n))[:n]
+        return [0, 1, *chunk, *[0] * n][:n]
+
+    word = LazyWord(ModAlphabet(m), fill)
     assert word[1] == 1
-    with pytest.raises(SymbolError, match=f"chunk symbol {bad!r} not in alphabet of modulus {m}"):
-        word[2]
+    with pytest.raises(SymbolError, match=f"symbol {bad!r} not in alphabet of modulus {m}"):
+        word.prefix(2 + len(chunk))
