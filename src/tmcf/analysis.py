@@ -1,14 +1,15 @@
 """Finite-prefix analyzers: subword complexity, periodicity refutation,
 palindromic prefixes, and factor occurrence tooling.
 
-All analyzers only read a materialized prefix, so distinct analyses can
-run concurrently over the same sequence.  Most scan every position.  A
-prefix that repeats its aligned blocks (`tm._repeated_blocks`), as a
-prefix of TM_m does, is read from its distinct block pairs and its tail
-instead: `complexity` builds its windows there (`_block_pair_windows`),
-and `find_pattern` decides there that a factor is absent
-(`tm._factor_cover`).  Any other prefix is scanned whole, and so is one
-that holds the factor looked for, to list where.
+All analyzers only read a materialized prefix (`bytes` over m <= 256
+symbols, else a tuple), so distinct analyses can run concurrently over
+the same sequence.  Most scan every position.  A prefix that repeats its
+aligned blocks, as a prefix of TM_m does, is read from its distinct
+blocks, block pair spans and tail instead (`tm._block_parts`):
+`complexity` builds its windows there (`_block_pair_windows`), and
+`find_pattern` decides there that a factor is absent (`tm._factor_cover`).
+Any other prefix is scanned whole, and so is one that holds the factor
+looked for, to list where.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
-from .tm import Word, _factor_cover, _prefix_of, _repeated_blocks, tm_digit_sum, tm_digit_sum_sequence
+from .tm import Word, _block_parts, _factor_cover, _prefix_of, tm_digit_sum, tm_digit_sum_sequence
 from .words import FiniteWord, ModAlphabet, WordRangeError
 
 
@@ -93,31 +94,18 @@ def _block_pair_windows(data: bytes, symbols: Sequence[int], n_max: int, width: 
                         size: int) -> set[bytes] | None:
     """The window set of `_prefix_windows`, read from aligned block pairs;
     None when the prefix does not repeat its blocks of `size` >= n_max - 1
-    symbols (`_repeated_blocks`, which states the precondition, checks it
-    on the prefix's own bytes, and shows why the windows of the distinct
-    pair spans and of the tail are exactly the prefix's window set).
-
-    A window that ends inside block a does not depend on the pair's b, so
-    it is built once per label a; only the n_max - 1 windows that cross
-    into block b are built per pair.
+    symbols (`tm._repeated_blocks` states the precondition and shows why
+    the windows of the pair spans and the tail are the prefix's window
+    set): the tail's `_prefix_windows` and the full windows of every other
+    part of `tm._block_parts` with edge n_max - 1.
     """
-    blocks = _repeated_blocks(data, symbols, size, width)
-    if blocks is None:
+    parts = _block_parts(data, symbols, size, width, n_max - 1)
+    if parts is None:
         return None
-    count = len(symbols) // size
-    labels = symbols[:count]
-    stride = size * width
+    windows = _prefix_windows(parts.pop(), n_max, width)
     full = n_max * width  # bytes of a window
-    cross = stride - full + width  # bytes of block a before its first crossing window
-    pairs = set(zip(labels, labels[1:]))
-    windows = _prefix_windows(data[(count - 1) * stride:], n_max, width)
-    for a in {a for a, _ in pairs}:  # the windows that end inside block a
-        block = blocks[a]
-        windows.update(map(block.__getitem__, map(slice, range(0, cross, width), range(full, stride + 1, width))))
-    starts = range(0, full - width, width)
-    for a, b in pairs:  # the windows that cross from block a into block b
-        span = blocks[a][cross:] + blocks[b][:full - width]
-        windows.update(map(span.__getitem__, map(slice, starts, range(full, 2 * full - width, width))))
+    for part in parts:
+        windows.update(map(part.__getitem__, map(slice, range(0, len(part), width), range(full, len(part) + 1, width))))
     return windows
 
 
@@ -217,7 +205,7 @@ def _power_windows(m: int, r: int, n: int) -> set[bytes]:
     images = [a.to_bytes(width, "big") for a in range(m)]
     for _ in range(r):
         images = [b"".join(images[a:] + images[:a]) for a in range(m)]
-    base = tm_digit_sum_sequence(m).word.symbols(size)
+    base = tm_digit_sum_sequence(m).symbols(size)
     leading_zero = [images[-c % m] for c in range(m)]  # leading_zero[B[s]][s] == 0
     inside = max(size - n + 1, 0)  # offsets whose window ends inside P_a
     first = max(inside - size // m, 0) if r else 0  # phi^0(a) has no blocks to shift
@@ -381,9 +369,8 @@ def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: 
         raise ValueError("pattern must be nonempty")
     if len(pat) > len(symbols):
         return []
-    if m > 256:
-        pat = tuple(pat)
-        return [i for i in range(len(symbols) - len(pat) + 1) if tuple(symbols[i:i + len(pat)]) == pat]
+    if m > 256:  # tuples
+        return [i for i in range(len(symbols) - len(pat) + 1) if symbols[i:i + len(pat)] == pat]
     out = []
     cover = _factor_cover(symbols, m, len(pat))
     if cover is not None and pat not in cover:

@@ -22,8 +22,8 @@ from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .tm import TmSequence, tm_digit_sum, tm_digit_sum_sequence
-from .words import ModAlphabet, SymbolError, _Frozen
+from .tm import tm_digit_sum, tm_digit_sum_sequence
+from .words import LazyWord, ModAlphabet, SymbolError, _Frozen
 
 
 class AlphabetMapError(ValueError):
@@ -79,13 +79,12 @@ class AlphabetMap(_Frozen):
         return self.entries.get(symbol, symbol + 1)
 
 
-def map_alphabet(seq: TmSequence, amap: AlphabetMap) -> Iterator[int]:
+def map_alphabet(seq: LazyWord, amap: AlphabetMap) -> Iterator[int]:
     """Partial quotients a_k = amap(t_{k-1}) for k >= 1 (a_0 = 0 implicit)."""
     if amap.m != seq.m:
         raise AlphabetMapError(f"map modulus {amap.m} does not match sequence modulus {seq.m}")
-    word = seq.word
     for k in itertools.count():
-        yield amap(word[k])
+        yield amap(seq[k])
 
 
 class ConvergentPair(NamedTuple):
@@ -140,7 +139,7 @@ def convergent_rows(quotients: Iterable[int]) -> Iterator[tuple[int, int, int]]:
 
 def tm_convergent_rows(amap: AlphabetMap, count: int) -> Iterator[tuple[int, int, int]]:
     """`convergent_rows` for n <= count of the quotients amap(t_0), amap(t_1), ... of TM_m."""
-    symbols = tm_digit_sum_sequence(amap.m).word.symbols(count)
+    symbols = tm_digit_sum_sequence(amap.m).symbols(count)
     image = {symbol: amap(symbol) for symbol in set(symbols)}  # one amap call per distinct symbol
     return convergent_rows(map(image.__getitem__, symbols))
 

@@ -1,8 +1,9 @@
 """The generalized Thue-Morse sequences TM_m, built two independent ways.
 
-The digit-sum construction reduces the base-m digit sum of the index mod m.
-The morphic construction iterates the map j -> j, j+1, ..., j+m-1 (mod m)
-from the seed 0.  Both agree termwise, which `tmcf verify-all` checks one
+The digit-sum construction (`tm_digit_sum_sequence`) reduces the base-m
+digit sum of the index mod m.  The morphic one (`tm_morphic`) iterates the
+map j -> j, j+1, ..., j+m-1 (mod m) from the seed 0.  Each returns TM_m as
+a `LazyWord`.  Both agree termwise, which `tmcf verify-all` checks one
 digit-sum chunk at a time against the morphic prefix (`first_mismatch`
 names the first disagreement), and `lemma_recursion_holds` verifies the
 indexing identity that makes the agreement work.  The two paths share
@@ -22,11 +23,10 @@ from .words import (
     Morphism,
     SymbolError,
     WordRangeError,
-    _Frozen,
     value,
 )
 
-Word = Union["TmSequence", LazyWord, FiniteWord, Sequence[int]]
+Word = Union[LazyWord, FiniteWord, Sequence[int]]
 
 
 def tm_digit_sum(n: int, m: int) -> int:
@@ -39,29 +39,6 @@ def tm_digit_sum(n: int, m: int) -> int:
         n, d = divmod(n, m)
         s += d
     return s % m
-
-
-class TmSequence(_Frozen):
-    """A realized TM_m sequence together with the construction that built it."""
-
-    __slots__ = ("m", "word", "construction")
-
-    def __init__(self, m: int, word: LazyWord, construction: str):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "construction", construction)  # "digit_sum" or "morphic"
-
-    def __repr__(self) -> str:
-        return f"TmSequence(m={self.m}, word={self.word!r}, construction={self.construction!r})"
-
-    def __getitem__(self, key):
-        return self.word[key]
-
-    def __iter__(self):
-        return iter(self.word)  # raises: the word is infinite
-
-    def prefix(self, n: int) -> list[int]:
-        return self.word.prefix(n)
 
 
 @lru_cache(maxsize=16, typed=True)
@@ -81,9 +58,9 @@ def _tm_power(m: int, k: int) -> Morphism:
     return tm_morphism(m).power(k)
 
 
-def tm_morphic(m: int) -> TmSequence:
+def tm_morphic(m: int) -> LazyWord:
     """TM_m as the fixed point of tm_morphism(m) based at 0."""
-    return TmSequence(m, tm_morphism(m).fixed_point(0), "morphic")
+    return tm_morphism(m).fixed_point(0)
 
 
 def _shift_table(m: int, j: int) -> bytes:
@@ -133,7 +110,7 @@ def digit_sum_chunks(m: int) -> Iterator[Sequence[int]]:
         yield base.translate(shifts[tm_digit_sum(a, m)])
 
 
-def tm_digit_sum_sequence(m: int) -> TmSequence:
+def tm_digit_sum_sequence(m: int) -> LazyWord:
     """TM_m as a lazy word whose first n terms join the chunks of
     `digit_sum_chunks` cut to n: the block identity t_{a m^k + r} =
     t_r + s_m(a) (mod m) for r < m^k.
@@ -148,7 +125,11 @@ def tm_digit_sum_sequence(m: int) -> TmSequence:
             n -= len(chunk)
         return (b"".join if m <= 256 else itertools.chain.from_iterable)(parts)
 
-    return TmSequence(m, LazyWord(ModAlphabet(m), fill), "digit_sum")
+    return LazyWord(ModAlphabet(m), fill)
+
+
+# The name perfbench/spans.py wraps `prefix` on; no code in tmcf uses it.
+TmSequence = LazyWord
 
 
 def first_mismatch(a: Sequence[int], b: Sequence[int]) -> int | None:
@@ -350,45 +331,53 @@ def _repeated_blocks(data: bytes, symbols: Sequence[int], size: int, width: int 
     return blocks
 
 
+def _block_parts(data: bytes, symbols: Sequence[int], size: int, width: int, edge: int) -> list[bytes] | None:
+    """The parts of a prefix that repeats its blocks (`_repeated_blocks`),
+    or None when it does not: the distinct blocks, for each distinct pair
+    a b the last `edge` symbols of block a joined to the first `edge` of
+    block b, and last the tail.  With edge <= size, a factor of length
+    <= edge + 1 of the prefix lies in one of the parts.
+    """
+    blocks = _repeated_blocks(data, symbols, size, width)
+    if blocks is None:
+        return None
+    count = len(symbols) // size
+    labels = symbols[:count]
+    stride, cut = size * width, edge * width
+    spans = [blocks[a][stride - cut:] + blocks[b][:cut] for a, b in set(zip(labels, labels[1:]))]
+    return [*blocks.values(), *spans, data[(count - 1) * stride:]]
+
+
 def _factor_cover(data: bytes, m: int, n: int) -> bytes | None:
     """Bytes that hold every factor of length <= n of a packed prefix over
     m <= 256 symbols, or None when the prefix does not repeat its blocks.
 
-    The cover joins the distinct blocks of `_repeated_blocks`, for each
-    distinct pair a b the last n - 1 symbols of block a and the first
-    n - 1 of block b (a factor in the pair's span lies in one of these),
-    and the tail.  A factor absent from it is absent from the prefix; one
-    found in it may straddle two joined parts.  The blocks are of the
-    least size = m^r >= n - 1 with m * size^2 >= len(data), so the labels
-    checked (len / size) are about as many as the bytes of distinct
-    blocks (at most m * size).
+    The cover joins the `_block_parts` with edge n - 1.  A factor absent
+    from it is absent from the prefix; one found in it may straddle two
+    joined parts.  The blocks are of the least size = m^r >= n - 1 with
+    m * size^2 >= len(data), so the labels checked (len / size) are about
+    as many as the bytes of distinct blocks (at most m * size, ~67 KB at
+    m = 256).
     """
     size = m
     while size < n - 1 or m * size * size < len(data):
         size *= m
-    blocks = _repeated_blocks(data, data, size)
-    if blocks is None:
-        return None
-    count = len(data) // size
-    edge = n - 1
-    crossings = [blocks[a][size - edge:] + blocks[b][:edge] for a, b in set(zip(data[:count], data[1:count]))]
-    return b"".join([*blocks.values(), *crossings, data[(count - 1) * size:]])
+    parts = _block_parts(data, data, size, 1, n - 1)
+    return None if parts is None else b"".join(parts)
 
 
 def _prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Sequence[int], int]:
     """The first `length` symbols of a word (all of a finite one) and their modulus.
 
-    Over m <= 256 symbols they are `bytes`: a lazy word's buffer (uncut on
-    a fresh word) from `LazyWord.symbols`, a `FiniteWord`'s own, or any
-    other sequence or iterable cut to `length` and packed by
-    `ModAlphabet.pack` (`bytes` with no copy).  Above 256 symbols they are the word's sequence or a slice
-    of it, which callers only read.  Infinite words need a length.  A
+    They are `bytes` over m <= 256 symbols, else a tuple: a lazy word's
+    buffer (uncut on a fresh word) from `LazyWord.symbols`, a
+    `FiniteWord`'s own, or any other sequence or iterable cut to `length`
+    and packed by `ModAlphabet.pack` (no copy of `bytes` or, above 256
+    symbols, of a tuple).  Infinite words need a length.  A
     word's modulus is its alphabet's and must equal a given `m`; a plain
     sequence's is `m`, else max(symbols) + 1 and at least 2.  A symbol
     outside {0, ..., modulus - 1} or a modulus mismatch raises SymbolError.
     """
-    if isinstance(word, TmSequence):
-        word = word.word
     if isinstance(word, LazyWord):
         if length is None:
             raise ValueError("an explicit prefix length is required for infinite words")

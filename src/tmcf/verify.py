@@ -1,12 +1,13 @@
 """The verification suite behind `tmcf verify-all`, callable without the CLI.
 
-`checks` reads one prefix of TM_m and yields one (suite, property, passed,
-detail) tuple per claim it checks: that the digit-sum and morphic
-constructions agree, the congruences and the lemma's recursion, that no
-eventual period fits a box, the palindrome evidence (the powers-of-four
-ladder at m = 2, else an absent factor 1,1,0 and the predicted 0,1,1
-positions), the factor complexity against the exact count, and the
-convergents and certified decimal of the continued fraction.
+`checks` reads one prefix of TM_m, the buffer of one `tm.tm_morphic(m)`
+fill, packed once, and yields one (suite, property, passed, detail) tuple
+per claim it checks: that the digit-sum and morphic constructions agree,
+the congruences and the lemma's recursion, that no eventual period fits a
+box, the palindrome evidence (the powers-of-four ladder at m = 2, else an
+absent factor 1,1,0 and the predicted 0,1,1 positions), the factor
+complexity against the exact count, and the convergents and certified
+decimal of the continued fraction.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 from typing import Iterator, Sequence
 
 from . import analysis, cf, tm
-from .words import FiniteWord, ModAlphabet
+from .words import ModAlphabet
 
 # Most terms or digit words that verify-all scans one by one in Python: the
 # congruence scan reads at most this many terms, and the recursion suite
@@ -48,10 +49,10 @@ def checks(m: int, length: int, amap: cf.AlphabetMap, *, n_max: int, a_max: int,
 
 def _checks(m: int, length: int, amap: cf.AlphabetMap, n_max: int, a_max: int, b_max: int, digits: int,
             inject_flip: int | None) -> Iterator[tuple[str, str, bool, str]]:
-    # The morphic prefix: one fill of a fresh lazy word (dropped at once), kept
-    # by FiniteWord without a copy.  Every check below reads this one object.
-    morphic = FiniteWord(tm.tm_morphic(m).word.symbols(length), ModAlphabet(m))
-    data = morphic.symbols  # bytes for m <= 256, else a tuple
+    # The morphic prefix, one fill of a fresh word: every check below reads
+    # this one buffer (bytes for m <= 256, else a tuple), directly or as `morphic`.
+    morphic = tm.tm_morphic(m)
+    data = morphic.symbols(length)
     mismatch = _first_digit_sum_mismatch(data, m, inject_flip)
     yield (
         "equivalence",
@@ -134,7 +135,7 @@ def _checks(m: int, length: int, amap: cf.AlphabetMap, n_max: int, a_max: int, b
     exact = analysis.tm_complexity(m, n_max)
     # a prefix that holds phi^r of every pair holds every factor, so its
     # counts must equal the exact ones; a shorter prefix can only miss factors
-    covering = _covering_length(morphic, m ** exact.power)
+    covering = _covering_length(data, m, m ** exact.power)
     prefix = analysis.complexity(morphic, n_max, covering or length)
     if covering:
         relation, off = "==", [n for n, p in prefix.table.items() if p != exact.p(n)]
@@ -231,16 +232,15 @@ def _first_digit_sum_mismatch(data: Sequence[int], m: int, flip: int | None) -> 
         start = end
 
 
-def _covering_length(word: FiniteWord, block: int) -> int | None:
+def _covering_length(data: Sequence[int], m: int, block: int) -> int | None:
     """(i + 2) * block, where i is the last first occurrence of any of the
-    m^2 pairs in the word, if that is at most its length.
+    m^2 pairs in a prefix over m symbols, if that is at most its length.
 
     With block = m^r, phi^r(t_i t_{i+1}) ends there, so that prefix holds
     every factor of length <= block + 1.  None when a pair is missing from
-    the word, when the prefix would be longer, or when m > 256, whose
-    terms are not packed.
+    the prefix, when the covering prefix would be longer, or when m > 256,
+    whose terms are not packed.
     """
-    m, data = word.m, word.symbols
     if m > 256:
         return None
     last = 0

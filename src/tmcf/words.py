@@ -24,7 +24,7 @@ class WordRangeError(IndexError):
 
 class _Frozen:
     """A base for immutable `__slots__` classes: `__init__` sets each slot
-    once through object.__setattr__, and no attribute changes after."""
+    once through object.__setattr__, and no caller can change one after."""
 
     __slots__ = ()
 
@@ -61,18 +61,18 @@ class ModAlphabet(_Frozen):
             raise SymbolError(f"symbol {symbol!r} not in alphabet of modulus {self.m}")
         return symbol
 
-    def pack(self, symbols: Iterable[int]) -> Sequence[int]:
-        """The symbols once each passes `check`: `bytes` for m <= 256, else as given.
+    def pack(self, symbols: Iterable[int]) -> bytes | tuple[int, ...]:
+        """The symbols once each passes `check`: `bytes` for m <= 256, else a tuple.
 
         The one check of a sequence of symbols; SymbolError names the first
-        that fails.  `bytes` come back as they are; an iterable that is no
-        sequence is read once, into a list.  The check runs in C: a type
-        pass, then `bytes` and `translate` (m <= 256) or min and max.
+        that fails.  `bytes`, and a tuple above 256 symbols, come back as they
+        are; anything else is copied once.  The check runs in C: a type pass,
+        then `bytes` and `translate` (m <= 256) or min and max.
         """
         m = self.m
         raw = isinstance(symbols, (bytes, bytearray))
-        if not raw and not isinstance(symbols, Sequence):
-            symbols = list(symbols)
+        if m > 256 or not raw and not isinstance(symbols, Sequence):
+            symbols = tuple(symbols)  # tuple(t) is t: no copy of a tuple
         try:
             if raw or {int}.issuperset(map(type, symbols)):
                 if m > 256 and (not symbols or 0 <= min(symbols) and max(symbols) < m):
@@ -91,13 +91,12 @@ class ModAlphabet(_Frozen):
 
 class FiniteWord(_Frozen):
     """An immutable finite word over a ModAlphabet; its `symbols` are
-    `bytes` when m <= 256, else a tuple."""
+    `bytes` when m <= 256, else a tuple (`ModAlphabet.pack`)."""
 
     __slots__ = ("symbols", "alphabet")
 
     def __init__(self, symbols: Iterable[int], alphabet: ModAlphabet):
-        syms = alphabet.pack(symbols)
-        object.__setattr__(self, "symbols", syms if alphabet.m <= 256 else tuple(syms))
+        object.__setattr__(self, "symbols", alphabet.pack(symbols))
         object.__setattr__(self, "alphabet", alphabet)
 
     @property
@@ -156,26 +155,27 @@ def value(word: Union[FiniteWord, Sequence[int]], m: int) -> int:
     return total
 
 
-class LazyWord:
+class LazyWord(_Frozen):
     """A right-infinite word read from a prefix function.
 
     `fill(n)` returns the first n symbols, as `bytes` or any iterable of
     ints.  The word keeps one buffer, the last fill as `ModAlphabet.pack`
-    checks it: `bytes` for m <= 256, else a sequence.  A read past it
-    replaces it with fill(max(n, 2 * len(buffer))), and a fill that comes
-    back short raises WordRangeError.  A buffer never changes, so readers
-    take no lock, and `symbols` hands it out without a copy when it holds
-    just the symbols asked for, as on a fresh word.  `prefix` and slices
-    return a new `list`; `iter` raises TypeError, so code that would walk
-    the whole word fails at once.
+    checks it: `bytes` for m <= 256, else a tuple.  A read past it swaps in
+    fill(max(n, 2 * len(buffer))), through object.__setattr__ (to callers
+    the word is immutable), and a fill that comes back short raises
+    WordRangeError.  A buffer never changes, so readers take no lock, and
+    `symbols` hands it out without a copy when it holds just the symbols
+    asked for, as on a fresh word.  `prefix` and slices return a new `list`;
+    `iter` raises TypeError, so code that would walk the whole word fails at
+    once.
     """
 
     __slots__ = ("alphabet", "_fill", "_buffer")
 
     def __init__(self, alphabet: ModAlphabet, fill: Callable[[int], Iterable[int]]):
-        self.alphabet = alphabet
-        self._fill = fill
-        self._buffer: bytes | Sequence[int] = b"" if alphabet.m <= 256 else []
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "_fill", fill)
+        object.__setattr__(self, "_buffer", alphabet.pack(()))
 
     def __iter__(self):
         # without this, iter() would fall back on __getitem__ and never end
@@ -185,7 +185,7 @@ class LazyWord:
     def m(self) -> int:
         return self.alphabet.m
 
-    def _read(self, n: int) -> bytes | Sequence[int]:
+    def _read(self, n: int) -> bytes | tuple[int, ...]:
         """A buffer of at least n symbols: the current one, or a new fill."""
         buffer = self._buffer
         if n <= len(buffer):
@@ -194,7 +194,7 @@ class LazyWord:
         if len(buffer) < n:
             raise WordRangeError(f"fill returned {len(buffer)} of {n} symbols; LazyWord fills must be unbounded")
         if len(buffer) > len(self._buffer):  # a reader that loses a race here costs a refill, never a wrong symbol
-            self._buffer = buffer
+            object.__setattr__(self, "_buffer", buffer)
         return buffer
 
     def __getitem__(self, key):
@@ -207,8 +207,7 @@ class LazyWord:
                 raise WordRangeError("LazyWord slices need a finite stop")
             if start < 0 or key.stop < start:
                 raise WordRangeError(f"invalid range [{start}:{key.stop})")
-            part = self._read(key.stop)[start:key.stop]
-            return part if isinstance(part, list) else list(part)
+            return list(self._read(key.stop)[start:key.stop])
         if key < 0:
             raise WordRangeError("LazyWord has no negative indices")
         return self._read(key + 1)[key]
@@ -217,13 +216,11 @@ class LazyWord:
         """The first n symbols: the same list as self[0:n]."""
         return self[0:n]
 
-    def symbols(self, n: int) -> bytes | list[int]:
-        """The first n symbols: `bytes` when m <= 256, else the list self[0:n]."""
-        if self.alphabet.m > 256:
-            return self[0:n]
+    def symbols(self, n: int) -> bytes | tuple[int, ...]:
+        """The first n symbols, `bytes` or (m > 256) a tuple: the buffer itself if it holds just n."""
         if n < 0:
             raise WordRangeError(f"invalid range [0:{n})")
-        return self._read(n)[:n]  # the bytes buffer itself when it holds n symbols
+        return self._read(n)[:n]
 
     def __repr__(self) -> str:
         return f"LazyWord(m={self.alphabet.m}, prefix~{list(self._buffer[:8])}...)"
@@ -333,7 +330,7 @@ class Morphism(_Frozen):
             j += 1
         images = [img.symbols for img in self.power(j).images]
         size = k ** j
-        join = b"".join if self.m <= 256 else lambda parts: list(itertools.chain.from_iterable(parts))
+        join = b"".join if self.m <= 256 else lambda parts: tuple(itertools.chain.from_iterable(parts))
 
         def fill(n: int) -> Sequence[int]:
             lengths = [n]  # the prefix lengths each level needs, longest first

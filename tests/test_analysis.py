@@ -626,7 +626,7 @@ def test_palindrome_scan_copies_no_half_of_the_prefix():
     # 2^21 symbols were once copied whole (4 MB traced); the comparisons
     # now copy pieces of at most 2^16 symbols.  A FiniteWord is checked
     # already, so no `pack` of the prefix is traced either.
-    word = FiniteWord(tm_morphic(2).word.symbols(2 ** 22), ModAlphabet(2))
+    word = FiniteWord(tm_morphic(2).symbols(2 ** 22), ModAlphabet(2))
     tracemalloc.start()
     try:
         ladder = palindromic_prefixes(word)
@@ -754,7 +754,7 @@ def test_concurrent_analyses_share_one_sequence():
 
     jobs = [
         ("complexity", lambda: complexity(seq, 40, length=20_000).p(40)),
-        ("period", lambda: find_period(seq.word.prefix(20_000), 50, 200)),
+        ("period", lambda: find_period(seq.prefix(20_000), 50, 200)),
         ("ladder", lambda: palindromic_prefixes(seq, length=20_000).indices),
         ("pattern", lambda: find_pattern(seq, [1, 1, 0], length=20_000)),
     ]
@@ -763,7 +763,7 @@ def test_concurrent_analyses_share_one_sequence():
         t.start()
     for t in threads:
         t.join()
-    assert results["complexity"] == complexity(seq.word.prefix(20_000), 40).p(40)
+    assert results["complexity"] == complexity(seq.prefix(20_000), 40).p(40)
     assert results["period"] is None
     assert results["ladder"] == (0,)
     assert results["pattern"] == []

@@ -23,7 +23,9 @@ RECORDS = [
     MoebiusMap(1, 0, 0, 1),
     ModAlphabet(2),
     AlphabetMap(2, {0: 3}),
-    tmcf.tm_digit_sum_sequence(2),
+    # both constructions return a LazyWord: named by their function
+    pytest.param(tmcf.tm_digit_sum_sequence(2), id="tm_digit_sum_sequence"),
+    pytest.param(tmcf.tm_morphic(2), id="tm_morphic"),
     FiniteWord([0, 1], ModAlphabet(2)),
     tmcf.tm_morphism(2),
 ]

@@ -118,28 +118,28 @@ def test_first_mismatch():
 
 def test_verify_equivalence_small_and_corrupt():
     # the agreement `tmcf verify-all` checks, on short whole prefixes, with sampled lemma words
-    assert first_mismatch(tm_digit_sum_sequence(2).word.symbols(1), tm_morphic(2).word.symbols(1)) is None
+    assert first_mismatch(tm_digit_sum_sequence(2).symbols(1), tm_morphic(2).symbols(1)) is None
 
     rng = random.Random(1)
     for m in (2, 5, 8):
-        ds = tm_digit_sum_sequence(m).word.symbols(20_000)
+        ds = tm_digit_sum_sequence(m).symbols(20_000)
         assert len(ds) == 20_000
-        assert first_mismatch(ds, tm_morphic(m).word.symbols(20_000)) is None, m
+        assert first_mismatch(ds, tm_morphic(m).symbols(20_000)) is None, m
         for _ in range(25):
             c = [rng.randrange(m) for _ in range(rng.randint(2, 6))]
             assert check_lemma_recursion(c, m), (m, c)
 
     # corrupting one term of a packed prefix is detected at exactly that index
-    ds = bytearray(tm_digit_sum_sequence(5).word.symbols(1000))
+    ds = bytearray(tm_digit_sum_sequence(5).symbols(1000))
     ds[421] = (ds[421] + 1) % 5
-    assert first_mismatch(ds, tm_morphic(5).word.symbols(1000)) == 421
+    assert first_mismatch(ds, tm_morphic(5).symbols(1000)) == 421
 
 
 def test_equivalence_through_m_ten():
     # the agreement `tmcf verify-all` checks chunk by chunk, here on two whole packed prefixes
     for m in range(2, 11):
-        assert first_mismatch(tm_digit_sum_sequence(m).word.symbols(100_000),
-                              tm_morphic(m).word.symbols(100_000)) is None, m
+        assert first_mismatch(tm_digit_sum_sequence(m).symbols(100_000),
+                              tm_morphic(m).symbols(100_000)) is None, m
 
     # corrupting one term is detected at exactly that index
     ds = tm_digit_sum_sequence(3).prefix(500)
@@ -150,7 +150,7 @@ def test_equivalence_through_m_ten():
 
 def test_infinite_sequences_are_not_iterable():
     # iteration would fall back on __getitem__ and never end
-    for seq in (tm_morphic(3), tm_digit_sum_sequence(3), tm_morphic(3).word):
+    for seq in (tm_morphic(3), tm_digit_sum_sequence(3)):
         with pytest.raises(TypeError, match="infinite"):
             iter(seq)
         with pytest.raises(TypeError):
@@ -231,7 +231,7 @@ def test_congruences_packed_check_reports_what_the_scans_report(monkeypatch):
     for m in (2, 3, 5, 16, 256):
         for trial in range(40):
             length = rng.randint(m, 4000)
-            word = bytearray(tm_digit_sum_sequence(m).word.symbols(length + 3))
+            word = bytearray(tm_digit_sum_sequence(m).symbols(length + 3))
             for _ in range(trial % 4):
                 i = rng.randrange(len(word))
                 word[i] = (word[i] + rng.randrange(1, m)) % m
@@ -274,17 +274,17 @@ def test_prefix_of_reads_in_place():
     assert _prefix_of(word, None)[0] is word.symbols
     # a packed lazy word hands out its bytes buffer
     assert _prefix_of(tm_morphic(3), 4, 3) == (bytes([0, 1, 2, 1]), 3)
-    assert _prefix_of(tm_morphic(300), 4) == ([0, 1, 2, 3], 300)
+    assert _prefix_of(tm_morphic(300), 4) == ((0, 1, 2, 3), 300)
     # the caller's modulus, or the largest symbol + 1 and at least 2
     assert _prefix_of(symbols, None, 5) == (packed, 5)
     assert _prefix_of([0, 0], None) == (bytes(2), 2)
     # an iterable that is no sequence is read once, up to the length
     assert _prefix_of(iter([0, 2, 0]), None) == (bytes([0, 2, 0]), 3)
     assert _prefix_of(itertools.count(), 4) == (bytes([0, 1, 2, 3]), 4)
-    # above 256 symbols a plain list is read in place
-    wide = [0, 299, 5]
+    # above 256 symbols a tuple is read in place; a plain list is copied once into one
+    wide = (0, 299, 5)
     assert _prefix_of(wide, None, 300)[0] is wide
-    assert _prefix_of(wide, None) == (wide, 300)
+    assert _prefix_of(list(wide), None) == (wide, 300)
     for bad, m in (([0, 3], 3), ([0, -1], None), (word, 2), (tm_morphic(2), 3)):
         with pytest.raises(SymbolError):
             _prefix_of(bad, 2, m)
@@ -443,8 +443,8 @@ def test_triple_repeat_needs_a_length_for_infinite_words():
 def test_constructions_share_no_state():
     a = tm_digit_sum_sequence(4)
     b = tm_morphic(4)
-    assert a.word is not b.word
     assert a.prefix(3000) == b.prefix(3000)
+    assert a.symbols(3000) is not b.symbols(3000)  # each word fills its own buffer
 
 
 def test_large_modulus_supported():

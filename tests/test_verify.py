@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import Sized
 
 import pytest
 
 from tmcf import analysis, cf, cli, tm, verify
+from tmcf.words import ModAlphabet
 
 # the defaults of `tmcf verify-all`
 DEFAULTS = {"n_max": 200, "a_max": 50, "b_max": 400, "digits": 12}
@@ -29,8 +31,8 @@ def run_checks(m, length, inject_flip=None, **limits):
 ])
 def test_equivalence_flips_at_chunk_edges(m, length, flips):
     # the streamed check against first_mismatch on the two fully built prefixes
-    digit_sums = tm.tm_digit_sum_sequence(m).word.symbols(length)
-    morphic = tm.tm_morphic(m).word.symbols(length)
+    digit_sums = tm.tm_digit_sum_sequence(m).symbols(length)
+    morphic = tm.tm_morphic(m).symbols(length)
     for flip in (None, *flips):
         expected = list(digit_sums)
         if flip is not None:
@@ -55,6 +57,26 @@ def test_checks_read_one_prefix():
         tracemalloc.stop()
     assert all(passed for _, _, passed, _ in records)
     assert peak < 2.5 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("m, length", [(2, 100_000), (300, 20_000)])
+def test_checks_pack_the_prefix_once(monkeypatch, m, length):
+    # the morphic fill is the one check of a whole prefix: every check
+    # reads that buffer, and none packs it again (the images of phi^j that
+    # the fill reads hold at most 2^15 symbols each)
+    pack = ModAlphabet.pack
+    whole = []
+
+    def counted(self, symbols):
+        if not isinstance(symbols, Sized):
+            symbols = list(symbols)
+        if len(symbols) >= length:
+            whole.append(len(symbols))
+        return pack(self, symbols)
+
+    monkeypatch.setattr(ModAlphabet, "pack", counted)
+    assert all(passed for _, _, passed, _ in run_checks(m, length))
+    assert whole == [length]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")

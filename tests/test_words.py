@@ -193,7 +193,7 @@ def test_non_uniform_fixed_points_match_power_images_across_runs():
         assert len(expected) > 4 * words_module._FIXED_POINT_CHUNK
         word = phi.fixed_point(0)
         assert word.prefix(len(expected)) == expected
-        assert word.symbols(len(expected)) == (bytes(expected) if phi.m <= 256 else expected)
+        assert word.symbols(len(expected)) == (bytes if phi.m <= 256 else tuple)(expected)
 
 
 def test_fixed_point_is_invariant_under_apply():
@@ -245,7 +245,9 @@ def test_lazyword_symbols_are_the_filled_buffer():
     assert w.symbols(1000) is prefix  # a fresh word hands out its fill, no copy
     assert w.symbols(10) == prefix[:10]
     wide = LazyWord(ModAlphabet(300), lambda n: list(range(n)))
-    assert wide.symbols(5) == [0, 1, 2, 3, 4] and type(wide.symbols(5)) is list
+    assert wide.symbols(5) == (0, 1, 2, 3, 4)
+    assert wide.symbols(5) is wide.symbols(5)  # the list fill is copied once, into a tuple
+    assert wide.symbols(3) == (0, 1, 2) and wide.prefix(3) == [0, 1, 2]
 
 
 def squares_mod_7(n):
@@ -355,7 +357,7 @@ def test_large_alphabet_fixed_point_streams():
     phi = tm_phi(300)
     word = phi.fixed_point(0)
     assert word.prefix(300) == list(range(300))
-    assert word.symbols(301) == list(range(300)) + [1]
+    assert word.symbols(301) == (*range(300), 1)
 
 
 def test_lazyword_reads_like_its_fill():
@@ -370,7 +372,7 @@ def test_lazyword_reads_like_its_fill():
             assert word[i:j] == source[i:j] and type(word[i:j]) is list
         prefix = word.prefix(4321)
         assert type(prefix) is list and prefix == source[:4321]
-        assert word.symbols(4321) == (bytes(source[:4321]) if m <= 256 else source[:4321])
+        assert word.symbols(4321) == (bytes if m <= 256 else tuple)(source[:4321])
 
 
 def test_packed_symbols_stay_as_the_word_grows():
