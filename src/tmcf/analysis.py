@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .tm import Word, _block_parts, _factor_cover, _prefix_of, tm_digit_sum, tm_digit_sum_sequence
-from .words import FiniteWord, ModAlphabet, WordRangeError
+from .words import CHUNK, FiniteWord, ModAlphabet, WordRangeError
 
 
 class ComplexityProfile(NamedTuple):
@@ -59,10 +59,10 @@ def _packed(symbols: Sequence[int], width: int) -> bytes:
     """Symbols `width` bytes each, big-endian, so that byte order is symbol order."""
     if width == 1:
         return bytes(symbols)  # no copy for packed bytes
-    # 2^16 symbols at a time: a bytes object per symbol costs ~120 bytes while it lives
+    # CHUNK symbols at a time: a bytes object per symbol costs ~120 bytes while it lives
     return b"".join(
-        b"".join(map(int.to_bytes, symbols[i:i + 2 ** 16], itertools.repeat(width), itertools.repeat("big")))
-        for i in range(0, len(symbols), 2 ** 16)
+        b"".join(map(int.to_bytes, symbols[i:i + CHUNK], itertools.repeat(width), itertools.repeat("big")))
+        for i in range(0, len(symbols), CHUNK)
     )
 
 
@@ -109,10 +109,6 @@ def _block_pair_windows(data: bytes, symbols: Sequence[int], n_max: int, width: 
     return windows
 
 
-# `_factor_counts` turns windows of about this many bytes in all into ints at a time.
-_INT_BYTES = 1 << 16
-
-
 def _factor_counts(windows: set[bytes], n_max: int, width: int) -> list[int]:
     """counts[n] for 1 <= n <= n_max: the distinct length-n prefixes of `windows`.
 
@@ -123,7 +119,7 @@ def _factor_counts(windows: set[bytes], n_max: int, width: int) -> list[int]:
 
     The lcps are read in C (`map`, `Counter`): each window, `ljust`-padded
     with zero bytes to the full n_max * width, is turned into an int once,
-    about _INT_BYTES bytes of windows at a time, and XORed with its
+    about CHUNK bytes of windows at a time, and XORed with its
     predecessor's.  Two padded windows share full - ceil(bit_length(x ^ y)
     / 8) bytes: the lcp of two full windows.  A window shorter than n_max
     (a tail of the prefix) caps the lcp of its two pairs at the shorter
@@ -134,7 +130,7 @@ def _factor_counts(windows: set[bytes], n_max: int, width: int) -> list[int]:
     ordered = sorted(windows)
     gaps = array("I")  # gaps[i - 1]: bit length of the XOR of padded windows i - 1 and i
     last: list[int] = []  # the int of the window before the batch
-    batch = max(_INT_BYTES // full, 1)
+    batch = max(CHUNK // full, 1)
     for lo in range(0, len(ordered), batch):
         padded = map(bytes.ljust, ordered[lo:lo + batch], itertools.repeat(full), itertools.repeat(b"\0"))
         ints = last + list(map(int.from_bytes, padded, itertools.repeat("big")))
@@ -310,7 +306,7 @@ def palindromic_prefixes(
     _HEAD - 1, and all over 256 symbols, are candidates with k = 0.  A
     candidate's first k symbols are compared with its last k reversed, k
     doubling up to half its length, each doubling only the new symbols,
-    _PIECE at a time.  `work_cap` bounds the work, charging a candidate the
+    CHUNK at a time.  `work_cap` bounds the work, charging a candidate the
     symbols it compares (at least 1) and a new needle its length: a
     constant word stops within 2 * work_cap + 2 symbols, and the ladder
     holds every end below `scanned_length` and is marked incomplete.
@@ -335,7 +331,7 @@ def palindromic_prefixes(
             low, k = k, min(2 * k or 1, half)
             cost += k
             # x[low..k) against x(n-k..n-low] reversed; n - k >= 0, since k <= half <= n
-            ok = all(data[i:(j := min(i + _PIECE, k))] == data[n - i:n - j:-1] for i in range(low, k, _PIECE))
+            ok = all(data[i:(j := min(i + CHUNK, k))] == data[n - i:n - j:-1] for i in range(low, k, CHUNK))
         grow = ok and needle and n + 1 >= 2 * len(needle)
         if work_cap is not None:
             budget -= (cost or 1) + (n + 1 if grow else 0)
@@ -349,9 +345,6 @@ def palindromic_prefixes(
 
 # Length of the reversed head that `palindromic_prefixes` looks for first.
 _HEAD = 64
-
-# Symbols that `palindromic_prefixes` compares per slice, at most.
-_PIECE = 1 << 16
 
 
 def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: int | None = None) -> list[int]:

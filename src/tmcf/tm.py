@@ -14,9 +14,10 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .words import (
+    CHUNK,
     FiniteWord,
     LazyWord,
     ModAlphabet,
@@ -63,31 +64,23 @@ def tm_morphic(m: int) -> LazyWord:
     return tm_morphism(m).fixed_point(0)
 
 
-def _shift_table(m: int, j: int) -> bytes:
-    """A `bytes.translate` table taking each symbol s < m <= 256 to s + j (mod m)."""
-    return bytes((s + j) % m for s in range(m)) + bytes(256 - m)
+_WIDE_CHUNK = CHUNK // 8  # terms in a chunk of digit_sum_chunks above 256 symbols
 
 
-# The chunks of digit_sum_chunks: blocks of the largest power of m up to
-# _BLOCK_MAX terms (m <= 256), or lists of _WIDE_CHUNK terms (m > 256).
-_BLOCK_MAX = 1 << 16
-_WIDE_CHUNK = 8192
-
-
-def digit_sum_chunks(m: int) -> Iterator[Sequence[int]]:
-    """Yield TM_m from digit sums in consecutive chunks: `bytes` for m <= 256.
+def digit_sum_chunks(m: int) -> Iterator[bytes | tuple[int, ...]]:
+    """Yield TM_m from digit sums in consecutive chunks: `bytes` for m <= 256, else tuples.
 
     For r < m^k, t_{a m^k + r} = t_r + s_m(a) (mod m), since the digits of
     a sit above every digit of r.  So, after the first term, level k yields
-    the length-m^k prefix translated by each shift j = 1, ..., m-1, up to
-    the largest power B = m^k <= 2^16; from there on, block a (the terms
-    from a B) is those first B terms shifted by tm_digit_sum(a, m), and
-    only they are kept.  Above 256 symbols the chunks are lists of 8192
+    the length-m^k prefix shifted by each j = 1, ..., m-1, up to the
+    largest power B = m^k <= CHUNK; from there on, block a (the terms from
+    a B) is those first B terms shifted by tm_digit_sum(a, m), and only
+    they are kept.  Above 256 symbols the chunks are tuples of CHUNK // 8
     terms, read from the same identity at k = 1: the terms of block a are
     s_m(a), s_m(a) + 1, ..., s_m(a) + m - 1 (mod m), so each run of a chunk
     inside one block is at most two `range`s.
     """
-    ModAlphabet(m)  # rejects a modulus below 2
+    alphabet = ModAlphabet(m)  # rejects a modulus below 2
     if m > 256:
         for start in itertools.count(0, _WIDE_CHUNK):
             end, chunk = start + _WIDE_CHUNK, []
@@ -96,18 +89,15 @@ def digit_sum_chunks(m: int) -> Iterator[Sequence[int]]:
                 low, high = max(start, a * m) + shift, min(end, a * m + m) + shift
                 chunk += range(low, min(high, m))
                 chunk += range(max(low, m) - m, high - m)  # past m - 1 the terms wrap to 0
-            yield chunk
-    shifts = [_shift_table(m, j) for j in range(m)]
+            yield tuple(chunk)
     base = bytes(1)
     yield base
-    while len(base) * m <= _BLOCK_MAX:
-        level = [base]
-        for shift in shifts[1:]:
-            level.append(base.translate(shift))
-            yield level[-1]
-        base = b"".join(level)
+    while len(base) * m <= CHUNK:
+        level = [alphabet.shift(base, j) for j in range(m)]
+        yield from level[1:]
+        base = alphabet.join(level)
     for a in itertools.count(1):
-        yield base.translate(shifts[tm_digit_sum(a, m)])
+        yield alphabet.shift(base, tm_digit_sum(a, m))
 
 
 def tm_digit_sum_sequence(m: int) -> LazyWord:
@@ -118,14 +108,16 @@ def tm_digit_sum_sequence(m: int) -> LazyWord:
     `tm_digit_sum` stays available for random access without
     materializing a prefix.
     """
-    def fill(n: int) -> Iterable[int]:
+    alphabet = ModAlphabet(m)
+
+    def fill(n: int) -> bytes | tuple[int, ...]:
         chunks, parts = digit_sum_chunks(m), []
         while n > 0:
             parts.append(chunk := next(chunks)[:n])
             n -= len(chunk)
-        return (b"".join if m <= 256 else itertools.chain.from_iterable)(parts)
+        return alphabet.join(parts)
 
-    return LazyWord(ModAlphabet(m), fill)
+    return LazyWord(alphabet, fill)
 
 
 # The name perfbench/spans.py wraps `prefix` on; no code in tmcf uses it.
@@ -210,9 +202,9 @@ def check_congruences(m: int, length: int, word: Word | None = None) -> Congruen
        (the implication form, scanned literally);
     3. t_{nm+r} = t_{nm} + r mod m for r in {1, ..., m-1}.
 
-    A prefix over m <= 256 symbols, packed by `_prefix_of`, is first
-    checked whole by `_congruences_hold`; the term-by-term scans run, and
-    name the violations, only if it fails that check or m > 256.
+    The prefix, packed by `_prefix_of`, is first checked whole by
+    `_congruences_hold`; the term-by-term scans run only if it fails that
+    check, to name the violations.
     """
     ModAlphabet(m)  # rejects a modulus below 2
     if length < m:
@@ -222,7 +214,7 @@ def check_congruences(m: int, length: int, word: Word | None = None) -> Congruen
     t, _ = _prefix_of(word, length, m)
     if len(t) < length:
         raise WordRangeError(f"length {length} exceeds the word's {len(t)} symbols")
-    if m <= 256 and _congruences_hold(t, m, length):
+    if _congruences_hold(t, m, length):
         return CongruenceReport(m, length, (), (), ())
 
     scaling = []
@@ -252,7 +244,7 @@ def check_congruences(m: int, length: int, word: Word | None = None) -> Congruen
     return CongruenceReport(m, length, tuple(scaling), tuple(step), tuple(block))
 
 
-def _congruences_hold(t: bytes, m: int, length: int) -> bool:
+def _congruences_hold(t: bytes | tuple[int, ...], m: int, length: int) -> bool:
     """Whether a packed prefix has the properties of `check_congruences`,
     by comparing strided slices: t_1 .. t_K against t_m, t_2m, .. t_Km,
     and each residue class n = r (mod m), r < m - 1, stepped by +1 against
@@ -261,7 +253,7 @@ def _congruences_hold(t: bytes, m: int, length: int) -> bool:
     top = (length - 1) // m
     if t[1:top + 1] != t[m:(top + 1) * m:m]:
         return False
-    up = t.translate(_shift_table(m, 1))
+    up = ModAlphabet(m).shift(t, 1)
     return all(up[r:length - 1:m] == t[r + 1:length:m] for r in range(m - 1))
 
 
@@ -290,11 +282,6 @@ def find_triple_repeat(word: Word, length: int | None = None) -> int | None:
     return None
 
 
-# `_repeated_blocks` checks the blocks against at most this many bytes of
-# expected blocks at a time.
-_CHECK_BYTES = 1 << 16
-
-
 def _repeated_blocks(data: bytes, symbols: Sequence[int], size: int, width: int = 1) -> dict[int, bytes] | None:
     """The distinct aligned blocks of a prefix, by label, if it repeats its
     blocks; else None.
@@ -305,7 +292,7 @@ def _repeated_blocks(data: bytes, symbols: Sequence[int], size: int, width: int 
     Q >= 2, size >= 2, and each block q < Q equals the block at the first
     q' with t_q' = t_q.  TM_m = phi^r(TM_m) does at size = m^r, since its
     block q is phi^r(t_q).  The check reads the prefix's own bytes, about
-    _CHECK_BYTES of expected blocks at a time, compared in place.
+    CHUNK bytes of expected blocks at a time, compared in place.
 
     Then a factor of length <= size + 1 that starts before (Q - 1) * size
     starts in a block q <= Q - 2, at an offset below size, so it lies in
@@ -318,7 +305,7 @@ def _repeated_blocks(data: bytes, symbols: Sequence[int], size: int, width: int 
         return None
     labels = symbols[:count]
     stride = size * width
-    step = max(_CHECK_BYTES // stride, 1)
+    step = max(CHUNK // stride, 1)
     blocks: dict[int, bytes] = {}
     for q in range(0, count, step):
         chunk = labels[q:q + step]

@@ -211,21 +211,20 @@ def _determinants_alternate(ps: Sequence[int], qs: Sequence[int]) -> bool:
 def _first_digit_sum_mismatch(data: Sequence[int], m: int, flip: int | None) -> int | None:
     """The first index where the digit-sum construction disagrees with the
     prefix `data` of the morphic one, or None: each chunk of
-    `tm.digit_sum_chunks` is compared in place (`bytes.startswith`, or a
-    tuple compare above 256 symbols), and no digit-sum prefix is kept.
+    `tm.digit_sum_chunks` (`bytes`, or a tuple above 256 symbols) is
+    compared in place, and no digit-sum prefix is kept.
 
     With `flip`, the term at that index is changed to t + 1 (mod m) in
     the one chunk that holds it, as a fault to detect.
     """
     start = 0
     for chunk in tm.digit_sum_chunks(m):
-        end = min(start + len(chunk), len(data))
-        if end - start < len(chunk):
-            chunk = chunk[:end - start]
+        chunk = chunk[:len(data) - start]  # the chunk itself unless it runs past the prefix
+        end = start + len(chunk)
         if flip is not None and start <= flip < end:
-            chunk = bytearray(chunk) if m <= 256 else list(chunk)
-            chunk[flip - start] = (chunk[flip - start] + 1) % m
-        if not (data.startswith(chunk, start) if m <= 256 else data[start:end] == tuple(chunk)):
+            i = flip - start
+            chunk = chunk[:i] + ModAlphabet(m).pack([(chunk[i] + 1) % m]) + chunk[i + 1:]
+        if not (data.startswith(chunk, start) if m <= 256 else data[start:end] == chunk):
             return start + tm.first_mismatch(chunk, data[start:end])
         if end == len(data):
             return None

@@ -1,13 +1,18 @@
 """Finite and right-infinite words over residue alphabets, and word morphisms.
 
 Symbols are the residues {0, ..., m-1} for a modulus m >= 2.  Digit words
-are least-significant-digit first throughout.
+are least-significant-digit first throughout.  A packed word is `bytes`
+for m <= 256, else a tuple, and `ModAlphabet` builds every one (`pack`,
+`join`, `shift`).
 """
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence  # isinstance on them is faster than on typing's aliases
+from functools import lru_cache
 from typing import Union
+
+CHUNK = 1 << 16  # symbols or bytes that a pass over a long word takes at a time
 
 
 class AlphabetError(ValueError):
@@ -84,6 +89,16 @@ class ModAlphabet(_Frozen):
         for s in symbols:  # names the first symbol that fails, or passes int subclasses
             self.check(s)
         return bytes(symbols) if m <= 256 else symbols
+
+    def join(self, parts: Iterable[bytes | tuple[int, ...]]) -> bytes | tuple[int, ...]:
+        """The packed words `parts` concatenated, as one packed word; unchecked."""
+        return b"".join(parts) if self.m <= 256 else tuple(itertools.chain.from_iterable(parts))
+
+    def shift(self, word: bytes | tuple[int, ...], j: int) -> bytes | tuple[int, ...]:
+        """A packed word with j added to every symbol (mod m), read through
+        the one table of s -> s + j (mod m) of its m and j mod m; unchecked."""
+        table = _rotation(self.m, j % self.m)
+        return word.translate(table) if self.m <= 256 else tuple(map(table.__getitem__, word))
 
     def __contains__(self, symbol: object) -> bool:
         return isinstance(symbol, int) and not isinstance(symbol, bool) and 0 <= symbol < self.m
@@ -226,13 +241,16 @@ class LazyWord(_Frozen):
         return f"LazyWord(m={self.alphabet.m}, prefix~{list(self._buffer[:8])}...)"
 
 
-# symbols, at most, in the m images of the power that `fixed_point` reads, and
-# per run that `_streamed_fixed_point` expands (a single image may be longer)
-_FIXED_POINT_CHUNK = 1 << 16
-
 # bytes(range(m)) for each packed modulus: translate(None, _ALPHABETS[m]) keeps
 # exactly the bytes outside the alphabet
 _ALPHABETS = [bytes(range(m)) for m in range(257)]
+
+
+@lru_cache(maxsize=512)  # holds every shift at m = 256
+def _rotation(m: int, j: int) -> bytes | tuple[int, ...]:
+    """s + j (mod m) at index s < m, for 0 <= j < m: a `bytes.translate` table for m <= 256."""
+    table = (*range(j, m), *range(j))
+    return bytes(table) + bytes(256 - m) if m <= 256 else table
 
 
 class Morphism(_Frozen):
@@ -285,7 +303,7 @@ class Morphism(_Frozen):
         if word.alphabet.m != self.m:
             raise SymbolError("word alphabet does not match morphism alphabet")
         parts = map([img.symbols for img in self.images].__getitem__, word.symbols)
-        return FiniteWord(b"".join(parts) if self.m <= 256 else itertools.chain.from_iterable(parts), self.alphabet)
+        return FiniteWord(self.alphabet.join(parts), self.alphabet)
 
     def power(self, k: int) -> "Morphism":
         """The k-fold composition, k >= 1 (the identity power is rejected)."""
@@ -314,23 +332,22 @@ class Morphism(_Frozen):
         The word is the limit of iterated images, so its prefix of length
         |phi^k(symbol)| is the k-th power image.  A k-uniform morphism is
         read through phi^j, the largest power whose m images hold at most
-        _FIXED_POINT_CHUNK symbols in all: the first n symbols are the
-        images under phi^j of the first ceil(n / k^j), cut to n, one join
-        per level down to the image of the symbol.  Other morphisms fill
-        with `_streamed_fixed_point`, as their image lengths may grow too
-        slowly for a power to pay.  Prolongability is checked on phi
-        itself, since a power can be prolongable where phi is not.
+        CHUNK symbols in all: the first n symbols are the images under phi^j
+        of the first ceil(n / k^j), cut to n, one join per level down to the
+        image of the symbol.  Other morphisms fill with `_streamed_fixed_point`,
+        as their image lengths may grow too slowly for a power to pay.
+        Prolongability is checked on phi itself, since a power can be
+        prolongable where phi is not.
         """
         self._check_orbit_grows(symbol)
         k = self.uniformity()
         if k is None:
             return LazyWord(self.alphabet, lambda n: self._streamed_fixed_point(symbol, n))
         j = 1
-        while self.m * k ** (j + 1) <= _FIXED_POINT_CHUNK:
+        while self.m * k ** (j + 1) <= CHUNK:
             j += 1
         images = [img.symbols for img in self.power(j).images]
         size = k ** j
-        join = b"".join if self.m <= 256 else lambda parts: tuple(itertools.chain.from_iterable(parts))
 
         def fill(n: int) -> Sequence[int]:
             lengths = [n]  # the prefix lengths each level needs, longest first
@@ -340,27 +357,26 @@ class Morphism(_Frozen):
             for length in reversed(lengths):  # the images of word, the last one cut
                 parts = list(map(images.__getitem__, word))
                 parts[-1] = parts[-1][:length - (len(word) - 1) * size]
-                word = join(parts)
+                word = self.alphabet.join(parts)
             return word
 
         return LazyWord(self.alphabet, fill)
 
     def _streamed_fixed_point(self, symbol: int, n: int) -> Sequence[int]:
-        """The first n symbols of the fixed point at a prolongable symbol,
-        grown by the images of a run of itself at a time; any morphism, any m."""
+        """The first n symbols of the fixed point at a prolongable symbol, grown by
+        the images of a run of itself, of at most CHUNK, at a time; any morphism, any m."""
         images = [img.symbols for img in self.images]
-        join = b"".join if self.m <= 256 else itertools.chain.from_iterable
-        batch = max(1, _FIXED_POINT_CHUNK // max(map(len, images)))
+        batch = max(1, CHUNK // max(map(len, images)))
         word = bytearray(images[symbol]) if self.m <= 256 else list(images[symbol])
         src = 1
         while len(word) < n:
             if src >= len(word):
                 raise WordRangeError("morphism erases the orbit; fixed point stalls")
             run = word[src:src + batch]
-            word += join(map(images.__getitem__, run))
+            word += self.alphabet.join(map(images.__getitem__, run))
             src += len(run)
         del word[n:]
-        return bytes(word) if self.m <= 256 else word
+        return word
 
     def _check_orbit_grows(self, symbol: int) -> None:
         if not self.is_prolongable(symbol):

@@ -190,7 +190,7 @@ def test_non_uniform_fixed_points_match_power_images_across_runs():
         for _ in range(k):
             image = phi.apply(image)  # phi^k(0), without the powers of every other symbol
         expected = list(image)
-        assert len(expected) > 4 * words_module._FIXED_POINT_CHUNK
+        assert len(expected) > 4 * words_module.CHUNK
         word = phi.fixed_point(0)
         assert word.prefix(len(expected)) == expected
         assert word.symbols(len(expected)) == (bytes if phi.m <= 256 else tuple)(expected)
@@ -338,10 +338,10 @@ def test_power_fixed_point_matches_the_streamed_one(phi, data):
 
 @pytest.mark.parametrize("m", [2, 3, 5, 16, 256])
 def test_power_fixed_point_crosses_its_chunks(m):
-    # the fixed point of phi^j joins images of up to _FIXED_POINT_CHUNK
+    # the fixed point of phi^j joins images of up to CHUNK
     # symbols per level, and the streamed one a run of that many at a time
     phi = tm_phi(m)
-    n = 3 * words_module._FIXED_POINT_CHUNK + 5
+    n = 3 * words_module.CHUNK + 5
     word = phi.fixed_point(0)
     assert word.symbols(n // 3) + word.symbols(n)[n // 3:] == phi._streamed_fixed_point(0, n)
 
