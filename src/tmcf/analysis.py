@@ -2,8 +2,9 @@
 palindromic prefixes, and factor occurrence tooling.
 
 All analyzers only read a materialized prefix (`bytes` over m <= 256
-symbols, else a tuple), so distinct analyses can run concurrently over
-the same sequence.  Most scan every position.  A prefix that repeats its
+symbols, else a tuple, as `words.ModAlphabet` packs it), so distinct
+analyses can run concurrently over the same sequence; a test of m <= 256
+picks an algorithm, never a container.  Most scan every position.  A prefix that repeats its
 aligned blocks, as a prefix of TM_m does, is read from its distinct
 blocks, block pair spans and tail instead (`tm._block_parts`):
 `complexity` builds its windows there (`_block_pair_windows`), and

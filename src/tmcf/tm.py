@@ -7,7 +7,10 @@ a `LazyWord`.  Both agree termwise, which `tmcf verify-all` checks one
 digit-sum chunk at a time against the morphic prefix (`first_mismatch`
 names the first disagreement), and `lemma_recursion_holds` verifies the
 indexing identity that makes the agreement work.  The two paths share
-only the `words` primitives, so the comparison is a genuine oracle.
+only the `words` primitives, so the comparison is a genuine oracle: the
+packed words of `ModAlphabet` (`bytes` for m <= 256, else a tuple), which
+it builds (`pack`, `join`, `shift`), and `CHUNK`, the piece a long pass
+takes at a time.
 """
 from __future__ import annotations
 
@@ -78,9 +81,17 @@ def digit_sum_chunks(m: int) -> Iterator[bytes | tuple[int, ...]]:
     they are kept.  Above 256 symbols the chunks are tuples of CHUNK // 8
     terms, read from the same identity at k = 1: the terms of block a are
     s_m(a), s_m(a) + 1, ..., s_m(a) + m - 1 (mod m), so each run of a chunk
-    inside one block is at most two `range`s.
+    inside one block is at most two `range`s.  Each chunk is built when it
+    is yielded, so the stream holds no more than one level or block.
     """
     alphabet = ModAlphabet(m)  # rejects a modulus below 2
+    for word, j in _digit_sum_blocks(m):
+        yield alphabet.shift(word, j) if j else word
+
+
+def _digit_sum_blocks(m: int) -> Iterator[tuple[bytes | tuple[int, ...], int]]:
+    """(word, j) for each chunk of `digit_sum_chunks`, which is `word`
+    shifted by j; every word with j != 0 is the same block of B terms."""
     if m > 256:
         for start in itertools.count(0, _WIDE_CHUNK):
             end, chunk = start + _WIDE_CHUNK, []
@@ -89,15 +100,17 @@ def digit_sum_chunks(m: int) -> Iterator[bytes | tuple[int, ...]]:
                 low, high = max(start, a * m) + shift, min(end, a * m + m) + shift
                 chunk += range(low, min(high, m))
                 chunk += range(max(low, m) - m, high - m)  # past m - 1 the terms wrap to 0
-            yield tuple(chunk)
+            yield tuple(chunk), 0
+    alphabet = ModAlphabet(m)
     base = bytes(1)
-    yield base
+    yield base, 0
     while len(base) * m <= CHUNK:
         level = [alphabet.shift(base, j) for j in range(m)]
-        yield from level[1:]
+        for chunk in level[1:]:
+            yield chunk, 0
         base = alphabet.join(level)
     for a in itertools.count(1):
-        yield alphabet.shift(base, tm_digit_sum(a, m))
+        yield base, tm_digit_sum(a, m)
 
 
 def tm_digit_sum_sequence(m: int) -> LazyWord:
@@ -105,15 +118,20 @@ def tm_digit_sum_sequence(m: int) -> LazyWord:
     `digit_sum_chunks` cut to n: the block identity t_{a m^k + r} =
     t_r + s_m(a) (mod m) for r < m^k.
 
-    `tm_digit_sum` stays available for random access without
-    materializing a prefix.
+    A fill builds each of the at most m - 1 shifts of the block of B terms
+    once and joins references to it, so it holds little more than the n
+    terms it returns: about one byte a term for m <= 256.  `tm_digit_sum`
+    stays available for random access without materializing a prefix.
     """
     alphabet = ModAlphabet(m)
 
     def fill(n: int) -> bytes | tuple[int, ...]:
-        chunks, parts = digit_sum_chunks(m), []
+        blocks, parts, shifted = _digit_sum_blocks(m), [], {}
         while n > 0:
-            parts.append(chunk := next(chunks)[:n])
+            word, j = next(blocks)
+            if j and j not in shifted:
+                shifted[j] = alphabet.shift(word, j)
+            parts.append(chunk := (shifted[j] if j else word)[:n])
             n -= len(chunk)
         return alphabet.join(parts)
 
@@ -378,7 +396,11 @@ def _prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Se
     if length is not None and length < len(symbols):
         symbols = symbols[:length]
     if own is None:
-        if m is None:  # the largest symbol + 1, at least 2; pack names a symbol that is no int
+        if m is None and isinstance(symbols, (bytes, bytearray)):
+            # the largest of every 64th byte, then of the bytes above it: two passes in C
+            top = max(symbols[::64], default=0)
+            m = max(max(symbols.translate(None, bytes(range(top + 1))), default=top) + 1, 2)
+        elif m is None:  # the largest symbol + 1, at least 2; pack names a symbol that is no int
             try:
                 top = max(symbols, default=0)
             except TypeError:  # symbols that do not compare, such as 'a' and 0

@@ -1,13 +1,15 @@
 """The verification suite behind `tmcf verify-all`, callable without the CLI.
 
 `checks` reads one prefix of TM_m, the buffer of one `tm.tm_morphic(m)`
-fill, packed once, and yields one (suite, property, passed, detail) tuple
-per claim it checks: that the digit-sum and morphic constructions agree,
-the congruences and the lemma's recursion, that no eventual period fits a
-box, the palindrome evidence (the powers-of-four ladder at m = 2, else an
-absent factor 1,1,0 and the predicted 0,1,1 positions), the factor
-complexity against the exact count, and the convergents and certified
-decimal of the continued fraction.
+fill, packed once (`bytes`, or a tuple above 256 symbols), and yields
+one (suite, property, passed, detail) tuple per claim it checks: that
+the digit-sum and morphic constructions agree (the digit-sum chunks,
+packed the same way, compared with the prefix in place), the congruences
+and the lemma's recursion, that no eventual period fits a box, the
+palindrome evidence (the powers-of-four ladder at m = 2, else an absent
+factor 1,1,0 and the predicted 0,1,1 positions), the factor complexity
+against the exact count, and the convergents and certified decimal of
+the continued fraction.
 """
 from __future__ import annotations
 

@@ -95,8 +95,8 @@ class ModAlphabet(_Frozen):
         return b"".join(parts) if self.m <= 256 else tuple(itertools.chain.from_iterable(parts))
 
     def shift(self, word: bytes | tuple[int, ...], j: int) -> bytes | tuple[int, ...]:
-        """A packed word with j added to every symbol (mod m), read through
-        the one table of s -> s + j (mod m) of its m and j mod m; unchecked."""
+        """A packed word with j added to every symbol (mod m); unchecked.  The
+        table of s -> s + j (mod m) is built once for each m and j mod m."""
         table = _rotation(self.m, j % self.m)
         return word.translate(table) if self.m <= 256 else tuple(map(table.__getitem__, word))
 

@@ -68,12 +68,13 @@ def test_digit_sum_sequence_matches_random_access_at_scale(m):
 @pytest.mark.parametrize("m", [2, 3, 255, 256, 257, 300, 8192, 8193, 20_000, 10 ** 6])
 def test_digit_sum_chunks_concatenate_to_the_digit_sums(m):
     # m <= 256: whole levels up to the largest power B = m^k <= 2^16, then
-    # blocks of B terms; m > 256: lists of 8192 terms, which cross the
-    # blocks of m terms (at multiples of m) inside a chunk or at its edge
+    # blocks of B terms, all `bytes`; m > 256: tuples of 8192 terms, which
+    # cross the blocks of m terms (at multiples of m) inside a chunk or at its edge
     block = 8192 if m > 256 else max(m ** k for k in range(17) if m ** k <= 1 << 16)
     length = 3 * block + 7
     terms, offset = bytearray() if m <= 256 else [], 0
     for chunk in digit_sum_chunks(m):
+        assert type(chunk) is (bytes if m <= 256 else tuple), (m, offset)
         if offset >= block or m > 256:
             assert len(chunk) == block, (m, offset)
         terms.extend(chunk)
@@ -225,21 +226,21 @@ def test_congruences_flag_corruption():
 
 
 def test_congruences_packed_check_reports_what_the_scans_report(monkeypatch):
-    # a packed prefix is checked whole first; with that check failing every
-    # word, the term-by-term scans run on the same prefix
+    # a packed prefix, bytes or (m > 256) a tuple, is checked whole first;
+    # with that check failing every word, the term-by-term scans run on the same prefix
     rng = random.Random(8)
-    for m in (2, 3, 5, 16, 256):
+    for m in (2, 3, 5, 16, 256, 257, 300):
         for trial in range(40):
             length = rng.randint(m, 4000)
-            word = bytearray(tm_digit_sum_sequence(m).symbols(length + 3))
+            word = list(tm_digit_sum_sequence(m).symbols(length + 3))
             for _ in range(trial % 4):
                 i = rng.randrange(len(word))
                 word[i] = (word[i] + rng.randrange(1, m)) % m
             if trial % 8 == 7:
                 # blocks b, b+1, ..., b+m-1 on random bases b: unit steps hold, scaling fails
                 bases = [rng.randrange(m) for _ in range(length // m + 1)]
-                word = bytearray((b + r) % m for b in bases for r in range(m))
-            packed = check_congruences(m, length, bytes(word))
+                word = [(b + r) % m for b in bases for r in range(m)]
+            packed = check_congruences(m, length, ModAlphabet(m).pack(word))
             with monkeypatch.context() as patch:
                 patch.setattr(tm, "_congruences_hold", lambda *args: False)
                 assert packed == check_congruences(m, length, list(word)), (m, length)
@@ -257,6 +258,22 @@ def test_congruences_reject_a_word_over_another_alphabet():
 def test_congruences_reject_a_word_shorter_than_length():
     with pytest.raises(WordRangeError, match=r"length 10 .* 4 symbols"):
         check_congruences(2, 10, [0, 1, 1, 0])
+
+
+def test_prefix_of_finds_the_modulus_of_plain_bytes():
+    # max + 1 and at least 2, also where the largest byte sits between
+    # the bytes that the sample reads (every 64th)
+    rng = random.Random(28)
+    for top in (1, 2, 7, 200, 255):
+        data = bytes(rng.randrange(top) for _ in range(5000))
+        for i in (1, 63, 65, 4097, 4999):
+            word = data[:i] + bytes([top]) + data[i + 1:]
+            assert _prefix_of(word, None)[1] == max(max(word) + 1, 2) == max(top + 1, 2)
+            assert _prefix_of(bytearray(word), None)[1] == max(top + 1, 2)
+    assert _prefix_of(b"", None) == (b"", 2)
+    assert _prefix_of(bytes(5000), None) == (bytes(5000), 2)
+    assert _prefix_of(bytes([255]), None)[1] == 256
+    assert _prefix_of(bytes(range(256)) * 3, None)[1] == 256
 
 
 def test_prefix_of_reads_in_place():

@@ -79,21 +79,18 @@ def test_checks_pack_the_prefix_once(monkeypatch, m, length):
     assert whole == [length]
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("m", [2, 7])
-def test_verify_all_peaks_near_one_byte_a_term(m):
-    # VmHWM, the process's peak resident set, read after the import and
-    # after the run; exec resets it, where ru_maxrss would carry the
-    # parent's.  When a lazy word kept a growing cache and handed out a
-    # copy of it, the two lived together, at about 2 bytes a term.
-    length = 20_000_000
+def _peak_growth_kb(argv):
+    """The exit code of cli.main(argv), in a fresh process, and how far it
+    raised VmHWM, the process's peak resident set, in KB: read after the
+    import and after the run, since exec resets it, where ru_maxrss would
+    carry the parent's."""
     code = (
         "import os, sys\n"
         "from tmcf import cli\n"
         "def hwm():\n"
         "    return next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
         "before = hwm()\n"
-        f"code = cli.main(['verify-all', '--m', '{m}', '--len', '{length}', '--format', 'json-lines', '--out', os.devnull])\n"
+        f"code = cli.main({argv!r} + ['--format', 'json-lines', '--out', os.devnull])\n"
         "print(code, before, hwm())\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -103,8 +100,30 @@ def test_verify_all_peaks_near_one_byte_a_term(m):
     )
     assert done.returncode == 0, done.stderr
     code, before_kb, after_kb = map(int, done.stdout.split())
+    return code, after_kb - before_kb
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("m", [2, 7])
+def test_verify_all_peaks_near_one_byte_a_term(m):
+    # When a lazy word kept a growing cache and handed out a copy of it,
+    # the two lived together, at about 2 bytes a term.
+    length = 20_000_000
+    code, growth_kb = _peak_growth_kb(["verify-all", "--m", str(m), "--len", str(length)])
     assert code == 0
-    assert (after_kb - before_kb) * 1024 / length <= 1.3, (before_kb, after_kb)
+    assert growth_kb * 1024 / length <= 1.3, growth_kb
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("m", [2, 7])
+def test_digit_sum_prefix_peaks_near_one_byte_a_term(m):
+    # `complexity` reads a digit-sum prefix.  When its fill shifted a fresh
+    # copy of the block of B terms for every block, the copies and their
+    # join lived together, at 1.5 (m = 2) and 1.9 (m = 7) bytes a term.
+    length = 20_000_000
+    code, growth_kb = _peak_growth_kb(["complexity", "--m", str(m), "--len", str(length), "--n-max", "20"])
+    assert code == 0
+    assert growth_kb * 1024 / length <= 1.3, growth_kb
 
 
 @pytest.mark.parametrize("length", [20000, 100])

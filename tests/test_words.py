@@ -408,3 +408,29 @@ def test_chunk_symbols_outside_the_alphabet(m, chunk, bad):
     assert word[1] == 1
     with pytest.raises(SymbolError, match=f"symbol {bad!r} not in alphabet of modulus {m}"):
         word.prefix(2 + len(chunk))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_join_and_shift_match_list_oracles(data):
+    m = data.draw(st.sampled_from((2, 3, 256, 257, 300)))
+    alphabet = ModAlphabet(m)
+    parts = data.draw(st.lists(st.lists(st.integers(0, m - 1), max_size=20), max_size=5))
+    j = data.draw(st.one_of(st.sampled_from((0, -1, -m, m, m + 1, 2 * m - 1)), st.integers(-3 * m, 3 * m)))
+    packed = [alphabet.pack(part) for part in parts]
+    joined = alphabet.join(packed)
+    assert type(joined) is (bytes if m <= 256 else tuple)
+    assert list(joined) == [s for part in parts for s in part]
+    for word in (joined, *packed, alphabet.pack([])):
+        shifted = alphabet.shift(word, j)
+        assert type(shifted) is type(word)
+        assert list(shifted) == [(s + j) % m for s in word]
+
+
+def test_shift_builds_each_table_once():
+    words_module._rotation.cache_clear()
+    for m in (5, 300):
+        for _ in range(3):
+            ModAlphabet(m).shift(ModAlphabet(m).pack(range(m)), m + 2)
+            ModAlphabet(m).shift(ModAlphabet(m).pack([1, 2]), -1)
+    assert words_module._rotation.cache_info().misses == 4
