@@ -110,6 +110,10 @@ def _block_pair_windows(data: bytes, symbols: Sequence[int], n_max: int, width: 
     return windows
 
 
+# `_factor_counts` turns windows of about this many bytes in all into ints at a time.
+_INT_BYTES = 1 << 16
+
+
 def _factor_counts(windows: set[bytes], n_max: int, width: int) -> list[int]:
     """counts[n] for 1 <= n <= n_max: the distinct length-n prefixes of `windows`.
 
@@ -120,7 +124,7 @@ def _factor_counts(windows: set[bytes], n_max: int, width: int) -> list[int]:
 
     The lcps are read in C (`map`, `Counter`): each window, `ljust`-padded
     with zero bytes to the full n_max * width, is turned into an int once,
-    about CHUNK bytes of windows at a time, and XORed with its
+    about _INT_BYTES bytes of windows at a time, and XORed with its
     predecessor's.  Two padded windows share full - ceil(bit_length(x ^ y)
     / 8) bytes: the lcp of two full windows.  A window shorter than n_max
     (a tail of the prefix) caps the lcp of its two pairs at the shorter
@@ -131,7 +135,7 @@ def _factor_counts(windows: set[bytes], n_max: int, width: int) -> list[int]:
     ordered = sorted(windows)
     gaps = array("I")  # gaps[i - 1]: bit length of the XOR of padded windows i - 1 and i
     last: list[int] = []  # the int of the window before the batch
-    batch = max(CHUNK // full, 1)
+    batch = max(_INT_BYTES // full, 1)
     for lo in range(0, len(ordered), batch):
         padded = map(bytes.ljust, ordered[lo:lo + batch], itertools.repeat(full), itertools.repeat(b"\0"))
         ints = last + list(map(int.from_bytes, padded, itertools.repeat("big")))

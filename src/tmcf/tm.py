@@ -67,7 +67,7 @@ def tm_morphic(m: int) -> LazyWord:
     return tm_morphism(m).fixed_point(0)
 
 
-_WIDE_CHUNK = CHUNK // 8  # terms in a chunk of digit_sum_chunks above 256 symbols
+_WIDE_CHUNK = 8192  # terms in a chunk of digit_sum_chunks above 256 symbols
 
 
 def digit_sum_chunks(m: int) -> Iterator[bytes | tuple[int, ...]]:
@@ -78,7 +78,7 @@ def digit_sum_chunks(m: int) -> Iterator[bytes | tuple[int, ...]]:
     the length-m^k prefix shifted by each j = 1, ..., m-1, up to the
     largest power B = m^k <= CHUNK; from there on, block a (the terms from
     a B) is those first B terms shifted by tm_digit_sum(a, m), and only
-    they are kept.  Above 256 symbols the chunks are tuples of CHUNK // 8
+    they are kept.  Above 256 symbols the chunks are tuples of 8192
     terms, read from the same identity at k = 1: the terms of block a are
     s_m(a), s_m(a) + 1, ..., s_m(a) + m - 1 (mod m), so each run of a chunk
     inside one block is at most two `range`s.  Each chunk is built when it
@@ -396,11 +396,7 @@ def _prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Se
     if length is not None and length < len(symbols):
         symbols = symbols[:length]
     if own is None:
-        if m is None and isinstance(symbols, (bytes, bytearray)):
-            # the largest of every 64th byte, then of the bytes above it: two passes in C
-            top = max(symbols[::64], default=0)
-            m = max(max(symbols.translate(None, bytes(range(top + 1))), default=top) + 1, 2)
-        elif m is None:  # the largest symbol + 1, at least 2; pack names a symbol that is no int
+        if m is None:  # the largest symbol + 1, at least 2; pack names a symbol that is no int
             try:
                 top = max(symbols, default=0)
             except TypeError:  # symbols that do not compare, such as 'a' and 0

@@ -95,10 +95,12 @@ class ModAlphabet(_Frozen):
         return b"".join(parts) if self.m <= 256 else tuple(itertools.chain.from_iterable(parts))
 
     def shift(self, word: bytes | tuple[int, ...], j: int) -> bytes | tuple[int, ...]:
-        """A packed word with j added to every symbol (mod m); unchecked.  The
-        table of s -> s + j (mod m) is built once for each m and j mod m."""
-        table = _rotation(self.m, j % self.m)
-        return word.translate(table) if self.m <= 256 else tuple(map(table.__getitem__, word))
+        """A packed word with j added to every symbol (mod m); unchecked.  Up to
+        256 symbols the `bytes.translate` table is built once for each m and j mod m."""
+        m, j = self.m, j % self.m
+        if m <= 256:
+            return word.translate(_rotation(m, j))
+        return tuple(map((*range(j, m), *range(j)).__getitem__, word))
 
     def __contains__(self, symbol: object) -> bool:
         return isinstance(symbol, int) and not isinstance(symbol, bool) and 0 <= symbol < self.m
@@ -247,10 +249,9 @@ _ALPHABETS = [bytes(range(m)) for m in range(257)]
 
 
 @lru_cache(maxsize=512)  # holds every shift at m = 256
-def _rotation(m: int, j: int) -> bytes | tuple[int, ...]:
-    """s + j (mod m) at index s < m, for 0 <= j < m: a `bytes.translate` table for m <= 256."""
-    table = (*range(j, m), *range(j))
-    return bytes(table) + bytes(256 - m) if m <= 256 else table
+def _rotation(m: int, j: int) -> bytes:
+    """The `bytes.translate` table of s -> s + j (mod m), for m <= 256 and 0 <= j < m."""
+    return bytes([*range(j, m), *range(j)]) + bytes(256 - m)
 
 
 class Morphism(_Frozen):

@@ -281,9 +281,9 @@ def _counts_by_prefix_sets(windows: set[bytes], n_max: int, width: int) -> list[
 
 
 # batches of one window, of a few windows, and the default
-@pytest.mark.parametrize("batch_bytes", [1, 50, analysis.CHUNK])
+@pytest.mark.parametrize("batch_bytes", [1, 50, analysis._INT_BYTES])
 def test_factor_counts_match_the_sorted_lcp_loop(monkeypatch, batch_bytes):
-    monkeypatch.setattr(analysis, "CHUNK", batch_bytes)
+    monkeypatch.setattr(analysis, "_INT_BYTES", batch_bytes)
     rng = random.Random(21)
     for m, width in ((2, 1), (3, 1), (256, 1), (257, 2), (300, 2)):
         for length, n_max in ((40, 1), (60, 7), (900, 12), (900, 40)):
@@ -313,7 +313,7 @@ def test_factor_counts_over_many_batches():
     for m, n_max in ((2, 200), (300, 100)):
         width = analysis._width(m)
         windows = analysis._prefix_windows(analysis._packed([rng.randrange(m) for _ in range(6000)], width), n_max, width)
-        assert len(windows) > 10 * analysis.CHUNK // (n_max * width)
+        assert len(windows) > 10 * analysis._INT_BYTES // (n_max * width)
         assert analysis._factor_counts(windows, n_max, width) == _counts_by_sorted_lcp(windows, n_max, width)
 
 

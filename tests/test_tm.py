@@ -260,22 +260,6 @@ def test_congruences_reject_a_word_shorter_than_length():
         check_congruences(2, 10, [0, 1, 1, 0])
 
 
-def test_prefix_of_finds_the_modulus_of_plain_bytes():
-    # max + 1 and at least 2, also where the largest byte sits between
-    # the bytes that the sample reads (every 64th)
-    rng = random.Random(28)
-    for top in (1, 2, 7, 200, 255):
-        data = bytes(rng.randrange(top) for _ in range(5000))
-        for i in (1, 63, 65, 4097, 4999):
-            word = data[:i] + bytes([top]) + data[i + 1:]
-            assert _prefix_of(word, None)[1] == max(max(word) + 1, 2) == max(top + 1, 2)
-            assert _prefix_of(bytearray(word), None)[1] == max(top + 1, 2)
-    assert _prefix_of(b"", None) == (b"", 2)
-    assert _prefix_of(bytes(5000), None) == (bytes(5000), 2)
-    assert _prefix_of(bytes([255]), None)[1] == 256
-    assert _prefix_of(bytes(range(256)) * 3, None)[1] == 256
-
-
 def test_prefix_of_reads_in_place():
     # bytes come back as the same object; any other word over <= 256
     # symbols is packed once into equal bytes

@@ -427,10 +427,12 @@ def test_join_and_shift_match_list_oracles(data):
         assert list(shifted) == [(s + j) % m for s in word]
 
 
-def test_shift_builds_each_table_once():
+def test_shift_builds_each_bytes_table_once():
+    # a translate table per (m, j mod m) up to 256 symbols; none is kept above
     words_module._rotation.cache_clear()
-    for m in (5, 300):
+    for m in (5, 256, 300):
         for _ in range(3):
             ModAlphabet(m).shift(ModAlphabet(m).pack(range(m)), m + 2)
             ModAlphabet(m).shift(ModAlphabet(m).pack([1, 2]), -1)
     assert words_module._rotation.cache_info().misses == 4
+    assert words_module._rotation.cache_info().currsize == 4
