@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,7 +97,7 @@ def test_gen_out_file(tmp_path, capsys):
 def emitted(fmt: str, m: int, length: int, reverse_map: bool) -> list[str]:
     """The oracle for `gen`: the lines `Writer.emit` writes record by record
     over digit sums taken digit by digit (a CSV header line first)."""
-    out = io.StringIO()
+    out = io.BytesIO()
     writer = Writer(out, fmt)
     for i in range(length):
         symbol = oracle_digit_sum(i, m)
@@ -104,7 +105,7 @@ def emitted(fmt: str, m: int, length: int, reverse_map: bool) -> list[str]:
         if reverse_map:
             record["quotient"] = m - symbol
         writer.emit(record)
-    return out.getvalue().splitlines(keepends=True)
+    return out.getvalue().decode().splitlines(keepends=True)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 256, 257])
@@ -166,12 +167,12 @@ def test_emit_indexed_keeps_one_batch_of_tails_past_the_cap(monkeypatch):
     rng = random.Random(23)
     symbols = [0, 1, 2, 3, 4, 5, 6, 7, 4, 5, 8, 8] + [rng.randrange(12) for _ in range(3000)]
     for fmt in ("plain", "json-lines", "csv"):
-        oracle = io.StringIO()
+        oracle = io.BytesIO()
         writer = Writer(oracle, fmt)
         for i, symbol in enumerate(symbols):
             writer.emit(record(i, symbol))
         for chunks in ([symbols], cut(symbols, True), cut(symbols, False)):
-            out = io.StringIO()
+            out = io.BytesIO()
             Writer(out, fmt).emit_indexed(record, chunks, len(symbols))
             assert out.getvalue() == oracle.getvalue(), (fmt, type(chunks[0]))
     # the second batch passes the cap of 6 tails, so the third, 4 5 8 8,
@@ -179,14 +180,30 @@ def test_emit_indexed_keeps_one_batch_of_tails_past_the_cap(monkeypatch):
     lines = []
     line = Writer._line
     monkeypatch.setattr(Writer, "_line", lambda self, rec: lines.append(rec["symbol"]) or line(self, rec))
-    Writer(io.StringIO(), "plain").emit_indexed(record, [symbols], 12)
+    Writer(io.BytesIO(), "plain").emit_indexed(record, [symbols], 12)
     assert sorted(lines) == sorted([0, 0] + [0, 1, 2, 3] + [4, 5, 6, 7] + [4, 5, 8])
+
+
+def test_emit_indexed_stops_collecting_symbols_once_each_has_a_tail(monkeypatch):
+    # the first batch of this tuple chunk holds all 300 symbols: given the
+    # modulus, no later batch builds the set of its symbols
+    m = 300
+    symbols = (*range(m), *(random.Random(3).randrange(m) for _ in range(5 * Writer.BATCH)))
+    record = lambda i, s: {"index": i, "symbol": s}
+    expected = "".join(emitted_lines(record, symbols, "plain", range(len(symbols))))
+    sets = []
+    monkeypatch.setattr(cli, "set", lambda *args: sets.append(args) or set(*args), raising=False)
+    for modulus, built in ((None, -(-len(symbols) // Writer.BATCH)), (m, 1)):
+        sets.clear()
+        out = io.BytesIO()
+        Writer(out, "plain").emit_indexed(record, [symbols], len(symbols), modulus)
+        assert (out.getvalue().decode(), len(sets)) == (expected, built), modulus
 
 
 def test_emit_indexed_rejects_records_that_do_not_begin_with_the_index():
     # "digit" sorts before "index", so json-lines puts it first as well
     for fmt in ("plain", "json-lines", "csv"):
-        writer = Writer(io.StringIO(), fmt)
+        writer = Writer(io.BytesIO(), fmt)
         with pytest.raises(ValueError, match="begin with their index"):
             writer.emit_indexed(lambda i, s: {"digit": s, "index": i}, [bytes([0, 1, 1, 0])], 4)
 
@@ -194,14 +211,14 @@ def test_emit_indexed_rejects_records_that_do_not_begin_with_the_index():
 def test_emit_indexed_raises_when_its_chunks_run_short():
     record = lambda i, s: {"index": i, "symbol": s}
     for chunks, written in (([bytes([0, 1, 1])], 3), ([[0, 1], [1], []], 3), ([], 0)):
-        out = io.StringIO()
+        out = io.BytesIO()
         with pytest.raises(ValueError, match=f"after {written} of 10 records"):
             Writer(out, "plain").emit_indexed(record, chunks, 10)
-        assert out.getvalue().count("\n") == written
-    out = io.StringIO()
+        assert out.getvalue().count(b"\n") == written
+    out = io.BytesIO()
     Writer(out, "plain").emit_indexed(record, [bytes([0, 1]), [1]], 3)  # ends with the last chunk
     Writer(out, "plain").emit_indexed(record, [], 0)
-    assert out.getvalue() == "0 0\n1 1\n2 1\n"
+    assert out.getvalue() == b"0 0\n1 1\n2 1\n"
 
 
 # Chunk lengths around the decimal groups of 1000, and one that spans several batches
@@ -239,18 +256,18 @@ def test_emit_indexed_at_decimal_group_edges(fmt):
         (narrow[:12_345], index_only, (True, False)),
         (wide, quotient, (False,)),
     ):
-        oracle = io.StringIO()
+        oracle = io.BytesIO()
         writer = Writer(oracle, fmt)
         for i, symbol in enumerate(symbols):
             writer.emit(record(i, symbol))
-        lines = oracle.getvalue().splitlines(keepends=True)
+        lines = oracle.getvalue().decode().splitlines(keepends=True)
         header = fmt == "csv"
         for as_bytes in chunk_kinds:
             chunks = cut(symbols, as_bytes)
             for count in (c for c in GROUP_EDGE_COUNTS if c <= len(symbols)):
-                out = io.StringIO()
+                out = io.BytesIO()
                 Writer(out, fmt).emit_indexed(record, chunks, count)
-                assert out.getvalue() == "".join(lines[:header + count]), (record, as_bytes, count)
+                assert out.getvalue().decode() == "".join(lines[:header + count]), (record, as_bytes, count)
 
 
 def count_calls(monkeypatch, name: str) -> list[int]:
@@ -269,11 +286,11 @@ def count_calls(monkeypatch, name: str) -> list[int]:
 def emitted_lines(record, symbols, fmt: str, indices) -> list[str]:
     """The lines `Writer.emit` writes for record(i, symbols[i]) at each of the
     indices (a CSV header line first)."""
-    out = io.StringIO()
+    out = io.BytesIO()
     writer = Writer(out, fmt)
     for i in indices:
         writer.emit(record(i, symbols[i]))
-    return out.getvalue().splitlines(keepends=True)
+    return out.getvalue().decode().splitlines(keepends=True)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json-lines", "csv"])
@@ -287,15 +304,15 @@ def test_emit_indexed_builds_columns_across_every_power_of_ten(fmt, monkeypatch)
     count = powers[-1] + 2 * Writer.BATCH
     symbols = random.Random(22).randbytes(count).translate(bytes(j % 3 for j in range(256)))
     columns, joined = count_calls(monkeypatch, "_column_lines"), count_calls(monkeypatch, "_joined_lines")
-    out = io.StringIO()
+    out = io.BytesIO()
     Writer(out, fmt).emit_indexed(record, [symbols], count)
     assert (len(columns), joined) == (-(-count // Writer.BATCH), [])
     # the whole output as the join path writes it from the same symbols in a list ...
-    reference = io.StringIO()
+    reference = io.BytesIO()
     Writer(reference, fmt).emit_indexed(record, [list(symbols)], count)
     assert len(joined) == len(columns)  # every batch of the list joined
-    text = out.getvalue()
-    assert text == reference.getvalue()
+    text = out.getvalue().decode()
+    assert text == reference.getvalue().decode()
     del reference
     # ... and every line of the batches around each power of ten as `emit` writes it
     header = fmt == "csv"
@@ -316,9 +333,9 @@ def test_emit_indexed_moves_to_the_join_path_when_a_wider_tail_appears(fmt, monk
     rng = random.Random(5)
     symbols = bytes(rng.randrange(3) for _ in range(first)) + bytes([3]) + bytes(rng.randrange(4) for _ in range(5000))
     columns, joined = count_calls(monkeypatch, "_column_lines"), count_calls(monkeypatch, "_joined_lines")
-    out = io.StringIO()
+    out = io.BytesIO()
     Writer(out, fmt).emit_indexed(record, [symbols], len(symbols))
-    assert out.getvalue() == "".join(emitted_lines(record, symbols, fmt, range(len(symbols))))
+    assert out.getvalue().decode() == "".join(emitted_lines(record, symbols, fmt, range(len(symbols))))
     assert columns == [0, Writer.BATCH]
     assert joined == list(range(2 * Writer.BATCH, len(symbols), Writer.BATCH))
 
@@ -332,9 +349,9 @@ def test_emit_indexed_renders_tails_only_for_symbols_that_occur():
     for fmt in ("plain", "json-lines", "csv"):
         lines = emitted_lines(record, symbols, fmt, range(len(symbols)))
         for chunks in (cut(symbols, True), cut(list(symbols), False)):
-            out = io.StringIO()
+            out = io.BytesIO()
             Writer(out, fmt).emit_indexed(record, chunks, len(symbols))
-            assert out.getvalue() == "".join(lines), (fmt, type(chunks[0]))
+            assert out.getvalue().decode() == "".join(lines), (fmt, type(chunks[0]))
 
 
 def test_gen_builds_every_batch_by_columns(capsys, monkeypatch):
@@ -454,34 +471,40 @@ def convergent(n, p, q):
 
 
 class Writes:
-    """A stream that keeps each write apart."""
+    """A binary stream that keeps each write apart, as it was handed over."""
 
     def __init__(self):
         self.writes = []
 
-    def write(self, text):
-        self.writes.append(text)
+    def write(self, data):
+        self.writes.append(data)
+
+    def writelines(self, lines):
+        self.writes += lines
+
+    def flush(self):
+        pass
 
 
 def emit_each(fmt, record, rows, before=(), after=()):
     """What per-record `Writer.emit` writes for the rows, between the records before and after."""
-    out = io.StringIO()
+    out = io.BytesIO()
     writer = Writer(out, fmt)
     with unlimited_int_text():
         for r in (*before, *(record(*row) for row in rows), *after):
             writer.emit(r)
-    return out.getvalue()
+    return out.getvalue().decode()
 
 
 def emit_rows(fmt, record, rows, before=(), after=()):
-    out = io.StringIO()
+    out = io.BytesIO()
     writer = Writer(out, fmt)
     for r in before:
         writer.emit(r)
     writer.emit_rows(record, rows)
     for r in after:
         writer.emit(r)
-    return out.getvalue()
+    return out.getvalue().decode()
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json-lines", "csv"])
@@ -530,15 +553,55 @@ def test_emit_rows_writes_in_batches_bounded_in_characters():
 )
 def test_emit_rows_rejects_records_it_cannot_template(record):
     for fmt in ("plain", "json-lines", "csv"):
-        out = io.StringIO()
+        out = io.BytesIO()
         with pytest.raises(ValueError):
             Writer(out, fmt).emit_rows(record, [(1, 2, 3)])
-        assert out.getvalue() == ""
+        assert out.getvalue() == b""
 
 
 def test_emit_rows_rejects_rows_of_other_lengths():
     with pytest.raises(ValueError):
-        Writer(io.StringIO(), "plain").emit_rows(convergent, [(1, 1, 1), (2, 1, 2), (3, 2)])
+        Writer(io.BytesIO(), "plain").emit_rows(convergent, [(1, 1, 1), (2, 1, 2), (3, 2)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # emit_indexed by columns (see test_gen_builds_every_batch_by_columns), then joined from
+        # bytes chunks with tails of mixed widths, and from tuple chunks
+        ["gen", "--m", "3", "--len", "5000", "--map", "0:2,1:3,2:1", "--format", "json-lines"],
+        ["gen", "--m", "16", "--len", "5000", "--format", "csv"],
+        ["gen", "--m", "300", "--len", "20000"],
+        ["cf", "--m", "2", "--convergents", "50", "--digits", "20", "--format", "csv"],  # emit_rows, then emit
+        ["verify-all", "--m", "2", "--len", "1000"],  # emit
+    ],
+)
+def test_the_writer_hands_its_stream_bytes_alone(capsys, monkeypatch, argv):
+    expected = run_cli(capsys, *argv)
+    writes = Writes()
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=writes, flush=lambda: None))
+    code = main(argv)
+    assert {type(data) for data in writes.writes} <= {bytes, bytearray}
+    assert (code, b"".join(writes.writes).decode(), capsys.readouterr().err) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--m", "3", "--len", "5000", "--map", "0:2,1:3,2:1", "--format", "json-lines"],
+        ["cf", "--m", "2", "--convergents", "50", "--digits", "20"],
+        ["verify-all", "--m", "2", "--len", "1000", "--format", "csv"],
+    ],
+)
+def test_a_text_only_stdout_gets_the_same_text(capsys, argv):
+    # a stdout without .buffer, as contextlib.redirect_stdout(io.StringIO()) gives
+    code, out, _ = run_cli(capsys, *argv)
+    text = io.StringIO()
+    text.write("before\n")
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == code == 0
+    assert text.getvalue() == "before\n" + out
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cf_convergents_past_the_int_str_digit_limit(capsys):
@@ -1099,6 +1162,42 @@ def test_closed_stdout_pipe_ends_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert err == b""
+
+
+def tmcf_run(argv, **env):
+    """`python -m tmcf.cli *argv` in a fresh process, with `env` added to the environment."""
+    src = os.path.dirname(os.path.dirname(tmcf.__file__))
+    return subprocess.run([sys.executable, "-m", "tmcf.cli", *argv], capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src, **env})
+
+
+@pytest.mark.parametrize("env", [{}, {"PYTHONIOENCODING": "utf-16"}], ids=["default", "utf-16"])
+def test_stdout_and_out_get_the_same_bytes(tmp_path, env):
+    # the records are ASCII bytes, so the encoding of the text layer plays no part
+    target = tmp_path / "out"
+    for argv in (["gen", "--m", "3", "--len", "200000", "--map", "0:2,1:3,2:1", "--format", "json-lines"],
+                 ["cf", "--m", "2", "--convergents", "2000", "--format", "csv"]):
+        printed = tmcf_run(argv, **env)
+        written = tmcf_run([*argv, "--out", str(target)], **env)
+        assert (printed.returncode, printed.stderr, written.returncode, written.stderr) == (0, b"", 0, b"")
+        assert printed.stdout == target.read_bytes() and written.stdout == b""
+        assert printed.stdout.count(b"\n") == {"gen": 200_000, "cf": 2003}[argv[0]]
+
+
+def test_text_written_to_stdout_before_a_run_stays_before_its_records():
+    # a buffered sys.stdout holds its text until a flush, so main flushes it
+    # before writing to sys.stdout.buffer
+    src = os.path.dirname(os.path.dirname(tmcf.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    code = ("import sys\n"
+            "from tmcf import cli\n"
+            "sys.stdout.write('before\\n')\n"
+            "cli.main(['gen', '--m', '2', '--len', '3'])\n"
+            "print('after')\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                          env={**env, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == b"before\n0 0\n1 1\n2 1\nafter\n"
 
 
 def test_cold_start_loads_no_dataclasses_inspect_or_csv():

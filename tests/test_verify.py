@@ -180,7 +180,7 @@ def test_verify_all_writes_what_checks_yield(capsys, m, length, flip):
     argv = ["verify-all", "--m", str(m), "--len", str(length), "--format", "json-lines"]
     code = cli.main(argv + ([] if flip is None else ["--inject-flip", str(flip)]))
     out = capsys.readouterr().out
-    stream = io.StringIO()
+    stream = io.BytesIO()
     writer = cli.Writer(stream, "json-lines")
     failures = 0
     for suite, prop, passed, detail in run_checks(m, length, flip):
@@ -188,7 +188,7 @@ def test_verify_all_writes_what_checks_yield(capsys, m, length, flip):
         failures += not passed
     writer.emit({"suite": "summary", "property": "all checks", "status": "FAIL" if failures else "pass",
                  "detail": f"{failures} failing checks"})
-    assert out == stream.getvalue()
+    assert out == stream.getvalue().decode()
     assert (code, failures) == ((0, 0) if flip is None else (1, 1))
     assert json.loads(out.splitlines()[0])["status"] == ("pass" if flip is None else "FAIL")
 
