@@ -91,18 +91,16 @@ def _power_exponent(m: int, n_max: int) -> int:
     return r
 
 
-def _block_pair_windows(data: bytes, symbols: Sequence[int], n_max: int, width: int,
-                        size: int) -> set[bytes] | None:
-    """The window set of `_prefix_windows`, read from aligned block pairs;
-    None when the prefix does not repeat its blocks of `size` >= n_max - 1
-    symbols (`tm._repeated_blocks` states the precondition and shows why
-    the windows of the pair spans and the tail are the prefix's window
-    set): the tail's `_prefix_windows` and the full windows of every other
-    part of `tm._block_parts` with edge n_max - 1.
+def _block_pair_windows(data: bytes, symbols: Sequence[int], n_max: int, width: int, size: int) -> set[bytes]:
+    """The window set of `_prefix_windows`, read from aligned block pairs
+    when the prefix repeats its blocks of `size` >= n_max - 1 symbols
+    (`tm._repeated_blocks` states the precondition and shows why the
+    windows of the pair spans and the tail are the prefix's window set):
+    the tail's `_prefix_windows` and the full windows of every other part
+    of `tm._block_parts` with edge n_max - 1.  Any other prefix is its own
+    tail.
     """
-    parts = _block_parts(data, symbols, size, width, n_max - 1)
-    if parts is None:
-        return None
+    parts = _block_parts(data, symbols, size, width, n_max - 1) or [data]
     windows = _prefix_windows(parts.pop(), n_max, width)
     full = n_max * width  # bytes of a window
     for part in parts:
@@ -180,8 +178,6 @@ def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityP
     width = _width(m)
     data = _packed(symbols, width)
     windows = _block_pair_windows(data, symbols, n_max, width, m ** _power_exponent(m, n_max))
-    if windows is None:
-        windows = _prefix_windows(data, n_max, width)
     counts = _factor_counts(windows, n_max, width)
     return _profile({n: counts[n] for n in range(1, n_max + 1)}, m, len(symbols), len(windows))
 
@@ -380,15 +376,17 @@ def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: 
     return out
 
 
-def predicted_011_positions(m: int, k_max: int) -> list[int]:
+def predicted_011_positions(m: int, k_max: int | None = None) -> list[int]:
     """Positions where the factor 0,1,1 provably occurs in TM_m for m >= 3.
 
     The base position has digits m-2 followed by m-2 copies of m-1; the
-    tail family adds (m-2)*m^k + 2*m^(k+1) for k >= m.  Every returned
-    position is re-validated against the digit-sum terms before returning.
+    tail family adds (m-2)*m^k + 2*m^(k+1) for m <= k <= k_max (default
+    m + 4).  Every returned position is re-validated against the
+    digit-sum terms before returning.
     """
     if not isinstance(m, int) or m < 3:
         raise ValueError("the 0,1,1 construction needs m >= 3")
+    k_max = m + 4 if k_max is None else k_max
     j = (m - 2) + sum((m - 1) * m ** i for i in range(1, m - 1))
     positions = [j] + [j + (m - 2) * m ** k + 2 * m ** (k + 1) for k in range(m, k_max + 1)]
     for q in positions:

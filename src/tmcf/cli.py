@@ -23,7 +23,7 @@ import operator
 import os
 import sys
 from types import SimpleNamespace
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import analysis, cf, tm, verify
 
@@ -50,13 +50,12 @@ class Writer:
 
     The text `_line` renders is encoded once, here, as UTF-8, and no layer
     below translates line ends.  JSON escapes what is not ASCII, and plain
-    and CSV records hold ints and fixed words (or a `--pattern` as given),
-    so the bytes written depend on neither the locale nor the platform."""
+    and CSV records hold ints and fixed ASCII words, so the bytes written
+    depend on neither the locale nor the platform."""
 
-    BATCH = 2048  # most records `emit_indexed` writes at once
+    WRITE_BYTES = 96 << 10  # about the bytes of a batched write: big, yet a buffer under glibc's 128 KiB mmap threshold
     _TAILS = 1 << 16  # most symbol tails `emit_indexed` keeps rendered
     ROWS = 256  # most records `emit_rows` writes at once
-    ROW_CHARS = 1 << 20  # about the most characters `emit_rows` writes at once
     _json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True) without a new encoder per call
 
     def __init__(self, stream: IO[bytes], out_format: str):
@@ -75,10 +74,10 @@ class Writer:
     def emit_indexed(self, record: Callable[[int, int], dict], chunks: Iterable[Sequence[int]], count: int,
                      modulus: int | None = None) -> None:
         """Write record(i, t_i) for i < count, where t_0, t_1, ... are the
-        symbols of `chunks`, as `emit` would write each, at most BATCH
-        records a write; raise ValueError if the chunks end first.
-        `modulus`, if given, is the number of symbols the chunks can hold:
-        once each has its tail, no batch looks for new ones.
+        symbols of `chunks`, as `emit` would write each, in batches of about
+        WRITE_BYTES that may span chunks; raise ValueError if the chunks
+        end first.  `modulus`, if given, is the number of symbols the
+        chunks can hold: once each has its tail, no batch looks for new ones.
 
         The records must share their keys, begin with "index": i (it sorts
         first, so json-lines keeps it there), and otherwise depend on the
@@ -87,56 +86,52 @@ class Writer:
         symbol first occurs in the chunks.
 
         Each batch reaches the stream as bytes, in one `writelines`, built
-        one of two ways.  A batch of a `bytes` chunk whose symbols' tails all
-        have one length in UTF-8 is built in bytes, column by column
-        (`_column_lines`): its lines all have one length, so each digit of
-        the index and each byte where the tails differ is one strided slice
-        of the batch.  Any other batch, from a tuple or list chunk or with
-        tails of mixed lengths, is joined in decimal groups of 1000
-        (`_joined_lines`).
+        one of two ways.  A `bytes` batch whose symbols' tails all have one
+        length in UTF-8 is built in bytes, column by column (`_column_lines`):
+        its lines all have one length, so each digit of the index and each
+        byte where the tails differ is one strided slice of the batch.  Any
+        other batch, of tuples or lists or with tails of mixed lengths, is
+        joined in decimal groups of 1000 (`_joined_lines`).
         """
         zero, one = (self._line(record(i, 0)) for i in (0, 1))
         head = os.path.commonprefix([zero, one])
         if one != f"{head}1{zero[len(head) + 1:]}":
             raise ValueError(f"records must begin with their index, got {zero!r}")
         head_code = head.encode()
+        size = max(1, self.WRITE_BYTES // (len(zero.encode()) + len(str(count))))  # records a batch, gauged by line 0
         tails: dict[int, str] = {}
         seen = b""  # symbols below 256 with a tail: deleting them from a bytes block leaves the new ones
         layout = None  # `_tail_layout` of the tails of `seen`; None once new tails make it stale
         header = self._header(record(0, 0)).encode()  # written with the first batch
         start = 0
         capped = False  # whether the tails outgrew _TAILS: then each batch keeps its own only
-        for chunk in chunks:
-            packed = isinstance(chunk, bytes)
-            for lo in range(0, min(len(chunk), count - start), self.BATCH):
-                block = chunk[lo:lo + min(self.BATCH, count - start)]
-                if len(tails) == modulus:  # every symbol has its tail
-                    new = ()
-                else:
-                    new = set(block.translate(None, seen) if packed else block).difference(tails)
-                if capped or len(tails) + len(new) > self._TAILS:  # a wide alphabet
-                    capped = True
-                    tails.clear()
-                    new = set(block)
-                for symbol in new:
-                    line = self._line(record(0, symbol))
-                    if not line.startswith(f"{head}0"):
-                        raise ValueError(f"records must begin with their index, got {line!r}")
-                    tails[symbol] = line[len(head) + 1:]
-                if new:
-                    layout = None
-                if packed and layout is None:
-                    seen = bytes(s for s in tails if s < 256)
-                    layout = _tail_layout(seen, tails)
-                if packed and layout:
-                    lines = _column_lines(head_code, start, block, *layout)
-                else:
-                    lines = [_joined_lines(head, start, block, tails)]
-                self.stream.writelines([header, *lines])
-                header = b""
-                start += len(block)
-            if start == count:
-                return
+        for block in _blocks(chunks, size, count):
+            packed = isinstance(block, bytes)
+            if len(tails) == modulus:  # every symbol has its tail
+                new = ()
+            else:
+                new = set(block.translate(None, seen) if packed else block).difference(tails)
+            if capped or len(tails) + len(new) > self._TAILS:  # a wide alphabet
+                capped = True
+                tails.clear()
+                new = set(block)
+            for symbol in new:
+                line = self._line(record(0, symbol))
+                if not line.startswith(f"{head}0"):
+                    raise ValueError(f"records must begin with their index, got {line!r}")
+                tails[symbol] = line[len(head) + 1:]
+            if new:
+                layout = None
+            if packed and layout is None:
+                seen = bytes(s for s in tails if s < 256)
+                layout = _tail_layout(seen, tails)
+            if packed and layout:
+                lines = _column_lines(head_code, start, block, *layout)
+            else:
+                lines = [_joined_lines(head, start, block, tails)]
+            self.stream.writelines([header, *lines])
+            header = b""
+            start += len(block)
         if start < count:
             raise ValueError(f"chunks ended after {start} of {count} records")
 
@@ -150,8 +145,8 @@ class Writer:
         texts.  The template is `_line` of the record of distinct probe
         values, split at each probe's text; a second set of probes must give
         the same template, else ValueError.  The rows are written in batches
-        of at most ROWS records that also stay near ROW_CHARS characters,
-        judging by the length of the batch before.
+        of at most ROWS records that also stay near WRITE_BYTES bytes,
+        judging by the size of the batch before.
         """
         rows = iter(rows)
         batch = list(itertools.islice(rows, 1))  # a first batch of one row gauges the row length
@@ -162,15 +157,15 @@ class Writer:
         template = self._template(record, probes[:width])
         if self._template(record, probes[width:]) != template:
             raise ValueError("a record must hold its row values unchanged, in fields that do not depend on the row")
-        header = self._header(record(*probes[:width]))
+        header = self._header(record(*probes[:width])).encode()
         while batch:
             columns = [cf.int_texts(column) for column in zip(*batch, strict=True)]
             if len(columns) != width:
                 raise ValueError(f"rows must all have {width} values, got {batch[0]!r}")
-            text = "".join(map(template.format, *columns))
-            self.stream.write((header + text).encode())
-            header = ""
-            size = max(1, min(self.ROWS, self.ROW_CHARS * len(batch) // len(text)))
+            data = "".join(map(template.format, *columns)).encode()
+            self.stream.write(header + data)
+            header = b""
+            size = max(1, min(self.ROWS, self.WRITE_BYTES * len(batch) // len(data)))
             batch = list(itertools.islice(rows, size))
 
     def _template(self, record: Callable[..., dict], probes: list[int]) -> str:
@@ -205,6 +200,24 @@ class Writer:
         self._buffer.seek(0)
         self._buffer.truncate()
         return row
+
+
+def _blocks(chunks: Iterable[Sequence[int]], size: int, count: int) -> Iterator[Sequence[int]]:
+    """The first `count` symbols of `chunks` (all, if fewer) in blocks of
+    `size` but the last; a block across chunks joins them, as a list if
+    their types differ."""
+    rest = ()  # a chunk's last symbols, too few for a block, held for the next
+    for chunk in chunks:
+        if rest:
+            chunk = rest + chunk if type(rest) is type(chunk) else [*rest, *chunk]
+        whole = count if len(chunk) >= count else len(chunk) - len(chunk) % size
+        yield from (chunk[lo:min(lo + size, whole)] for lo in range(0, whole, size))
+        count -= whole
+        if not count:
+            return
+        rest = chunk[whole:]
+    if rest:
+        yield rest
 
 
 # the ASCII digits, and the units digits of 0, 1, 2, ... as a period of 10
@@ -381,14 +394,7 @@ def cmd_cf(args: SimpleNamespace, writer: Writer) -> int:
             cf.tm_convergent_rows(amap, args.convergent_count),
         )
     result = cf.evaluate_tm(amap, args.digits)
-    writer.emit(
-        {
-            "kind": "decimal",
-            "digits": result.digits,
-            "value": result.text,
-            "terms_used": result.terms_used,
-        }
-    )
+    writer.emit({"kind": "decimal", "digits": result.digits, "value": result.text, "terms_used": result.terms_used})
     return EXIT_OK
 
 
@@ -399,14 +405,8 @@ def cmd_complexity(args: SimpleNamespace, writer: Writer) -> int:
     for n in range(1, n_max + 1):
         writer.emit({"kind": "p", "n": n, "count": profile.p(n), "bound": bound * n, "ok": n not in profile.violations})
     ratio = profile.max_ratio()
-    writer.emit(
-        {
-            "kind": "diagnostic",
-            "max_ratio": f"{ratio.numerator}/{ratio.denominator}",
-            "bound_factor": bound,
-            "violations": len(profile.violations),
-        }
-    )
+    writer.emit({"kind": "diagnostic", "max_ratio": f"{ratio.numerator}/{ratio.denominator}", "bound_factor": bound,
+                 "violations": len(profile.violations)})
     return EXIT_OK
 
 
@@ -427,14 +427,8 @@ def cmd_palindrome(args: SimpleNamespace, writer: Writer) -> int:
     ladder = analysis.palindromic_prefixes(tm.tm_digit_sum_sequence(args.m), args.length)
     for n in ladder.indices:
         writer.emit({"kind": "palindromic_prefix", "index": n})
-    writer.emit(
-        {
-            "kind": "summary",
-            "count": len(ladder.indices),
-            "scanned": ladder.scanned_length,
-            "complete": ladder.complete,
-        }
-    )
+    writer.emit({"kind": "summary", "count": len(ladder.indices), "scanned": ladder.scanned_length,
+                 "complete": ladder.complete})
     return EXIT_OK
 
 
@@ -448,12 +442,12 @@ def cmd_patterns(args: SimpleNamespace, writer: Writer) -> int:
         if outside:
             raise UsageError(f"--pattern symbol {outside[0]} not in alphabet of modulus {args.m}")
         occurrences = analysis.find_pattern(tm.tm_digit_sum_sequence(args.m), pattern, args.length)
+        text = ",".join(map(str, pattern))  # the symbols as parsed, whatever digits and spaces they were given in
         for pos in occurrences:
-            writer.emit({"kind": "occurrence", "pattern": args.pattern, "index": pos})
-        writer.emit({"kind": "occurrence_summary", "pattern": args.pattern, "count": len(occurrences)})
+            writer.emit({"kind": "occurrence", "pattern": text, "index": pos})
+        writer.emit({"kind": "occurrence_summary", "pattern": text, "count": len(occurrences)})
     if args.m >= 3:
-        k_max = args.k_max if args.k_max is not None else args.m + 4
-        positions = analysis.predicted_011_positions(args.m, k_max)
+        positions = analysis.predicted_011_positions(args.m, args.k_max)
         # emit_rows writes ints of any size; past m ~ 1370 the positions pass the int -> str digit limit
         writer.emit_rows(lambda pos: {"kind": "predicted_011", "index": pos}, ((pos,) for pos in positions))
     return EXIT_OK

@@ -123,7 +123,7 @@ def _checks(m: int, length: int, amap: cf.AlphabetMap, n_max: int, a_max: int, b
             not occurrences,
             f"checked {length} terms" if not occurrences else f"found at {occurrences[:3]}",
         )
-        positions = analysis.predicted_011_positions(m, m + 4)
+        positions = analysis.predicted_011_positions(m)
         in_range = [q for q in positions if q + 2 < length]
         confirmed = all(list(data[q:q + 3]) == [0, 1, 1] for q in in_range)
         yield (

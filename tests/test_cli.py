@@ -139,9 +139,10 @@ def test_gen_at_a_huge_modulus(capsys):
 
 def test_gen_renders_each_tail_once_at_a_wide_modulus(capsys, monkeypatch):
     # 50 000 records at m = 20 000 hold every symbol: more distinct symbols
-    # than a batch of Writer.BATCH records, fewer than the tails emit_indexed keeps,
+    # than a batch of 2048 records, fewer than the tails emit_indexed keeps,
     # so _line renders each tail once, besides the probes at indices 0 and 1
     expected = "".join(emitted("plain", 20_000, 50_000, False))
+    set_batch(monkeypatch, 2048, "plain", lambda i, s: {"index": i, "symbol": s}, 50_000)
     calls = 0
     line = Writer._line
 
@@ -154,19 +155,19 @@ def test_gen_renders_each_tail_once_at_a_wide_modulus(capsys, monkeypatch):
     assert run_cli(capsys, "gen", "--m", "20000", "--len", "50000") == (0, expected, "")
     assert calls == 2 + 20_000
     # with room for fewer tails than a batch holds, each batch renders its own again
-    monkeypatch.setattr(Writer, "_TAILS", Writer.BATCH)
+    monkeypatch.setattr(Writer, "_TAILS", 2048)
     calls = 0
     assert run_cli(capsys, "gen", "--m", "20000", "--len", "50000") == (0, expected, "")
     assert calls == 2 + 50_000
 
 
 def test_emit_indexed_keeps_one_batch_of_tails_past_the_cap(monkeypatch):
-    monkeypatch.setattr(Writer, "BATCH", 4)
     monkeypatch.setattr(Writer, "_TAILS", 6)
     record = lambda i, s: {"index": i, "symbol": s, "quotient": 3 * s + 1}
     rng = random.Random(23)
     symbols = [0, 1, 2, 3, 4, 5, 6, 7, 4, 5, 8, 8] + [rng.randrange(12) for _ in range(3000)]
     for fmt in ("plain", "json-lines", "csv"):
+        set_batch(monkeypatch, 4, fmt, record, len(symbols))
         oracle = io.BytesIO()
         writer = Writer(oracle, fmt)
         for i, symbol in enumerate(symbols):
@@ -179,6 +180,7 @@ def test_emit_indexed_keeps_one_batch_of_tails_past_the_cap(monkeypatch):
     # renders 4, 5 and 8 again instead of adding 8 to the 4 kept from the second
     lines = []
     line = Writer._line
+    set_batch(monkeypatch, 4, "plain", record, 12)
     monkeypatch.setattr(Writer, "_line", lambda self, rec: lines.append(rec["symbol"]) or line(self, rec))
     Writer(io.BytesIO(), "plain").emit_indexed(record, [symbols], 12)
     assert sorted(lines) == sorted([0, 0] + [0, 1, 2, 3] + [4, 5, 6, 7] + [4, 5, 8])
@@ -187,13 +189,14 @@ def test_emit_indexed_keeps_one_batch_of_tails_past_the_cap(monkeypatch):
 def test_emit_indexed_stops_collecting_symbols_once_each_has_a_tail(monkeypatch):
     # the first batch of this tuple chunk holds all 300 symbols: given the
     # modulus, no later batch builds the set of its symbols
-    m = 300
-    symbols = (*range(m), *(random.Random(3).randrange(m) for _ in range(5 * Writer.BATCH)))
+    m, batch = 300, 2048
+    symbols = (*range(m), *(random.Random(3).randrange(m) for _ in range(5 * batch)))
     record = lambda i, s: {"index": i, "symbol": s}
+    set_batch(monkeypatch, batch, "plain", record, len(symbols))
     expected = "".join(emitted_lines(record, symbols, "plain", range(len(symbols))))
     sets = []
     monkeypatch.setattr(cli, "set", lambda *args: sets.append(args) or set(*args), raising=False)
-    for modulus, built in ((None, -(-len(symbols) // Writer.BATCH)), (m, 1)):
+    for modulus, built in ((None, -(-len(symbols) // batch)), (m, 1)):
         sets.clear()
         out = io.BytesIO()
         Writer(out, "plain").emit_indexed(record, [symbols], len(symbols), modulus)
@@ -270,6 +273,14 @@ def test_emit_indexed_at_decimal_group_edges(fmt):
                 assert out.getvalue().decode() == "".join(lines[:header + count]), (record, as_bytes, count)
 
 
+def set_batch(monkeypatch, lines: int, fmt: str, record, count: int) -> None:
+    """Set Writer.WRITE_BYTES so that `emit_indexed` writes `lines` records of
+    `record` a batch in `fmt` when it writes `count` of them: its budget
+    over the bytes of the index-0 line plus the digits of `count`."""
+    zero = Writer(io.BytesIO(), fmt)._line(record(0, 0)).encode()
+    monkeypatch.setattr(Writer, "WRITE_BYTES", lines * (len(zero) + len(str(count))))
+
+
 def count_calls(monkeypatch, name: str) -> list[int]:
     """The first index of each call of the line builder `cli.<name>`, which still runs."""
     starts = []
@@ -299,14 +310,16 @@ def test_emit_indexed_builds_columns_across_every_power_of_ten(fmt, monkeypatch)
     # batch of a bytes chunk is built by columns; each 10^k up to 10^6, where
     # the index gains a digit, falls inside a batch
     powers = [10 ** k for k in range(1, 7)]
-    assert all(p % Writer.BATCH for p in powers)
+    batch = 2048
+    assert all(p % batch for p in powers)
     record = lambda i, s: {"index": i, "symbol": s, "quotient": 3 * s + 1}
-    count = powers[-1] + 2 * Writer.BATCH
+    count = powers[-1] + 2 * batch
+    set_batch(monkeypatch, batch, fmt, record, count)
     symbols = random.Random(22).randbytes(count).translate(bytes(j % 3 for j in range(256)))
     columns, joined = count_calls(monkeypatch, "_column_lines"), count_calls(monkeypatch, "_joined_lines")
     out = io.BytesIO()
     Writer(out, fmt).emit_indexed(record, [symbols], count)
-    assert (len(columns), joined) == (-(-count // Writer.BATCH), [])
+    assert (len(columns), joined) == (-(-count // batch), [])
     # the whole output as the join path writes it from the same symbols in a list ...
     reference = io.BytesIO()
     Writer(reference, fmt).emit_indexed(record, [list(symbols)], count)
@@ -316,7 +329,7 @@ def test_emit_indexed_builds_columns_across_every_power_of_ten(fmt, monkeypatch)
     del reference
     # ... and every line of the batches around each power of ten as `emit` writes it
     header = fmt == "csv"
-    windows = [range(max(0, p - 2 * Writer.BATCH), p + 2 * Writer.BATCH) for p in [0, *powers]]
+    windows = [range(max(0, p - 2 * batch), p + 2 * batch) for p in [0, *powers]]
     indices = sorted(set(itertools.chain(*windows)))
     wanted = set(i + header for i in indices) | set(range(header))
     lines = [line for n, line in enumerate(io.StringIO(text)) if n in wanted]
@@ -329,24 +342,27 @@ def test_emit_indexed_moves_to_the_join_path_when_a_wider_tail_appears(fmt, monk
     # symbol 3 has the two-digit quotient 10: from its first batch on, the
     # tails differ in width and every batch is joined
     record = lambda i, s: {"index": i, "symbol": s, "quotient": 3 * s + 1}
-    first = 2 * Writer.BATCH + 100  # inside the third batch
+    batch = 2048
+    first = 2 * batch + 100  # inside the third batch
     rng = random.Random(5)
     symbols = bytes(rng.randrange(3) for _ in range(first)) + bytes([3]) + bytes(rng.randrange(4) for _ in range(5000))
+    set_batch(monkeypatch, batch, fmt, record, len(symbols))
     columns, joined = count_calls(monkeypatch, "_column_lines"), count_calls(monkeypatch, "_joined_lines")
     out = io.BytesIO()
     Writer(out, fmt).emit_indexed(record, [symbols], len(symbols))
     assert out.getvalue().decode() == "".join(emitted_lines(record, symbols, fmt, range(len(symbols))))
-    assert columns == [0, Writer.BATCH]
-    assert joined == list(range(2 * Writer.BATCH, len(symbols), Writer.BATCH))
+    assert columns == [0, batch]
+    assert joined == list(range(2 * batch, len(symbols), batch))
 
 
-def test_emit_indexed_renders_tails_only_for_symbols_that_occur():
+def test_emit_indexed_renders_tails_only_for_symbols_that_occur(monkeypatch):
     # the record fails for every symbol absent from the data, as an
     # AlphabetMap does above its modulus
     image = {0: 5, 4: 9, 7: 1}
     record = lambda i, s: {"index": i, "symbol": s, "quotient": image[s]}
-    symbols = bytes(random.Random(9).choice([0, 4, 7]) for _ in range(3 * Writer.BATCH + 11))
+    symbols = bytes(random.Random(9).choice([0, 4, 7]) for _ in range(3 * 2048 + 11))
     for fmt in ("plain", "json-lines", "csv"):
+        set_batch(monkeypatch, 2048, fmt, record, len(symbols))
         lines = emitted_lines(record, symbols, fmt, range(len(symbols)))
         for chunks in (cut(symbols, True), cut(list(symbols), False)):
             out = io.BytesIO()
@@ -531,13 +547,40 @@ def test_emit_rows_writes_what_emit_writes(fmt):
         assert emit_rows(fmt, record, table) == emit_each(fmt, record, table)
 
 
-def test_emit_rows_writes_in_batches_bounded_in_characters():
+def test_emit_rows_writes_in_batches_bounded_in_characters(monkeypatch):
     row = (10 ** 9_999, 10 ** 9_999 + 1, 3)  # 20 000 digits a row
+    line = len(emit_each("json-lines", convergent, [row]))  # bytes of its record, all ASCII
+    monkeypatch.setattr(Writer, "WRITE_BYTES", 10 * line + line // 2)  # room for 10 rows a write
     writes = Writes()
     Writer(writes, "json-lines").emit_rows(convergent, itertools.repeat(row, 500))
     sizes = [len(text) for text in writes.writes]
-    assert sum(sizes) == 500 * sizes[0] and sizes[0] > 20_000
-    assert len(sizes) > 6 and max(sizes) <= Writer.ROW_CHARS
+    assert sizes == [line] + [10 * line] * 49 + [9 * line] and line > 20_000
+    assert max(sizes) <= Writer.WRITE_BYTES
+
+
+def write_sizes(*argv: str) -> list[int]:
+    """The bytes of each write (a `write` or a `writelines` call) that the
+    command of `argv` hands its Writer's stream."""
+    sizes = []
+    stream = SimpleNamespace(write=lambda data: sizes.append(len(data)),
+                             writelines=lambda lines: sizes.append(sum(map(len, lines))))
+    args = parse_args(list(argv))
+    assert COMMANDS[args.command][0](args, Writer(stream, args.format)) == 0
+    return sizes
+
+
+def test_batched_writes_hold_about_the_byte_budget():
+    budget = Writer.WRITE_BYTES
+    # plain lines of ~9 bytes: every write but the last is at least half full, also
+    # where a batch spans two digit-sum chunks (the first ones hold 1, 1, 2, 4, ... terms)
+    plain = write_sizes("gen", "--m", "2", "--len", "1000000")
+    assert min(plain[:-1]) >= budget // 2
+    # json-lines of ~45 bytes, as in the gen benchmark: no buffer passes glibc's 128 KiB mmap threshold
+    jsonl = write_sizes("gen", "--m", "3", "--len", "200000", "--map", "0:2,1:3,2:1", "--format", "json-lines")
+    assert max(plain + jsonl) <= 128 << 10 and min(jsonl[:-1]) >= budget // 2
+    # convergent rows grow with n: each write is gauged by the one before
+    table = write_sizes("cf", "--m", "2", "--convergents", "15000")
+    assert max(table) <= 2 * budget and sum(table) > 60 * 10 ** 6
 
 
 @pytest.mark.parametrize(
@@ -683,6 +726,18 @@ def test_patterns_command(capsys):
     assert summary["count"] == 0
     predicted = [r["index"] for r in records if r["kind"] == "predicted_011"]
     assert predicted[0] == 7
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json-lines", "csv"])
+def test_patterns_records_carry_the_parsed_symbols(capsys, fmt):
+    # a pattern given with spaces or in other decimal digits (Arabic-Indic
+    # here) writes the records of its canonical text, in ASCII
+    for canonical, variants in (("1,1,0", [" 1,1,0", "\u0661,\u0661,\u0660"]),
+                                ("0,1,1", ["0, 1 ,1", "\u0660,\u0661,\u0661"])):
+        expected = run_cli(capsys, "patterns", "--m", "3", "--len", "10000", "--pattern", canonical, "--format", fmt)
+        assert expected[1].isascii() and canonical in expected[1]
+        for text in variants:
+            assert run_cli(capsys, "patterns", "--m", "3", "--len", "10000", "--pattern", text, "--format", fmt) == expected
 
 
 def test_patterns_past_the_int_str_digit_limit(capsys):
