@@ -54,7 +54,7 @@ class Writer:
     depend on neither the locale nor the platform."""
 
     WRITE_BYTES = 96 << 10  # about the bytes of a batched write: big, yet a buffer under glibc's 128 KiB mmap threshold
-    _TAILS = 1 << 16  # most symbol tails `emit_indexed` keeps rendered
+    _TAILS = 1 << 16  # most symbols whose tails `emit_indexed` keeps for a whole run
     ROWS = 256  # most records `emit_rows` writes at once
     _json = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True) without a new encoder per call
 
@@ -72,66 +72,44 @@ class Writer:
         self.stream.write((self._header(record) + self._line(record)).encode())
 
     def emit_indexed(self, record: Callable[[int, int], dict], chunks: Iterable[Sequence[int]], count: int,
-                     modulus: int | None = None) -> None:
+                     modulus: int) -> None:
         """Write record(i, t_i) for i < count, where t_0, t_1, ... are the
-        symbols of `chunks`, as `emit` would write each, in batches of about
-        WRITE_BYTES that may span chunks; raise ValueError if the chunks
-        end first.  `modulus`, if given, is the number of symbols the
-        chunks can hold: once each has its tail, no batch looks for new ones.
+        symbols of `chunks`, packed words over `modulus` symbols (as from
+        `tm.digit_sum_chunks`), as `emit` would write each, in batches of
+        about WRITE_BYTES that may span chunks; ValueError if chunks end first.
 
         The records must share their keys, begin with "index": i (it sorts
         first, so json-lines keeps it there), and otherwise depend on the
-        symbol alone.  Then every line is head + str(i) + tail, and `_line`
-        renders the tail of each distinct symbol once, at index 0, when the
-        symbol first occurs in the chunks.
+        symbol alone.  Then every line is head + str(i) + tail, with the
+        tails in one `_Tails` table.  If modulus <= min(256, count), all m
+        tails are rendered first (TM_m meets each symbol in its first m
+        terms), and a batch holds WRITE_BYTES over head + the digits of
+        `count` + the widest tail.  Any other run renders a tail when its
+        symbol first occurs and gauges its batches by line 0; over more than
+        _TAILS symbols, it empties the table at the start of every batch.
 
-        Each batch reaches the stream as bytes, in one `writelines`, built
-        one of two ways.  A `bytes` batch whose symbols' tails all have one
-        length in UTF-8 is built in bytes, column by column (`_column_lines`):
-        its lines all have one length, so each digit of the index and each
-        byte where the tails differ is one strided slice of the batch.  Any
-        other batch, of tuples or lists or with tails of mixed lengths, is
-        joined in decimal groups of 1000 (`_joined_lines`).
+        Each batch goes to the stream as bytes, in one `writelines`, built
+        column by column (`_column_lines`) if the m tails have one length in
+        UTF-8, else joined in decimal groups of 1000 (`_joined_lines`).
         """
         zero, one = (self._line(record(i, 0)) for i in (0, 1))
         head = os.path.commonprefix([zero, one])
         if one != f"{head}1{zero[len(head) + 1:]}":
             raise ValueError(f"records must begin with their index, got {zero!r}")
-        head_code = head.encode()
-        size = max(1, self.WRITE_BYTES // (len(zero.encode()) + len(str(count))))  # records a batch, gauged by line 0
-        tails: dict[int, str] = {}
-        seen = b""  # symbols below 256 with a tail: deleting them from a bytes block leaves the new ones
-        layout = None  # `_tail_layout` of the tails of `seen`; None once new tails make it stale
-        header = self._header(record(0, 0)).encode()  # written with the first batch
-        start = 0
-        capped = False  # whether the tails outgrew _TAILS: then each batch keeps its own only
+        tails = _Tails(head, lambda symbol: self._line(record(0, symbol)))
+        layout, line = (), len(zero.encode())  # the column layout, if any, and the line length that gauges a batch
+        if modulus <= min(256, count):
+            codes = [tails[s].encode() for s in range(modulus)]
+            layout, line = _tail_layout(codes), len(head.encode()) + max(map(len, codes))
+        size = max(1, self.WRITE_BYTES // (line + len(str(count))))  # records a batch
+        header, start = self._header(record(0, 0)).encode(), 0  # the header goes with the first batch
         for block in _blocks(chunks, size, count):
-            packed = isinstance(block, bytes)
-            if len(tails) == modulus:  # every symbol has its tail
-                new = ()
-            else:
-                new = set(block.translate(None, seen) if packed else block).difference(tails)
-            if capped or len(tails) + len(new) > self._TAILS:  # a wide alphabet
-                capped = True
+            if modulus > self._TAILS:  # too many symbols to keep: each batch renders its own tails
                 tails.clear()
-                new = set(block)
-            for symbol in new:
-                line = self._line(record(0, symbol))
-                if not line.startswith(f"{head}0"):
-                    raise ValueError(f"records must begin with their index, got {line!r}")
-                tails[symbol] = line[len(head) + 1:]
-            if new:
-                layout = None
-            if packed and layout is None:
-                seen = bytes(s for s in tails if s < 256)
-                layout = _tail_layout(seen, tails)
-            if packed and layout:
-                lines = _column_lines(head_code, start, block, *layout)
-            else:
-                lines = [_joined_lines(head, start, block, tails)]
+            lines = (_column_lines(head.encode(), start, block, *layout) if layout
+                     else [_joined_lines(head, start, block, tails)])
             self.stream.writelines([header, *lines])
-            header = b""
-            start += len(block)
+            header, start = b"", start + len(block)
         if start < count:
             raise ValueError(f"chunks ended after {start} of {count} records")
 
@@ -202,20 +180,44 @@ class Writer:
         return row
 
 
+class _Tails(dict):
+    """symbol -> its line tail: its line of index 0, `render(symbol)`, after
+    head + "0", rendered on first lookup (ValueError if it begins otherwise)."""
+
+    __slots__ = ("head", "render")  # read on every miss: slots are faster than an instance dict
+
+    def __init__(self, head: str, render: Callable[[int], str]):
+        self.head, self.render = f"{head}0", render
+
+    def __missing__(self, symbol: int) -> str:
+        line = self.render(symbol)
+        tail = self[symbol] = line.removeprefix(self.head)
+        if len(tail) == len(line):
+            raise ValueError(f"records must begin with their index, got {line!r}")
+        return tail
+
+
 def _blocks(chunks: Iterable[Sequence[int]], size: int, count: int) -> Iterator[Sequence[int]]:
-    """The first `count` symbols of `chunks` (all, if fewer) in blocks of
-    `size` but the last; a block across chunks joins them, as a list if
-    their types differ."""
+    """The first `count` symbols of `chunks`, packed words of one type (all,
+    if fewer), in blocks of `size` but the last.  A block across chunks joins
+    the held end of one to just the piece of the next that it needs."""
     rest = ()  # a chunk's last symbols, too few for a block, held for the next
     for chunk in chunks:
+        lo = 0  # where this chunk's own blocks begin
         if rest:
-            chunk = rest + chunk if type(rest) is type(chunk) else [*rest, *chunk]
-        whole = count if len(chunk) >= count else len(chunk) - len(chunk) % size
-        yield from (chunk[lo:min(lo + size, whole)] for lo in range(0, whole, size))
-        count -= whole
+            lo = min(size, count) - len(rest)
+            rest += chunk[:lo]
+            if len(rest) < min(size, count):  # a chunk too short to finish the block
+                continue
+            yield rest
+            count -= len(rest)
+        n = min(count, len(chunk) - lo)
+        end = lo + (n if n == count else n - n % size)
+        yield from (chunk[a:min(a + size, end)] for a in range(lo, end, size))
+        count -= end - lo
         if not count:
             return
-        rest = chunk[whole:]
+        rest = chunk[end:]
     if rest:
         yield rest
 
@@ -241,17 +243,15 @@ def _digit_column(a: int, n: int, unit: int) -> bytes:
     return b"".join(runs)
 
 
-def _tail_layout(symbols: bytes, tails: dict[int, str]) -> tuple:
-    """(tail, varying) for the line tails of `symbols` when, in UTF-8, they
-    all have one length, else (): `tail` is one of them, and `varying` pairs
-    each byte position p where they differ with a `bytes.translate` table
-    that maps every symbol to byte p of its tail."""
-    codes = [tails[s].encode() for s in symbols]
+def _tail_layout(codes: list[bytes]) -> tuple:
+    """(tail, varying) for codes[s], the UTF-8 line tail of each symbol s <
+    256, if they have one length, else (): `tail` is one of them, and
+    `varying` pairs each byte p where they differ with a `bytes.translate`
+    table that maps every symbol to byte p of its tail."""
     if len(set(map(len, codes))) != 1:
         return ()
-    varying = [(p, bytes.maketrans(symbols, bytes(column)))
-               for p, column in enumerate(zip(*codes)) if len(set(column)) > 1]
-    return codes[0], varying
+    return codes[0], [(p, bytes.maketrans(bytes(range(len(codes))), bytes(column)))
+                      for p, column in enumerate(zip(*codes)) if len(set(column)) > 1]
 
 
 def _column_lines(head: bytes, start: int, block: bytes, tail: bytes,

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import oracle_digit_sum
 import tmcf
-from tmcf import analysis, cf, cli
+from tmcf import analysis, cf, cli, tm
 from tmcf.cli import (
     _COMMON, _OPTIONS, _PROBE, COMMANDS, EXIT_BROKEN_PIPE, EXIT_INTERNAL, UsageError, Writer, main, parse_args,
     parse_map_spec,
@@ -142,7 +142,7 @@ def test_gen_renders_each_tail_once_at_a_wide_modulus(capsys, monkeypatch):
     # than a batch of 2048 records, fewer than the tails emit_indexed keeps,
     # so _line renders each tail once, besides the probes at indices 0 and 1
     expected = "".join(emitted("plain", 20_000, 50_000, False))
-    set_batch(monkeypatch, 2048, "plain", lambda i, s: {"index": i, "symbol": s}, 50_000)
+    set_batch(monkeypatch, 2048, "plain", lambda i, s: {"index": i, "symbol": s}, 50_000, 20_000)
     calls = 0
     line = Writer._line
 
@@ -154,7 +154,8 @@ def test_gen_renders_each_tail_once_at_a_wide_modulus(capsys, monkeypatch):
     monkeypatch.setattr(Writer, "_line", counted)
     assert run_cli(capsys, "gen", "--m", "20000", "--len", "50000") == (0, expected, "")
     assert calls == 2 + 20_000
-    # with room for fewer tails than a batch holds, each batch renders its own again
+    # with room for the tails of fewer symbols than the alphabet holds, each
+    # batch renders its own
     monkeypatch.setattr(Writer, "_TAILS", 2048)
     calls = 0
     assert run_cli(capsys, "gen", "--m", "20000", "--len", "50000") == (0, expected, "")
@@ -162,45 +163,44 @@ def test_gen_renders_each_tail_once_at_a_wide_modulus(capsys, monkeypatch):
 
 
 def test_emit_indexed_keeps_one_batch_of_tails_past_the_cap(monkeypatch):
+    # tuple chunks at modulus 257 render their tails as the symbols occur
     monkeypatch.setattr(Writer, "_TAILS", 6)
     record = lambda i, s: {"index": i, "symbol": s, "quotient": 3 * s + 1}
     rng = random.Random(23)
     symbols = [0, 1, 2, 3, 4, 5, 6, 7, 4, 5, 8, 8] + [rng.randrange(12) for _ in range(3000)]
     for fmt in ("plain", "json-lines", "csv"):
-        set_batch(monkeypatch, 4, fmt, record, len(symbols))
-        oracle = io.BytesIO()
-        writer = Writer(oracle, fmt)
-        for i, symbol in enumerate(symbols):
-            writer.emit(record(i, symbol))
-        for chunks in ([symbols], cut(symbols, True), cut(symbols, False)):
+        oracle = "".join(emitted_lines(record, symbols, fmt, range(len(symbols)))).encode()
+        for chunks, modulus in (([tuple(symbols)], 257), (cut(symbols, tuple), 257), (cut(symbols, bytes), 12)):
+            set_batch(monkeypatch, 4, fmt, record, len(symbols), modulus)
             out = io.BytesIO()
-            Writer(out, fmt).emit_indexed(record, chunks, len(symbols))
-            assert out.getvalue() == oracle.getvalue(), (fmt, type(chunks[0]))
-    # the second batch passes the cap of 6 tails, so the third, 4 5 8 8,
-    # renders 4, 5 and 8 again instead of adding 8 to the 4 kept from the second
+            Writer(out, fmt).emit_indexed(record, chunks, len(symbols), modulus)
+            assert out.getvalue() == oracle, (fmt, modulus)
+    # past the cap of 6 symbols each batch renders its own tails, so the third,
+    # 4 5 8 8, renders 4 and 5 again, as well as 8
     lines = []
     line = Writer._line
-    set_batch(monkeypatch, 4, "plain", record, 12)
+    set_batch(monkeypatch, 4, "plain", record, 12, 257)
     monkeypatch.setattr(Writer, "_line", lambda self, rec: lines.append(rec["symbol"]) or line(self, rec))
-    Writer(io.BytesIO(), "plain").emit_indexed(record, [symbols], 12)
+    Writer(io.BytesIO(), "plain").emit_indexed(record, [tuple(symbols)], 12, 257)
     assert sorted(lines) == sorted([0, 0] + [0, 1, 2, 3] + [4, 5, 6, 7] + [4, 5, 8])
 
 
 def test_emit_indexed_stops_collecting_symbols_once_each_has_a_tail(monkeypatch):
-    # the first batch of this tuple chunk holds all 300 symbols: given the
-    # modulus, no later batch builds the set of its symbols
+    # the tails render on their first lookup, so no batch builds the set of
+    # its symbols: neither at m = 300, where the first batch holds every
+    # symbol, nor past a cap of 100 symbols, where each batch renders its own
     m, batch = 300, 2048
     symbols = (*range(m), *(random.Random(3).randrange(m) for _ in range(5 * batch)))
     record = lambda i, s: {"index": i, "symbol": s}
-    set_batch(monkeypatch, batch, "plain", record, len(symbols))
+    set_batch(monkeypatch, batch, "plain", record, len(symbols), m)
     expected = "".join(emitted_lines(record, symbols, "plain", range(len(symbols))))
     sets = []
     monkeypatch.setattr(cli, "set", lambda *args: sets.append(args) or set(*args), raising=False)
-    for modulus, built in ((None, -(-len(symbols) // batch)), (m, 1)):
-        sets.clear()
+    for cap in (Writer._TAILS, 100):
+        monkeypatch.setattr(Writer, "_TAILS", cap)
         out = io.BytesIO()
-        Writer(out, "plain").emit_indexed(record, [symbols], len(symbols), modulus)
-        assert (out.getvalue().decode(), len(sets)) == (expected, built), modulus
+        Writer(out, "plain").emit_indexed(record, [symbols], len(symbols), m)
+        assert (out.getvalue().decode(), sets) == (expected, []), cap
 
 
 def test_emit_indexed_rejects_records_that_do_not_begin_with_the_index():
@@ -208,20 +208,64 @@ def test_emit_indexed_rejects_records_that_do_not_begin_with_the_index():
     for fmt in ("plain", "json-lines", "csv"):
         writer = Writer(io.BytesIO(), fmt)
         with pytest.raises(ValueError, match="begin with their index"):
-            writer.emit_indexed(lambda i, s: {"digit": s, "index": i}, [bytes([0, 1, 1, 0])], 4)
+            writer.emit_indexed(lambda i, s: {"digit": s, "index": i}, [bytes([0, 1, 1, 0])], 4, 2)
+    # the record of symbol 2 alone, whether its tail is rendered before the
+    # first batch (modulus 3) or when the symbol occurs (modulus 300)
+    record = lambda i, s: {"digit": s, "index": i} if s == 2 else {"index": i, "symbol": s}
+    for fmt in ("plain", "json-lines", "csv"):
+        for chunks, modulus in (([bytes([0, 1, 2])], 3), ([(0, 1), (1, 2)], 300)):
+            out = io.BytesIO()
+            with pytest.raises(ValueError, match="begin with their index"):
+                Writer(out, fmt).emit_indexed(record, chunks, 4, modulus)
+            assert out.getvalue() == b"", (fmt, modulus)
 
 
 def test_emit_indexed_raises_when_its_chunks_run_short():
     record = lambda i, s: {"index": i, "symbol": s}
-    for chunks, written in (([bytes([0, 1, 1])], 3), ([[0, 1], [1], []], 3), ([], 0)):
+    for chunks, modulus, written in (([bytes([0, 1, 1])], 2, 3), ([(0, 1), (1,), ()], 300, 3), ([], 2, 0)):
         out = io.BytesIO()
         with pytest.raises(ValueError, match=f"after {written} of 10 records"):
-            Writer(out, "plain").emit_indexed(record, chunks, 10)
+            Writer(out, "plain").emit_indexed(record, chunks, 10, modulus)
         assert out.getvalue().count(b"\n") == written
     out = io.BytesIO()
-    Writer(out, "plain").emit_indexed(record, [bytes([0, 1]), [1]], 3)  # ends with the last chunk
-    Writer(out, "plain").emit_indexed(record, [], 0)
-    assert out.getvalue() == b"0 0\n1 1\n2 1\n"
+    Writer(out, "plain").emit_indexed(record, [bytes([0, 1]), bytes([1])], 3, 2)  # ends with the last chunk
+    Writer(out, "plain").emit_indexed(record, [(0, 1), (1,)], 3, 300)
+    Writer(out, "plain").emit_indexed(record, [], 0, 2)
+    assert out.getvalue() == b"0 0\n1 1\n2 1\n" * 2
+
+
+class Word(tuple):
+    """A tuple whose slices are Words, and which records the length of each
+    word its joins build."""
+
+    joins: list[int] = []
+
+    def __getitem__(self, key):
+        part = super().__getitem__(key)
+        return Word(part) if isinstance(key, slice) else part
+
+    def __add__(self, other):
+        joined = Word(tuple(self) + tuple(other))
+        self.joins.append(len(joined))
+        return joined
+
+
+def test_blocks_join_a_held_end_to_the_piece_it_needs(monkeypatch):
+    # above 256 symbols the chunks are tuples of 8192 terms: a block across
+    # two of them joins the end of one to no more than it needs of the next,
+    # not to the whole of the next
+    m, size, count = 300, 1000, 5 * 8192 + 17
+    chunks = [Word(chunk) for chunk in itertools.islice(tm.digit_sum_chunks(m), 6)]
+    monkeypatch.setattr(Word, "joins", [])
+    blocks = list(cli._blocks(chunks, size, count))
+    assert [len(block) for block in blocks] == [size] * (count // size) + [count % size]
+    assert tuple(itertools.chain(*blocks)) == tuple(itertools.chain(*chunks))[:count]
+    assert len(Word.joins) == 5 and max(Word.joins) <= size, Word.joins
+    # the first bytes chunks hold 1, 1, 2, 4, ... terms: each short one joins the held end
+    chunks = list(itertools.islice(tm.digit_sum_chunks(2), 20))
+    blocks = list(cli._blocks(chunks, 3, 1000))
+    assert {type(block) for block in blocks} == {bytes} and {len(block) for block in blocks[:-1]} == {3}
+    assert b"".join(blocks) == b"".join(chunks)[:1000]
 
 
 # Chunk lengths around the decimal groups of 1000, and one that spans several batches
@@ -232,14 +276,14 @@ GROUP_EDGE_COUNTS = [1, 2, 999, 1000, 1001, 8192, 8193, 9999, 10_000, 10_001, 12
                      54_321, 99_999, 100_000, 100_001, 100_500]
 
 
-def cut(symbols: list[int], as_bytes: bool) -> list:
-    """symbols in chunks of the lengths of GROUP_EDGE_CHUNKS, round and round."""
+def cut(symbols, packed: type) -> list:
+    """symbols in chunks of the lengths of GROUP_EDGE_CHUNKS, round and
+    round, each a `packed` word (bytes or tuple)."""
     chunks, lo = [], 0
     for length in itertools.cycle(GROUP_EDGE_CHUNKS):
         if lo >= len(symbols):
             return chunks
-        piece = symbols[lo:lo + length]
-        chunks.append(bytes(piece) if as_bytes else piece)
+        chunks.append(packed(symbols[lo:lo + length]))
         lo += length
 
 
@@ -251,34 +295,35 @@ def test_emit_indexed_at_decimal_group_edges(fmt):
     index_only = lambda i, s: {"index": i}  # one tail for every symbol
     quotient = lambda i, s: {"index": i, "symbol": s, "quotient": 7 * s + 1}  # tails of mixed widths
     narrow_quotient = lambda i, s: {"index": i, "symbol": s, "quotient": 3 * s + 1}  # tails of one width
-    ends = set(itertools.accumulate(len(chunk) for chunk in cut(narrow, False)))
+    ends = set(itertools.accumulate(len(chunk) for chunk in cut(narrow, tuple)))
     assert any(count not in ends and count % 1000 for count in GROUP_EDGE_COUNTS)
-    for symbols, record, chunk_kinds in (
-        (narrow, quotient, (True, False)),
-        (narrow, narrow_quotient, (True, False)),
-        (narrow[:12_345], index_only, (True, False)),
-        (wide, quotient, (False,)),
+    # narrow symbols as bytes over their 3 symbols and as tuples over 257, the wide ones as tuples over theirs
+    narrow_kinds = ((bytes, 3), (tuple, 257))
+    for symbols, record, kinds in (
+        (narrow, quotient, narrow_kinds),
+        (narrow, narrow_quotient, narrow_kinds),
+        (narrow[:12_345], index_only, narrow_kinds),
+        (wide, quotient, ((tuple, 20_000),)),
     ):
-        oracle = io.BytesIO()
-        writer = Writer(oracle, fmt)
-        for i, symbol in enumerate(symbols):
-            writer.emit(record(i, symbol))
-        lines = oracle.getvalue().decode().splitlines(keepends=True)
+        lines = emitted_lines(record, symbols, fmt, range(len(symbols)))
         header = fmt == "csv"
-        for as_bytes in chunk_kinds:
-            chunks = cut(symbols, as_bytes)
+        for packed, modulus in kinds:
+            chunks = cut(symbols, packed)
             for count in (c for c in GROUP_EDGE_COUNTS if c <= len(symbols)):
                 out = io.BytesIO()
-                Writer(out, fmt).emit_indexed(record, chunks, count)
-                assert out.getvalue().decode() == "".join(lines[:header + count]), (record, as_bytes, count)
+                Writer(out, fmt).emit_indexed(record, chunks, count, modulus)
+                assert out.getvalue().decode() == "".join(lines[:header + count]), (record, modulus, count)
 
 
-def set_batch(monkeypatch, lines: int, fmt: str, record, count: int) -> None:
+def set_batch(monkeypatch, lines: int, fmt: str, record, count: int, modulus: int) -> None:
     """Set Writer.WRITE_BYTES so that `emit_indexed` writes `lines` records of
-    `record` a batch in `fmt` when it writes `count` of them: its budget
-    over the bytes of the index-0 line plus the digits of `count`."""
-    zero = Writer(io.BytesIO(), fmt)._line(record(0, 0)).encode()
-    monkeypatch.setattr(Writer, "WRITE_BYTES", lines * (len(zero) + len(str(count))))
+    `record` a batch in `fmt` when it writes `count` of them over `modulus`
+    symbols: its budget over the digits of `count` plus the widest line of
+    index 0 but its "0" when it renders every tail first (modulus <=
+    min(256, count)), else plus the line of index 0 and symbol 0."""
+    render = lambda s: len(Writer(io.BytesIO(), fmt)._line(record(0, s)).encode())
+    line = max(map(render, range(modulus))) - 1 if modulus <= min(256, count) else render(0)
+    monkeypatch.setattr(Writer, "WRITE_BYTES", lines * (line + len(str(count))))
 
 
 def count_calls(monkeypatch, name: str) -> list[int]:
@@ -314,16 +359,17 @@ def test_emit_indexed_builds_columns_across_every_power_of_ten(fmt, monkeypatch)
     assert all(p % batch for p in powers)
     record = lambda i, s: {"index": i, "symbol": s, "quotient": 3 * s + 1}
     count = powers[-1] + 2 * batch
-    set_batch(monkeypatch, batch, fmt, record, count)
+    set_batch(monkeypatch, batch, fmt, record, count, 3)
     symbols = random.Random(22).randbytes(count).translate(bytes(j % 3 for j in range(256)))
     columns, joined = count_calls(monkeypatch, "_column_lines"), count_calls(monkeypatch, "_joined_lines")
     out = io.BytesIO()
-    Writer(out, fmt).emit_indexed(record, [symbols], count)
-    assert (len(columns), joined) == (-(-count // batch), [])
-    # the whole output as the join path writes it from the same symbols in a list ...
+    Writer(out, fmt).emit_indexed(record, [symbols], count, 3)
+    assert (columns, joined) == (list(range(0, count, batch)), [])
+    # the whole output as the join path writes it from the same symbols as a tuple over 257 ...
+    set_batch(monkeypatch, batch, fmt, record, count, 257)
     reference = io.BytesIO()
-    Writer(reference, fmt).emit_indexed(record, [list(symbols)], count)
-    assert len(joined) == len(columns)  # every batch of the list joined
+    Writer(reference, fmt).emit_indexed(record, [tuple(symbols)], count, 257)
+    assert joined == columns  # every batch of the tuple joined
     text = out.getvalue().decode()
     assert text == reference.getvalue().decode()
     del reference
@@ -338,36 +384,46 @@ def test_emit_indexed_builds_columns_across_every_power_of_ten(fmt, monkeypatch)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json-lines", "csv"])
-def test_emit_indexed_moves_to_the_join_path_when_a_wider_tail_appears(fmt, monkeypatch):
-    # symbol 3 has the two-digit quotient 10: from its first batch on, the
-    # tails differ in width and every batch is joined
+def test_emit_indexed_joins_every_batch_when_any_tail_is_wider(fmt, monkeypatch):
+    # symbol 3 has the two-digit quotient 10 and first occurs in the third
+    # batch: over 4 symbols every tail is rendered before the first batch, so
+    # every batch is joined, while the same run cut before the 3, over 3
+    # symbols, is built by columns
     record = lambda i, s: {"index": i, "symbol": s, "quotient": 3 * s + 1}
     batch = 2048
     first = 2 * batch + 100  # inside the third batch
     rng = random.Random(5)
     symbols = bytes(rng.randrange(3) for _ in range(first)) + bytes([3]) + bytes(rng.randrange(4) for _ in range(5000))
-    set_batch(monkeypatch, batch, fmt, record, len(symbols))
-    columns, joined = count_calls(monkeypatch, "_column_lines"), count_calls(monkeypatch, "_joined_lines")
-    out = io.BytesIO()
-    Writer(out, fmt).emit_indexed(record, [symbols], len(symbols))
-    assert out.getvalue().decode() == "".join(emitted_lines(record, symbols, fmt, range(len(symbols))))
-    assert columns == [0, batch]
-    assert joined == list(range(2 * batch, len(symbols), batch))
+    for count, modulus, by_columns in ((len(symbols), 4, False), (first, 3, True)):
+        set_batch(monkeypatch, batch, fmt, record, count, modulus)
+        columns, joined = count_calls(monkeypatch, "_column_lines"), count_calls(monkeypatch, "_joined_lines")
+        out = io.BytesIO()
+        Writer(out, fmt).emit_indexed(record, [symbols], count, modulus)
+        assert out.getvalue().decode() == "".join(emitted_lines(record, symbols, fmt, range(count)))
+        starts = list(range(0, count, batch))
+        assert (columns, joined) == ((starts, []) if by_columns else ([], starts)), modulus
+        monkeypatch.undo()
 
 
 def test_emit_indexed_renders_tails_only_for_symbols_that_occur(monkeypatch):
     # the record fails for every symbol absent from the data, as an
-    # AlphabetMap does above its modulus
+    # AlphabetMap does above its modulus: a run over more symbols than 256 or
+    # than its count renders the tails as the symbols occur, and any other
+    # run renders every tail before its first batch
     image = {0: 5, 4: 9, 7: 1}
     record = lambda i, s: {"index": i, "symbol": s, "quotient": image[s]}
     symbols = bytes(random.Random(9).choice([0, 4, 7]) for _ in range(3 * 2048 + 11))
     for fmt in ("plain", "json-lines", "csv"):
-        set_batch(monkeypatch, 2048, fmt, record, len(symbols))
-        lines = emitted_lines(record, symbols, fmt, range(len(symbols)))
-        for chunks in (cut(symbols, True), cut(list(symbols), False)):
+        for count, chunks, modulus in ((len(symbols), cut(tuple(symbols), tuple), 300),
+                                       (7, [symbols], 8), (7, [symbols[:3], symbols[3:]], 256)):
+            set_batch(monkeypatch, 2048, fmt, record, count, modulus)
             out = io.BytesIO()
-            Writer(out, fmt).emit_indexed(record, chunks, len(symbols))
-            assert out.getvalue().decode() == "".join(lines), (fmt, type(chunks[0]))
+            Writer(out, fmt).emit_indexed(record, chunks, count, modulus)
+            assert out.getvalue().decode() == "".join(emitted_lines(record, symbols, fmt, range(count))), fmt
+        out = io.BytesIO()
+        with pytest.raises(KeyError):
+            Writer(out, fmt).emit_indexed(record, [symbols], 8, 8)
+        assert out.getvalue() == b""
 
 
 def test_gen_builds_every_batch_by_columns(capsys, monkeypatch):
@@ -581,6 +637,17 @@ def test_batched_writes_hold_about_the_byte_budget():
     # convergent rows grow with n: each write is gauged by the one before
     table = write_sizes("cf", "--m", "2", "--convergents", "15000")
     assert max(table) <= 2 * budget and sum(table) > 60 * 10 ** 6
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json-lines", "csv"])
+def test_gen_gauges_its_batches_by_the_widest_tail(fmt):
+    # the tail of symbol 1 is 60 digits wider than that of symbol 0: gauged
+    # by the line of index 0 alone, a plain batch wrote up to 306 250 bytes
+    nines = "9" * 60
+    argv = ["gen", "--m", "2", "--len", "1000000", "--map", f"0:1,1:{nines}", "--format", fmt]
+    sizes = write_sizes(*argv)
+    header = len("index,symbol,quotient\n") if fmt == "csv" else 0
+    assert max(sizes) <= Writer.WRITE_BYTES + header and min(sizes[:-1]) >= Writer.WRITE_BYTES // 4
 
 
 @pytest.mark.parametrize(
