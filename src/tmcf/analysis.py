@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from .tm import Word, _block_parts, _factor_cover, _prefix_of, tm_digit_sum, tm_digit_sum_sequence
-from .words import CHUNK, FiniteWord, ModAlphabet, WordRangeError
+from .words import CHUNK, FiniteWord, ModAlphabet, WordRangeError, integer_at_least
 
 
 class ComplexityProfile(NamedTuple):
@@ -172,6 +172,7 @@ def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityP
     included, does not depend on the path.  `complexity_naive` is the
     quadratic cross-check; `tm_complexity` counts all of TM_m.
     """
+    integer_at_least(n_max, 1, "n_max")
     symbols, m = _prefix_of(word, length)
     if not 1 <= n_max <= len(symbols):
         raise WordRangeError(f"n_max must be in [1, {len(symbols)}], got {n_max}")
@@ -228,8 +229,7 @@ def tm_complexity(m: int, n_max: int) -> ComplexityProfile:
     ~27 MB at (m, n_max) = (300, 200).
     """
     ModAlphabet(m)  # rejects a modulus below 2
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    integer_at_least(n_max, 1, "n_max")
     r = _power_exponent(m, n_max)
     windows = _power_windows(m, r, n_max)
     counts = _factor_counts(windows, n_max, _width(m))
@@ -238,6 +238,7 @@ def tm_complexity(m: int, n_max: int) -> ComplexityProfile:
 
 def complexity_naive(word: Word, n_max: int, length: int | None = None) -> dict[int, int]:
     """Brute-force distinct-factor counts; quadratic, for cross-checking only."""
+    integer_at_least(n_max, 1, "n_max")
     symbols, _ = _prefix_of(word, length)
     if not 1 <= n_max <= len(symbols):
         raise WordRangeError(f"n_max must be in [1, {len(symbols)}], got {n_max}")
@@ -267,10 +268,10 @@ def find_period(word: Word, a_max: int, b_max: int, length: int | None = None) -
     minimal-period convention.  Returning None refutes every candidate in
     the box against this prefix; it proves nothing beyond it.
     """
+    integer_at_least(a_max, 0, "a_max")
+    integer_at_least(b_max, 1, "b_max")
     symbols, _ = _prefix_of(word, length)
     big_l = len(symbols)
-    if a_max < 0 or b_max < 1:
-        raise ValueError("need a_max >= 0 and b_max >= 1")
     if a_max + 2 * b_max >= big_l:
         raise ValueError(
             f"prefix of length {big_l} too short for a_max={a_max}, b_max={b_max}"
@@ -384,9 +385,8 @@ def predicted_011_positions(m: int, k_max: int | None = None) -> list[int]:
     m + 4).  Every returned position is re-validated against the
     digit-sum terms before returning.
     """
-    if not isinstance(m, int) or m < 3:
-        raise ValueError("the 0,1,1 construction needs m >= 3")
-    k_max = m + 4 if k_max is None else k_max
+    integer_at_least(m, 3, "m")  # the 0,1,1 construction needs m >= 3
+    k_max = m + 4 if k_max is None else integer_at_least(k_max, 1, "k_max")
     j = (m - 2) + sum((m - 1) * m ** i for i in range(1, m - 1))
     positions = [j] + [j + (m - 2) * m ** k + 2 * m ** (k + 1) for k in range(m, k_max + 1)]
     for q in positions:
@@ -420,9 +420,8 @@ def verify_complexity_surjection(m: int, r: int, n: int) -> SurjectionCheck:
     phi^r((a+c)(b+c)), so a factor f is covered exactly when f - f_0
     (mod m), which begins with 0, is one of `_power_windows(m, r, n)`.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("r must be a positive integer")
-    if not (m ** (r - 1) <= n < m ** r):
+    integer_at_least(r, 1, "r")
+    if integer_at_least(n, m ** (r - 1), "n") >= m ** r:
         raise ValueError(f"need m^(r-1) <= n < m^r, got m={m}, r={r}, n={n}")
     t = tm_digit_sum_sequence(m).prefix(max(4 * m ** (r + 1), 20_000))
     covered = _power_windows(m, r, n)

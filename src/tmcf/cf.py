@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .tm import tm_digit_sum, tm_digit_sum_sequence
-from .words import LazyWord, ModAlphabet, SymbolError, _Frozen
+from .words import LazyWord, ModAlphabet, SymbolError, _Frozen, integer_at_least
 
 
 class AlphabetMapError(ValueError):
@@ -146,8 +146,7 @@ def tm_convergent_rows(amap: AlphabetMap, count: int) -> Iterator[tuple[int, int
 
 def convergents(quotients: Iterable[int], count: int) -> list[ConvergentPair]:
     """The first `count` convergents of [0; a_1, a_2, ...]."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    integer_at_least(count, 1, "count")
     out = list(itertools.islice(convergent_stream(quotients), count))
     if len(out) < count:
         raise ValueError(f"quotient stream ended after {len(out)} terms, needed {count}")
@@ -221,9 +220,7 @@ class _Certification:
     ones."""
 
     def __init__(self, digits: int):
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        self.digits = digits
+        self.digits = integer_at_least(digits, 1, "digits")
         self.scale = 10 ** digits
         self.limit = 10 ** (digits + 2)
         self.limit_bits = self.limit.bit_length()

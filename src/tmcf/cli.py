@@ -8,8 +8,8 @@ that cannot be written (one `error:` line), 3 internal error (any other
 exception, reported in one line without a traceback), 141 (128 + SIGPIPE)
 when the reader of standard output goes away, without a message.  A usage
 error is an argument rejected by `parse_args` (a `usage:` line, then one
-`tmcf <command>: error:` line) or by the checks of a command
-(`UsageError`), all of which run before the library is called; an
+`tmcf <command>: error:` line), by the checks of a command, or by the call
+of `verify.checks` (`UsageError`), all before any record; any other
 exception the library raises, `ValueError` included, is an internal error.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from types import SimpleNamespace
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from . import analysis, cf, tm, verify
+from . import analysis, cf, tm, verify, words
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -99,6 +99,7 @@ class Writer:
         tails = _Tails(head, lambda symbol: self._line(record(0, symbol)))
         layout, line = (), len(zero.encode())  # the column layout, if any, and the line length that gauges a batch
         if modulus <= min(256, count):
+            pack = words.ModAlphabet(modulus).pack  # checks each column-path batch, whose tables keep a symbol >= m
             codes = [tails[s].encode() for s in range(modulus)]
             layout, line = _tail_layout(codes), len(head.encode()) + max(map(len, codes))
         size = max(1, self.WRITE_BYTES // (line + len(str(count))))  # records a batch
@@ -106,7 +107,7 @@ class Writer:
         for block in _blocks(chunks, size, count):
             if modulus > self._TAILS:  # too many symbols to keep: each batch renders its own tails
                 tails.clear()
-            lines = (_column_lines(head.encode(), start, block, *layout) if layout
+            lines = (_column_lines(head.encode(), start, pack(block), *layout) if layout
                      else [_joined_lines(head, start, block, tails)])
             self.stream.writelines([header, *lines])
             header, start = b"", start + len(block)
@@ -454,21 +455,14 @@ def cmd_patterns(args: SimpleNamespace, writer: Writer) -> int:
 
 
 def cmd_verify_all(args: SimpleNamespace, writer: Writer) -> int:
-    if args.m ** 2 > verify.SCAN_CAP:
-        raise UsageError(
-            f"verify-all needs --m <= {math.isqrt(verify.SCAN_CAP)} (m^2 <= {verify.SCAN_CAP}), got {args.m}")
-    # the congruence scan needs m terms and the period search needs 3
-    min_length = max(args.m, 3)
-    if args.length < min_length:
-        raise UsageError(f"verify-all needs --len >= {min_length} at m={args.m}, got {args.length}")
-    if args.inject_flip is not None and not 0 <= args.inject_flip < args.length:
-        raise UsageError(f"--inject-flip must be in [0, {args.length}), got {args.inject_flip}")
     amap = _map_arg(args.map_spec or "", args.m)
+    try:  # the library checks its arguments at the call; a ValueError raised while the checks run is a fault
+        records = verify.checks(args.m, args.length, amap, n_max=args.n_max, a_max=args.a_max, b_max=args.b_max,
+                                digits=args.digits, inject_flip=args.inject_flip)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     failures = 0
-    for suite, prop, passed, detail in verify.checks(
-        args.m, args.length, amap, n_max=args.n_max, a_max=args.a_max, b_max=args.b_max, digits=args.digits,
-        inject_flip=args.inject_flip,
-    ):
+    for suite, prop, passed, detail in records:
         writer.emit({"suite": suite, "property": prop, "status": "pass" if passed else "FAIL", "detail": detail})
         failures += not passed
     writer.emit({"suite": "summary", "property": "all checks", "status": "pass" if failures == 0 else "FAIL",

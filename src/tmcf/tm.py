@@ -27,6 +27,7 @@ from .words import (
     Morphism,
     SymbolError,
     WordRangeError,
+    integer_at_least,
     value,
 )
 
@@ -36,8 +37,7 @@ Word = Union[LazyWord, FiniteWord, Sequence[int]]
 def tm_digit_sum(n: int, m: int) -> int:
     """Term n of TM_m: the base-m digit sum of n, reduced mod m."""
     ModAlphabet(m)  # rejects a modulus below 2
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"index must be a nonnegative integer, got {n!r}")
+    integer_at_least(n, 0, "n")
     s = 0
     while n:
         n, d = divmod(n, m)
@@ -77,21 +77,21 @@ def digit_sum_chunks(m: int) -> Iterator[bytes | tuple[int, ...]]:
     a sit above every digit of r.  So, after the first term, level k yields
     the length-m^k prefix shifted by each j = 1, ..., m-1, up to the
     largest power B = m^k <= CHUNK; from there on, block a (the terms from
-    a B) is those first B terms shifted by tm_digit_sum(a, m), and only
-    they are kept.  Above 256 symbols the chunks are tuples of 8192
+    a B) is those first B terms shifted by tm_digit_sum(a, m) (`_rotated`),
+    and only they are kept.  Above 256 symbols the chunks are tuples of 8192
     terms, read from the same identity at k = 1: the terms of block a are
     s_m(a), s_m(a) + 1, ..., s_m(a) + m - 1 (mod m), so each run of a chunk
     inside one block is at most two `range`s.  Each chunk is built when it
     is yielded, so the stream holds no more than one level or block.
     """
-    alphabet = ModAlphabet(m)  # rejects a modulus below 2
     for word, j in _digit_sum_blocks(m):
-        yield alphabet.shift(word, j) if j else word
+        yield _rotated(word, j, m) if j else word
 
 
 def _digit_sum_blocks(m: int) -> Iterator[tuple[bytes | tuple[int, ...], int]]:
     """(word, j) for each chunk of `digit_sum_chunks`, which is `word`
     shifted by j; every word with j != 0 is the same block of B terms."""
+    alphabet = ModAlphabet(m)  # rejects a modulus below 2
     if m > 256:
         for start in itertools.count(0, _WIDE_CHUNK):
             end, chunk = start + _WIDE_CHUNK, []
@@ -101,7 +101,6 @@ def _digit_sum_blocks(m: int) -> Iterator[tuple[bytes | tuple[int, ...], int]]:
                 chunk += range(low, min(high, m))
                 chunk += range(max(low, m) - m, high - m)  # past m - 1 the terms wrap to 0
             yield tuple(chunk), 0
-    alphabet = ModAlphabet(m)
     base = bytes(1)
     yield base, 0
     while len(base) * m <= CHUNK:
@@ -111,6 +110,14 @@ def _digit_sum_blocks(m: int) -> Iterator[tuple[bytes | tuple[int, ...], int]]:
         base = alphabet.join(level)
     for a in itertools.count(1):
         yield base, tm_digit_sum(a, m)
+
+
+def _rotated(block: bytes, j: int, m: int) -> bytes:
+    """`block`, the first B = m^k >= m terms of TM_m, shifted by j: it joins the shifts
+    B' + i (i < m) of its first B / m terms, and (B' + i) + j = B' + (i + j mod m),
+    so the shift moves its first j parts to its end, and no symbol is translated."""
+    view, cut = memoryview(block), j * (len(block) // m)
+    return b"".join((view[cut:], view[:cut]))  # one copy, no slice of the block
 
 
 def tm_digit_sum_sequence(m: int) -> LazyWord:
@@ -130,7 +137,7 @@ def tm_digit_sum_sequence(m: int) -> LazyWord:
         while n > 0:
             word, j = next(blocks)
             if j and j not in shifted:
-                shifted[j] = alphabet.shift(word, j)
+                shifted[j] = _rotated(word, j, m)
             parts.append(chunk := (shifted[j] if j else word)[:n])
             n -= len(chunk)
         return alphabet.join(parts)
@@ -184,8 +191,7 @@ def lemma_recursion_holds(m: int, k: int) -> bool:
     last.  The sums are built from the digits, one digit at a time.
     """
     ModAlphabet(m)  # rejects a modulus below 2
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"digit words must have length >= 2, got {k!r}")
+    integer_at_least(k, 2, "k")
     sums = [0]
     for _ in range(k - 1):
         sums = [s + d for s in sums for d in range(m)]  # s_m(i * m + d) = s_m(i) + d
@@ -224,9 +230,7 @@ def check_congruences(m: int, length: int, word: Word | None = None) -> Congruen
     `_congruences_hold`; the term-by-term scans run only if it fails that
     check, to name the violations.
     """
-    ModAlphabet(m)  # rejects a modulus below 2
-    if length < m:
-        raise ValueError("length must be at least m")
+    integer_at_least(length, ModAlphabet(m).m, "length")  # ModAlphabet rejects a modulus below 2
     if word is None:
         word = tm_digit_sum_sequence(m)
     t, _ = _prefix_of(word, length, m)
@@ -383,6 +387,8 @@ def _prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Se
     sequence's is `m`, else max(symbols) + 1 and at least 2.  A symbol
     outside {0, ..., modulus - 1} or a modulus mismatch raises SymbolError.
     """
+    if length is not None:
+        integer_at_least(length, 0, "length")
     if isinstance(word, LazyWord):
         if length is None:
             raise ValueError("an explicit prefix length is required for infinite words")

@@ -18,7 +18,7 @@ import math
 from typing import Iterator, Sequence
 
 from . import analysis, cf, tm
-from .words import ModAlphabet
+from .words import ModAlphabet, integer_at_least
 
 # Most terms or digit words that verify-all scans one by one in Python: the
 # congruence scan reads at most this many terms, and the recursion suite
@@ -36,15 +36,17 @@ def checks(m: int, length: int, amap: cf.AlphabetMap, *, n_max: int, a_max: int,
     decimal.  With `inject_flip`, the digit-sum term at that index is
     changed, as a fault for the equivalence check to detect.  A ValueError
     that names the argument is raised at the call, before any check runs,
-    unless m^2 <= SCAN_CAP, length >= max(m, 3) and 0 <= inject_flip < length.
+    unless m^2 <= SCAN_CAP, length >= max(m, 3), amap.m == m, n_max >= 1,
+    a_max >= 0, b_max >= 1, digits >= 1 and 0 <= inject_flip < length.
     """
-    ModAlphabet(m)  # rejects a modulus below 2
-    if m ** 2 > SCAN_CAP:
+    if ModAlphabet(m).m ** 2 > SCAN_CAP:  # ModAlphabet rejects a modulus below 2
         raise ValueError(f"m must have m^2 <= SCAN_CAP = {SCAN_CAP}, got m={m}")
-    # the congruence scan needs m terms and the period search needs 3
-    if length < max(m, 3):
-        raise ValueError(f"length must be >= max(m, 3) = {max(m, 3)}, got length={length}")
-    if inject_flip is not None and not 0 <= inject_flip < length:
+    integer_at_least(length, max(m, 3), "length")  # the congruence scan needs m terms, the period search 3
+    if amap.m != m:
+        raise ValueError(f"amap must have modulus m = {m}, got amap.m={amap.m}")
+    for value, low, name in ((n_max, 1, "n_max"), (a_max, 0, "a_max"), (b_max, 1, "b_max"), (digits, 1, "digits")):
+        integer_at_least(value, low, name)
+    if inject_flip is not None and integer_at_least(inject_flip, 0, "inject_flip") >= length:
         raise ValueError(f"inject_flip must be in [0, length) = [0, {length}), got inject_flip={inject_flip}")
     return _checks(m, length, amap, n_max, a_max, b_max, digits, inject_flip)
 
@@ -240,7 +242,7 @@ def _covering_length(data: Sequence[int], m: int, block: int) -> int | None:
     With block = m^r, phi^r(t_i t_{i+1}) ends there, so that prefix holds
     every factor of length <= block + 1.  None when a pair is missing from
     the prefix, when the covering prefix would be longer, or when m > 256,
-    whose terms are not packed.
+    whose terms are packed as a tuple, which has no `find`.
     """
     if m > 256:
         return None

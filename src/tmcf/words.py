@@ -27,6 +27,13 @@ class WordRangeError(IndexError):
     """Raised for out-of-range indices or slices on words."""
 
 
+def integer_at_least(value: int, low: int, name: str, error: type[ValueError] = ValueError) -> int:
+    """`value` if it is an int, not a bool, and at least `low`; else `error` naming `name`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 class _Frozen:
     """A base for immutable `__slots__` classes: `__init__` sets each slot
     once through object.__setattr__, and no caller can change one after."""
@@ -46,9 +53,7 @@ class ModAlphabet(_Frozen):
     __slots__ = ("m",)
 
     def __init__(self, m: int):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-            raise AlphabetError(f"modulus must be an integer >= 2, got {m!r}")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", integer_at_least(m, 2, "modulus", AlphabetError))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ModAlphabet):
@@ -153,9 +158,7 @@ class FiniteWord(_Frozen):
 def digits(n: int, m: int) -> FiniteWord:
     """Base-m digits of n, least significant first; digits(0, m) is the word [0]."""
     alphabet = ModAlphabet(m)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"expected a nonnegative integer, got {n!r}")
-    if n == 0:
+    if integer_at_least(n, 0, "n") == 0:
         return FiniteWord((0,), alphabet)
     out = []
     while n:
@@ -308,8 +311,7 @@ class Morphism(_Frozen):
 
     def power(self, k: int) -> "Morphism":
         """The k-fold composition, k >= 1 (the identity power is rejected)."""
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"morphism power requires an integer k >= 1, got {k!r}")
+        integer_at_least(k, 1, "k")
         result = self
         for _ in range(k - 1):  # phi^(i+1)(a) = phi^i(phi(a)): a join of |phi(a)| images of phi^i
             result = Morphism([result.apply(img) for img in self.images], self.m)

@@ -463,7 +463,7 @@ def test_power_windows_do_not_depend_on_r(m):
 
 def test_tm_complexity_errors():
     for n_max in (0, -3, 2.5):
-        with pytest.raises(ValueError, match="n_max must be a positive integer"):
+        with pytest.raises(ValueError, match="n_max must be an integer >= 1"):
             tm_complexity(2, n_max)
     with pytest.raises(AlphabetError, match="modulus must be an integer >= 2"):
         tm_complexity(1, 10)

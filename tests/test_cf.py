@@ -245,7 +245,7 @@ def test_evaluate_rejects_bad_digits():
     with pytest.raises(ValueError):
         evaluate(ones(), 0)
     for digits in (0, -3):
-        with pytest.raises(ValueError, match="digits must be >= 1"):
+        with pytest.raises(ValueError, match="digits must be an integer >= 1"):
             evaluate_tm(AlphabetMap.identity_shift(2), digits)
 
 

@@ -22,7 +22,7 @@ from tmcf.cli import (
     parse_map_spec,
 )
 from tmcf.cf import AlphabetMapError
-from tmcf.words import WordRangeError
+from tmcf.words import SymbolError, WordRangeError
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +218,14 @@ def test_emit_indexed_rejects_records_that_do_not_begin_with_the_index():
             with pytest.raises(ValueError, match="begin with their index"):
                 Writer(out, fmt).emit_indexed(record, chunks, 4, modulus)
             assert out.getvalue() == b"", (fmt, modulus)
+
+
+def test_emit_indexed_checks_its_modulus_on_the_column_path():
+    # symbol 5 of a run over 2 symbols would be written as its raw byte in place of its tail
+    out = io.BytesIO()
+    with pytest.raises(SymbolError, match="symbol 5 not in alphabet of modulus 2"):
+        Writer(out, "plain").emit_indexed(lambda i, s: {"index": i, "symbol": s}, [bytes([0, 1, 5])], 3, 2)
+    assert out.getvalue() == b""
 
 
 def test_emit_indexed_raises_when_its_chunks_run_short():
@@ -1077,15 +1085,15 @@ def test_a_missing_or_unknown_command_is_a_usage_error(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv, reason",
     [
-        (["verify-all", "--m", "2", "--len", "1"], "--len"),
-        (["verify-all", "--m", "2", "--len", "2"], "--len"),
-        (["verify-all", "--m", "5", "--len", "3"], "--len"),
+        (["verify-all", "--m", "2", "--len", "1"], "length must be an integer >= 3"),
+        (["verify-all", "--m", "2", "--len", "2"], "length must be an integer >= 3"),
+        (["verify-all", "--m", "5", "--len", "3"], "length must be an integer >= 5"),
         (["verify-all", "--m", "2", "--len", "100", "--a-max", "-1"], "--a-max"),
         (["period", "--m", "2", "--len", "100", "--a-max", "-1"], "--a-max"),
-        (["verify-all", "--m", "2", "--len", "100", "--inject-flip", "100"], "--inject-flip"),
-        (["verify-all", "--m", "2", "--len", "100", "--inject-flip", "-1"], "--inject-flip"),
+        (["verify-all", "--m", "2", "--len", "100", "--inject-flip", "100"], "got inject_flip=100"),
+        (["verify-all", "--m", "2", "--len", "100", "--inject-flip", "-1"], "inject_flip must be an integer"),
         (["verify-all", "--m", "2", "--len", "100", "--map", "0:1,1:1"], "injective"),
-        (["verify-all", "--m", "317", "--len", "1000"], "--m <= 316"),
+        (["verify-all", "--m", "317", "--len", "1000"], "got m=317"),
         (["period", "--m", "2", "--len", "100", "--a-max", "50", "--b-max", "25"], "--len"),
         (["patterns", "--m", "3", "--pattern", "0,3"], "symbol 3"),
         (["patterns", "--m", "3", "--pattern", "0,x"], "bad pattern"),
@@ -1104,6 +1112,17 @@ def test_bad_arguments_rejected_before_any_record(capsys, tmp_path, argv, reason
     assert code == 2
     assert reason in err
     assert target.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "2", "--len", "2"], "length must be an integer >= 3, got 2"),
+    (["--m", "317", "--len", "1000"], "m must have m^2 <= SCAN_CAP = 100000, got m=317"),
+    (["--m", "2", "--len", "100", "--inject-flip", "100"],
+     "inject_flip must be in [0, length) = [0, 100), got inject_flip=100"),
+])
+def test_verify_all_relays_the_error_of_the_checks_call(capsys, argv, message):
+    # verify.checks checks its arguments at the call; the CLI writes its message as one line, and no record
+    assert run_cli(capsys, "verify-all", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_out_file_emptied_by_a_run_without_records(tmp_path, capsys):
@@ -1238,7 +1257,7 @@ def test_csv_rows_match_the_header_above_them(capsys, argv):
         ("find_pattern", WordRangeError("slice [9:12) past the prefix")),
         ("predicted_011_positions", RuntimeError("predicted position 7 fails validation")),
         ("complexity", KeyError(3)),
-        # a library ValueError on arguments the CLI checked is the program's fault
+        # a ValueError raised while the checks run is the program's fault; only the call's own is a usage error
         ("find_period", ValueError("prefix of length 1000 too short for a_max=50, b_max=400")),
     ],
 )

@@ -84,6 +84,28 @@ def test_digit_sum_chunks_concatenate_to_the_digit_sums(m):
     assert list(terms[:length]) == [oracle_digit_sum(n, m) for n in range(length)]
 
 
+@pytest.mark.parametrize("m", [2, 7, 256])
+def test_digit_sum_tail_blocks_shift_nothing(m, monkeypatch):
+    # past the head levels a block is the base rotated (`tm._rotated`), so
+    # the stream and a fill call ModAlphabet.shift only for the head levels
+    shifts = []
+    shift = ModAlphabet.shift
+    monkeypatch.setattr(ModAlphabet, "shift", lambda self, word, j: shifts.append(j) or shift(self, word, j))
+    levels = max(k for k in range(17) if m ** k <= 1 << 16)
+    block = m ** levels
+    chunks = digit_sum_chunks(m)
+    terms = bytearray()
+    while len(terms) < block:  # the head levels, m shifts each
+        terms += next(chunks)
+    assert len(terms) == block and len(shifts) == m * levels
+    for _ in range(150):
+        terms += next(chunks)
+    assert len(shifts) == m * levels
+    assert terms == tm_morphic(m).symbols(151 * block)
+    shifts.clear()
+    assert tm_digit_sum_sequence(m).symbols(151 * block) == terms and len(shifts) == m * levels
+
+
 def test_tm_morphism_images():
     assert list(tm_morphism(4)(2)) == [2, 3, 0, 1]
     assert list(tm_morphism(2)(0)) == [0, 1]
@@ -197,7 +219,7 @@ def test_lemma_recursion_holds_sees_every_word(monkeypatch):
 
 
 def test_lemma_recursion_holds_errors():
-    with pytest.raises(ValueError, match="length >= 2"):
+    with pytest.raises(ValueError, match="k must be an integer >= 2, got 1"):
         lemma_recursion_holds(3, 1)
     with pytest.raises(AlphabetError):
         lemma_recursion_holds(1, 2)

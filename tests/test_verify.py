@@ -195,11 +195,11 @@ def test_verify_all_writes_what_checks_yield(capsys, m, length, flip):
 
 @pytest.mark.parametrize("m, length, flip, named", [
     (317, 1_000_000, None, "m=317"),
-    (3, 2, None, "length=2"),
-    (5, 4, None, "length=4"),
+    (3, 2, None, "length must be an integer"),
+    (5, 4, None, "length must be an integer"),
     (2, 1000, 5000, "inject_flip=5000"),
     (2, 1000, 1000, "inject_flip=1000"),
-    (2, 1000, -1, "inject_flip=-1"),
+    (2, 1000, -1, "inject_flip must be"),
 ])
 def test_checks_reject_bad_arguments_at_the_call(m, length, flip, named):
     # raised by the call itself, before any check runs or the prefix is read
