@@ -1,14 +1,15 @@
 """Finite-prefix analyzers: subword complexity, periodicity refutation,
-palindromic prefixes, and factor occurrence tooling.
+palindromic prefixes, the index congruences, and factor occurrence tooling.
 
 All analyzers only read a materialized prefix (`bytes` over m <= 256
-symbols, else a tuple, as `words.ModAlphabet` packs it), so distinct
+symbols, else a tuple, as `words.prefix_of` packs it), so distinct
 analyses can run concurrently over the same sequence; a test of m <= 256
 picks an algorithm, never a container.  Most scan every position.  A prefix that repeats its
 aligned blocks, as a prefix of TM_m does, is read from its distinct
-blocks, block pair spans and tail instead (`tm._block_parts`):
+blocks, block pair spans and tail instead (`_block_parts`):
 `complexity` builds its windows there (`_block_pair_windows`), and
-`find_pattern` decides there that a factor is absent (`tm._factor_cover`).
+`find_pattern` and `find_triple_repeat` decide there that a factor is
+absent (`_factor_cover`).
 Any other prefix is scanned whole, and so is one that holds the factor
 looked for, to list where.
 """
@@ -16,13 +17,14 @@ from __future__ import annotations
 
 import itertools
 import operator
+import re
 from array import array
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
-from .tm import Word, _block_parts, _factor_cover, _prefix_of, tm_digit_sum, tm_digit_sum_sequence
-from .words import CHUNK, FiniteWord, ModAlphabet, WordRangeError, integer_at_least
+from .tm import tm_digit_sum, tm_digit_sum_sequence
+from .words import CHUNK, FiniteWord, ModAlphabet, Word, WordRangeError, integer_at_least, prefix_of
 
 
 class ComplexityProfile(NamedTuple):
@@ -91,14 +93,52 @@ def _power_exponent(m: int, n_max: int) -> int:
     return r
 
 
+def _block_parts(data: bytes, symbols: Sequence[int], size: int, width: int, edge: int) -> list[bytes] | None:
+    """The parts of a prefix that repeats its blocks, or None when it does not.
+
+    `data` holds `symbols` packed `width` bytes each.  Cut the prefix into
+    Q = len(symbols) // size aligned blocks of `size` symbols and label
+    block q with t_q = symbols[q].  The prefix repeats its blocks when
+    Q >= 2, size >= 2, and each block q < Q equals the block at the first
+    q' with t_q' = t_q.  TM_m = phi^r(TM_m) does at size = m^r, since its
+    block q is phi^r(t_q).  The check reads the prefix's own bytes, about
+    CHUNK bytes of expected blocks at a time, compared in place.
+
+    The parts are the distinct blocks, for each distinct pair a b the last
+    `edge` symbols of block a joined to the first `edge` of block b, and
+    last the tail from (Q - 1) * size, of fewer than 2 * size symbols.
+    With edge <= size, a factor of length <= edge + 1 lies in one of them:
+    one that starts before the tail starts in a block q <= Q - 2, at an
+    offset below size, so it lies in the span of the blocks of the
+    distinct pair t_q t_{q+1}.
+    """
+    count = len(symbols) // size
+    if count < 2 or size < 2:  # blocks of one symbol save nothing over a scan
+        return None
+    labels = symbols[:count]
+    stride = size * width
+    step = max(CHUNK // stride, 1)
+    blocks: dict[int, bytes] = {}
+    for q in range(0, count, step):
+        chunk = labels[q:q + step]
+        for a in set(chunk).difference(blocks):  # at most m labels; a block holds >= m symbols
+            k = q + chunk.index(a)
+            blocks[a] = data[k * stride:(k + 1) * stride]
+        # startswith compares in place: no slice of the prefix is copied
+        if not data.startswith(b"".join(map(blocks.__getitem__, chunk)), q * stride):
+            return None
+    cut = edge * width
+    spans = [blocks[a][stride - cut:] + blocks[b][:cut] for a, b in set(zip(labels, labels[1:]))]
+    return [*blocks.values(), *spans, data[(count - 1) * stride:]]
+
+
 def _block_pair_windows(data: bytes, symbols: Sequence[int], n_max: int, width: int, size: int) -> set[bytes]:
     """The window set of `_prefix_windows`, read from aligned block pairs
     when the prefix repeats its blocks of `size` >= n_max - 1 symbols
-    (`tm._repeated_blocks` states the precondition and shows why the
-    windows of the pair spans and the tail are the prefix's window set):
-    the tail's `_prefix_windows` and the full windows of every other part
-    of `tm._block_parts` with edge n_max - 1.  Any other prefix is its own
-    tail.
+    (`_block_parts` states the precondition and shows why the windows of
+    the pair spans and the tail are the prefix's window set): the tail's
+    `_prefix_windows` and the full windows of every other part of
+    `_block_parts` with edge n_max - 1.  Any other prefix is its own tail.
     """
     parts = _block_parts(data, symbols, size, width, n_max - 1) or [data]
     windows = _prefix_windows(parts.pop(), n_max, width)
@@ -163,8 +203,8 @@ def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityP
     a packed prefix (m <= 256) is read as it is.  A prefix that repeats
     its blocks of m^r symbols, r the least with m^r >= n_max - 1, as every
     prefix of TM_m does, gives its windows from its distinct aligned block
-    pairs and its tail (`_block_pair_windows`; `tm._repeated_blocks`
-    states the exact precondition and checks it): ~0.01 s for 10^6 packed
+    pairs and its tail (`_block_pair_windows`; `_block_parts` states the
+    exact precondition and checks it): ~0.01 s for 10^6 packed
     terms of TM_5 at n_max = 200.  Any other prefix, a random or a flipped one, or
     one shorter than two blocks, has every window sliced and hashed
     (`_prefix_windows`); a word whose windows are all distinct keeps every
@@ -173,7 +213,7 @@ def complexity(word: Word, n_max: int, length: int | None = None) -> ComplexityP
     quadratic cross-check; `tm_complexity` counts all of TM_m.
     """
     integer_at_least(n_max, 1, "n_max")
-    symbols, m = _prefix_of(word, length)
+    symbols, m = prefix_of(word, length)
     if not 1 <= n_max <= len(symbols):
         raise WordRangeError(f"n_max must be in [1, {len(symbols)}], got {n_max}")
     width = _width(m)
@@ -239,7 +279,7 @@ def tm_complexity(m: int, n_max: int) -> ComplexityProfile:
 def complexity_naive(word: Word, n_max: int, length: int | None = None) -> dict[int, int]:
     """Brute-force distinct-factor counts; quadratic, for cross-checking only."""
     integer_at_least(n_max, 1, "n_max")
-    symbols, _ = _prefix_of(word, length)
+    symbols, _ = prefix_of(word, length)
     if not 1 <= n_max <= len(symbols):
         raise WordRangeError(f"n_max must be in [1, {len(symbols)}], got {n_max}")
     out = {}
@@ -270,7 +310,7 @@ def find_period(word: Word, a_max: int, b_max: int, length: int | None = None) -
     """
     integer_at_least(a_max, 0, "a_max")
     integer_at_least(b_max, 1, "b_max")
-    symbols, _ = _prefix_of(word, length)
+    symbols, _ = prefix_of(word, length)
     big_l = len(symbols)
     if a_max + 2 * b_max >= big_l:
         raise ValueError(
@@ -313,7 +353,9 @@ def palindromic_prefixes(
     constant word stops within 2 * work_cap + 2 symbols, and the ladder
     holds every end below `scanned_length` and is marked incomplete.
     """
-    data, m = _prefix_of(word, length)
+    if work_cap is not None:
+        integer_at_least(work_cap, 0, "work_cap")
+    data, m = prefix_of(word, length)
     found = []
     budget = work_cap if work_cap is not None else -1
     needle = data[_HEAD - 1::-1] if m <= 256 and len(data) >= _HEAD else b""
@@ -349,7 +391,110 @@ def palindromic_prefixes(
 _HEAD = 64
 
 
-def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: int | None = None) -> list[int]:
+class CongruenceReport(NamedTuple):
+    """Violations (if any) of the three index congruences on [0, N)."""
+
+    m: int
+    checked_length: int
+    scaling_violations: tuple[int, ...]   # t_n != t_{n*m}
+    step_violations: tuple[int, ...]      # step != 1 but n not == m-1 (mod m)
+    block_violations: tuple[tuple[int, int], ...]  # (n, r) with t_{nm+r} off
+
+    @property
+    def all_hold(self) -> bool:
+        return not (self.scaling_violations or self.step_violations or self.block_violations)
+
+
+_MAX_REPORT = 8  # violations a CongruenceReport names per congruence, at most
+
+
+def check_congruences(m: int, length: int, word: Word | None = None) -> CongruenceReport:
+    """Scan [0, length) for the three congruence properties of TM_m.
+
+    1. t_n = t_{n*m};
+    2. whenever t_{n+1} - t_n is not 1 mod m, then n is m-1 mod m
+       (the implication form, scanned literally);
+    3. t_{nm+r} = t_{nm} + r mod m for r in {1, ..., m-1}.
+
+    The prefix, packed by `prefix_of`, is first checked whole by
+    `_congruences_hold`; the term-by-term scans run only if it fails that
+    check, to name the violations.
+    """
+    integer_at_least(length, ModAlphabet(m).m, "length")  # ModAlphabet rejects a modulus below 2
+    if word is None:
+        word = tm_digit_sum_sequence(m)
+    t, _ = prefix_of(word, length, m)
+    if len(t) < length:
+        raise WordRangeError(f"length {length} exceeds the word's {len(t)} symbols")
+    if _congruences_hold(t, m, length):
+        return CongruenceReport(m, length, (), (), ())
+
+    scaling = []
+    for n in range(1, (length - 1) // m + 1):
+        if t[n] != t[n * m]:
+            scaling.append(n)
+            if len(scaling) >= _MAX_REPORT:
+                break
+
+    step = []
+    for n in range(length - 1):
+        if (t[n + 1] - t[n]) % m != 1 and n % m != m - 1:
+            step.append(n)
+            if len(step) >= _MAX_REPORT:
+                break
+
+    block = []
+    for base in range(0, length - m + 1, m):
+        tb = t[base]
+        for r in range(1, m):
+            if t[base + r] != (tb + r) % m:
+                block.append((base // m, r))
+                break
+        if len(block) >= _MAX_REPORT:
+            break
+
+    return CongruenceReport(m, length, tuple(scaling), tuple(step), tuple(block))
+
+
+def _congruences_hold(t: bytes | tuple[int, ...], m: int, length: int) -> bool:
+    """Whether a packed prefix has the properties of `check_congruences`,
+    by comparing strided slices: t_1 .. t_K against t_m, t_2m, .. t_Km,
+    and each residue class n = r (mod m), r < m - 1, stepped by +1 against
+    the class r + 1.  Inside a whole block these unit steps are exactly
+    the block offsets, so they settle property 3 as well."""
+    top = (length - 1) // m
+    if t[1:top + 1] != t[m:(top + 1) * m:m]:
+        return False
+    up = ModAlphabet(m).shift(t, 1)
+    return all(up[r:length - 1:m] == t[r + 1:length:m] for r in range(m - 1))
+
+
+# Three equal bytes; DOTALL lets "." match byte 10 (b"\n") too.
+_TRIPLE = re.compile(rb"(.)\1\1", re.DOTALL)
+
+
+def find_triple_repeat(word: Word, length: int | None = None) -> int | None:
+    """First index j with t_j = t_{j+1} = t_{j+2}, or None (expected for TM_m).
+
+    Over m <= 256 symbols a prefix that repeats its blocks, as TM_m's
+    prefixes do, is found free of runs s, s, s by one search of its
+    `_factor_cover` (a few KB at small m); any other prefix, or one whose
+    cover holds a run, is searched whole, and the first match names the
+    first index.
+    """
+    symbols, m = prefix_of(word, length)
+    if m <= 256:
+        cover = _factor_cover(symbols, m, 3)
+        if cover is not None and not _TRIPLE.search(cover):
+            return None
+        return found.start() if (found := _TRIPLE.search(symbols)) else None
+    for j in range(len(symbols) - 2):
+        if symbols[j] == symbols[j + 1] == symbols[j + 2]:
+            return j
+    return None
+
+
+def find_pattern(word: Word, pattern: FiniteWord | Sequence[int], length: int | None = None) -> list[int]:
     """All start indices of a factor, over the word's alphabet, inside the prefix.
 
     Over m <= 256 symbols a prefix that repeats its blocks, as TM_m's
@@ -358,8 +503,8 @@ def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: 
     scanned for with `bytes.find` over the whole prefix, which lists
     every occurrence.
     """
-    symbols, m = _prefix_of(word, length)
-    pat = _prefix_of(pattern, None, m)[0]
+    symbols, m = prefix_of(word, length)
+    pat = prefix_of(pattern, None, m)[0]
     if not pat:
         raise ValueError("pattern must be nonempty")
     if len(pat) > len(symbols):
@@ -375,6 +520,24 @@ def find_pattern(word: Word, pattern: Union[FiniteWord, Sequence[int]], length: 
         out.append(pos)
         pos = symbols.find(pat, pos + 1)
     return out
+
+
+def _factor_cover(data: bytes, m: int, n: int) -> bytes | None:
+    """Bytes that hold every factor of length <= n of a packed prefix over
+    m <= 256 symbols, or None when the prefix does not repeat its blocks.
+
+    The cover joins the `_block_parts` with edge n - 1.  A factor absent
+    from it is absent from the prefix; one found in it may straddle two
+    joined parts.  The blocks are of the least size = m^r >= n - 1 with
+    m * size^2 >= len(data), so the labels checked (len / size) are about
+    as many as the bytes of distinct blocks (at most m * size, ~67 KB at
+    m = 256).
+    """
+    size = m
+    while size < n - 1 or m * size * size < len(data):
+        size *= m
+    parts = _block_parts(data, data, size, 1, n - 1)
+    return None if parts is None else b"".join(parts)
 
 
 def predicted_011_positions(m: int, k_max: int | None = None) -> list[int]:

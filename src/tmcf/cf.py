@@ -17,20 +17,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .tm import tm_digit_sum, tm_digit_sum_sequence
-from .words import LazyWord, ModAlphabet, SymbolError, _Frozen, integer_at_least
+from .words import Frozen, LazyWord, ModAlphabet, SymbolError, integer_at_least
 
 
 class AlphabetMapError(ValueError):
     """Raised when a symbol -> quotient map is not injective and positive."""
 
 
-class AlphabetMap(_Frozen):
+class AlphabetMap(Frozen):
     """Injective map from symbols {0, ..., m-1} to positive integer quotients.
 
     Only m and the explicit entries {symbol: quotient} are stored; a symbol
@@ -139,7 +140,7 @@ def convergent_rows(quotients: Iterable[int]) -> Iterator[tuple[int, int, int]]:
 
 def tm_convergent_rows(amap: AlphabetMap, count: int) -> Iterator[tuple[int, int, int]]:
     """`convergent_rows` for n <= count of the quotients amap(t_0), amap(t_1), ... of TM_m."""
-    symbols = tm_digit_sum_sequence(amap.m).symbols(count)
+    symbols = tm_digit_sum_sequence(amap.m).symbols(integer_at_least(count, 0, "count"))
     image = {symbol: amap(symbol) for symbol in set(symbols)}  # one amap call per distinct symbol
     return convergent_rows(map(image.__getitem__, symbols))
 
@@ -174,28 +175,32 @@ class CertifiedDecimal(NamedTuple):
         return self.high - self.low
 
 
+def _str_digits() -> int:
+    """The interpreter's int -> str digit limit at the call, 0 for none
+    (as on a Python that has no such limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _digits_text(k: int, width: int) -> str:
     """0 <= k < 10**width as exactly `width` decimal digits, zero-padded.
 
-    Splits at a power of ten so that no single str() call reaches
-    CPython's int -> str digit limit (4300 by default).
+    Splits at a power of ten so that no single str() call passes the
+    interpreter's int -> str digit limit (`_str_digits`).
     """
-    if width <= 4000:
+    limit = _str_digits()
+    if not limit or width <= limit:
         return str(k).rjust(width, "0")
     half = width // 2
     high, low = divmod(k, 10 ** half)
     return _digits_text(high, width - half) + _digits_text(low, half)
 
 
-# 2^13000 < 10^3914, so str() of an int of at most this many bits stays
-# below CPython's int -> str digit limit (4300 by default)
-_STR_BITS = 13_000
-
-
 def int_texts(values: Sequence[int]) -> Iterator[str]:
     """str(k) for each int k of values, whatever its size: the plain str()
     while every value is short enough for it, else `_digits_text`."""
-    if max(map(int.bit_length, values), default=0) <= _STR_BITS:
+    limit = _str_digits()
+    # the digits `_int_text` allows for the longest value must fit the limit
+    if not limit or max(map(int.bit_length, values), default=0) * 4 // 13 < limit:
         return map(str, values)
     return map(_int_text, values)
 

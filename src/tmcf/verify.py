@@ -14,7 +14,6 @@ the continued fraction.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterator, Sequence
 
 from . import analysis, cf, tm
@@ -65,7 +64,7 @@ def _checks(m: int, length: int, amap: cf.AlphabetMap, n_max: int, a_max: int, b
         f"checked {length} terms" if mismatch is None else f"first mismatch at index {mismatch}",
     )
     cong_len = min(length, SCAN_CAP)
-    report = tm.check_congruences(m, cong_len, morphic)
+    report = analysis.check_congruences(m, cong_len, morphic)
     yield (
         "congruences",
         "index scaling, unit steps, and block offsets all hold",
@@ -74,7 +73,7 @@ def _checks(m: int, length: int, amap: cf.AlphabetMap, n_max: int, a_max: int, b
         if report.all_hold
         else f"violations: {report.scaling_violations[:3]} {report.step_violations[:3]} {report.block_violations[:3]}",
     )
-    triple = tm.find_triple_repeat(morphic, length)
+    triple = analysis.find_triple_repeat(morphic, length)
     yield (
         "congruences",
         "no three consecutive equal terms",
@@ -162,13 +161,11 @@ def _checks(m: int, length: int, amap: cf.AlphabetMap, n_max: int, a_max: int, b
 
     count = min(1000, max(2, length))
     _, ps, qs = zip(*cf.tm_convergent_rows(amap, count))
-    det_ok = _determinants_alternate(ps, qs)
-    # a determinant of +-1 proves gcd(p_n, q_n) = 1 (Bezout), so gcd runs only when one is off
-    cop_ok = det_ok or all(g == 1 for g in map(math.gcd, ps, qs))
+    # a determinant of +-1 proves gcd(p_n, q_n) = 1 (Bezout), so alternation settles coprimality too
     yield (
         "convergents",
         "determinants alternate +-1 and convergents stay coprime",
-        det_ok and cop_ok,
+        _determinants_alternate(ps, qs),
         f"first {count} convergents",
     )
     short = cf.evaluate_tm(amap, digits)

@@ -3,7 +3,8 @@
 Symbols are the residues {0, ..., m-1} for a modulus m >= 2.  Digit words
 are least-significant-digit first throughout.  A packed word is `bytes`
 for m <= 256, else a tuple, and `ModAlphabet` builds every one (`pack`,
-`join`, `shift`).
+`join`, `shift`).  `prefix_of` reads any word, lazy, finite or a plain
+sequence, as one packed prefix and its modulus.
 """
 from __future__ import annotations
 
@@ -27,14 +28,14 @@ class WordRangeError(IndexError):
     """Raised for out-of-range indices or slices on words."""
 
 
-def integer_at_least(value: int, low: int, name: str, error: type[ValueError] = ValueError) -> int:
+def integer_at_least(value: int, low: int, name: str, error: type[Exception] = ValueError) -> int:
     """`value` if it is an int, not a bool, and at least `low`; else `error` naming `name`."""
     if not isinstance(value, int) or isinstance(value, bool) or value < low:
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
     return value
 
 
-class _Frozen:
+class Frozen:
     """A base for immutable `__slots__` classes: `__init__` sets each slot
     once through object.__setattr__, and no caller can change one after."""
 
@@ -47,7 +48,7 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class ModAlphabet(_Frozen):
+class ModAlphabet(Frozen):
     """The alphabet {0, ..., m-1} with arithmetic understood mod m."""
 
     __slots__ = ("m",)
@@ -111,7 +112,7 @@ class ModAlphabet(_Frozen):
         return isinstance(symbol, int) and not isinstance(symbol, bool) and 0 <= symbol < self.m
 
 
-class FiniteWord(_Frozen):
+class FiniteWord(Frozen):
     """An immutable finite word over a ModAlphabet; its `symbols` are
     `bytes` when m <= 256, else a tuple (`ModAlphabet.pack`)."""
 
@@ -175,7 +176,7 @@ def value(word: Union[FiniteWord, Sequence[int]], m: int) -> int:
     return total
 
 
-class LazyWord(_Frozen):
+class LazyWord(Frozen):
     """A right-infinite word read from a prefix function.
 
     `fill(n)` returns the first n symbols, as `bytes` or any iterable of
@@ -219,31 +220,73 @@ class LazyWord(_Frozen):
 
     def __getitem__(self, key):
         """A symbol, or for a slice [i:j] with 0 <= i <= j the symbols as a list."""
-        if isinstance(key, slice):
-            if key.step not in (None, 1):
-                raise WordRangeError("LazyWord slices must have step 1")
-            start = key.start or 0
-            if key.stop is None:
-                raise WordRangeError("LazyWord slices need a finite stop")
-            if start < 0 or key.stop < start:
-                raise WordRangeError(f"invalid range [{start}:{key.stop})")
-            return list(self._read(key.stop)[start:key.stop])
-        if key < 0:
-            raise WordRangeError("LazyWord has no negative indices")
-        return self._read(key + 1)[key]
+        if not isinstance(key, slice):  # read in place: a cut of the buffer would copy key symbols
+            return self._read(integer_at_least(key, 0, "index", WordRangeError) + 1)[key]
+        if key.step not in (None, 1):
+            raise WordRangeError("LazyWord slices must have step 1")
+        if key.stop is None:
+            raise WordRangeError("LazyWord slices need a finite stop")
+        start = integer_at_least(key.start or 0, 0, "start", WordRangeError)
+        symbols = self.symbols(key.stop)
+        if key.stop < start:
+            raise WordRangeError(f"invalid range [{start}:{key.stop})")
+        return list(symbols[start:])
 
     def prefix(self, n: int) -> list[int]:
         """The first n symbols: the same list as self[0:n]."""
-        return self[0:n]
+        return list(self.symbols(n))
 
     def symbols(self, n: int) -> bytes | tuple[int, ...]:
-        """The first n symbols, `bytes` or (m > 256) a tuple: the buffer itself if it holds just n."""
-        if n < 0:
-            raise WordRangeError(f"invalid range [0:{n})")
-        return self._read(n)[:n]
+        """The first n symbols, `bytes` or (m > 256) a tuple: the buffer itself if it holds just n.
+
+        Every read of a range checks its length here, once: WordRangeError
+        unless n is an int, not a bool, and n >= 0."""
+        return self._read(integer_at_least(n, 0, "n", WordRangeError))[:n]
 
     def __repr__(self) -> str:
         return f"LazyWord(m={self.alphabet.m}, prefix~{list(self._buffer[:8])}...)"
+
+
+Word = Union[LazyWord, FiniteWord, Sequence[int]]
+
+
+def prefix_of(word: Word, length: int | None, m: int | None = None) -> tuple[Sequence[int], int]:
+    """The first `length` symbols of a word (all of a finite one) and their modulus.
+
+    They are `bytes` over m <= 256 symbols, else a tuple: a lazy word's
+    buffer (uncut on a fresh word) from `LazyWord.symbols`, a
+    `FiniteWord`'s own, or any other sequence or iterable cut to `length`
+    and packed by `ModAlphabet.pack` (no copy of `bytes` or, above 256
+    symbols, of a tuple).  Infinite words need a length.  A
+    word's modulus is its alphabet's and must equal a given `m`; a plain
+    sequence's is `m`, else max(symbols) + 1 and at least 2.  A symbol
+    outside {0, ..., modulus - 1} or a modulus mismatch raises SymbolError.
+    """
+    if length is not None:
+        integer_at_least(length, 0, "length")
+    if isinstance(word, LazyWord):
+        if length is None:
+            raise ValueError("an explicit prefix length is required for infinite words")
+        symbols, own = word.symbols(length), word.alphabet.m
+    elif isinstance(word, FiniteWord):
+        symbols, own = word.symbols, word.alphabet.m
+    else:
+        symbols, own = word, None
+        if not isinstance(word, Sequence):
+            symbols = list(itertools.islice(word, length))
+    if length is not None and length < len(symbols):
+        symbols = symbols[:length]
+    if own is None:
+        if m is None:  # the largest symbol + 1, at least 2; pack names a symbol that is no int
+            try:
+                top = max(symbols, default=0)
+            except TypeError:  # symbols that do not compare, such as 'a' and 0
+                top = None
+            m = max(top + 1, 2) if isinstance(top, int) else 2
+        symbols, own = ModAlphabet(m).pack(symbols), m
+    elif m is not None and m != own:
+        raise SymbolError(f"word over modulus {own} where modulus {m} was given")
+    return symbols, own
 
 
 # bytes(range(m)) for each packed modulus: translate(None, _ALPHABETS[m]) keeps
@@ -257,7 +300,7 @@ def _rotation(m: int, j: int) -> bytes:
     return bytes([*range(j, m), *range(j)]) + bytes(256 - m)
 
 
-class Morphism(_Frozen):
+class Morphism(Frozen):
     """A word morphism determined by its images on the m single symbols.
 
     Applying it to a finite word concatenates the images in order; on

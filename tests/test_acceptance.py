@@ -11,10 +11,12 @@ from contextlib import contextmanager
 import pytest
 
 from tmcf.analysis import (
+    check_congruences,
     complexity,
     complexity_naive,
     find_pattern,
     find_period,
+    find_triple_repeat,
     palindromic_prefixes,
     predicted_011_positions,
     verify_complexity_surjection,
@@ -29,9 +31,7 @@ from tmcf.cf import (
     verify_tail_intervals,
 )
 from tmcf.tm import (
-    check_congruences,
     check_lemma_recursion,
-    find_triple_repeat,
     first_mismatch,
     tm_digit_sum_sequence,
     tm_morphic,

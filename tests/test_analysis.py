@@ -20,8 +20,8 @@ from tmcf.analysis import (
     tm_complexity,
     verify_complexity_surjection,
 )
-from tmcf.tm import _prefix_of, tm_digit_sum_sequence, tm_morphic
-from tmcf.words import AlphabetError, FiniteWord, ModAlphabet, SymbolError, WordRangeError
+from tmcf.tm import tm_digit_sum_sequence, tm_morphic
+from tmcf.words import AlphabetError, FiniteWord, ModAlphabet, SymbolError, WordRangeError, prefix_of
 
 
 def test_complexity_against_naive_random_words():
@@ -175,7 +175,7 @@ _scan_every_window = analysis._prefix_windows
 def _full_scan(word, n_max: int) -> ComplexityProfile:
     """The profile of `complexity` from every window of the prefix, sliced
     and hashed one by one: the general path, without the block pairs."""
-    symbols, m = _prefix_of(word, None)
+    symbols, m = prefix_of(word, None)
     width = analysis._width(m)
     windows = _scan_every_window(analysis._packed(symbols, width), n_max, width)
     counts = analysis._factor_counts(windows, n_max, width)

@@ -1305,6 +1305,20 @@ def test_closed_stdout_pipe_ends_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize("argv", [["cf", "--m", "2", "--convergents", "3000"], ["cf", "--m", "2", "--digits", "1000"],
+                                  ["patterns", "--m", "700", "--len", "10"]], ids=["convergents", "digits", "patterns"])
+def test_output_does_not_depend_on_the_int_str_digit_limit(capsys, argv):
+    # each of these writes an int of more than 640 digits, the least limit the interpreter takes
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run_cli(capsys, *argv) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def tmcf_run(argv, **env):
     """`python -m tmcf.cli *argv` in a fresh process, with `env` added to the environment."""
     src = os.path.dirname(os.path.dirname(tmcf.__file__))

@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 import tmcf
-from tmcf.analysis import ComplexityProfile, PalindromeLadder, PeriodWitness, SurjectionCheck
+from tmcf.analysis import ComplexityProfile, CongruenceReport, PalindromeLadder, PeriodWitness, SurjectionCheck
 from tmcf.cf import AlphabetMap, CertifiedDecimal, ConvergentPair, MoebiusMap
-from tmcf.tm import CongruenceReport
 from tmcf.words import FiniteWord, ModAlphabet
 
 RECORDS = [

@@ -4,15 +4,12 @@ import random
 import pytest
 
 from conftest import oracle_digit_sum, oracle_tm2
-from tmcf import tm
-from tmcf.analysis import find_pattern, palindromic_prefixes
+from tmcf import analysis, tm
+from tmcf.analysis import check_congruences, find_pattern, find_triple_repeat, palindromic_prefixes
 from tmcf.cf import AlphabetMap, AlphabetMapError
 from tmcf.tm import (
-    _prefix_of,
-    check_congruences,
     check_lemma_recursion,
     digit_sum_chunks,
-    find_triple_repeat,
     first_mismatch,
     lemma_recursion_holds,
     tm_digit_sum,
@@ -20,7 +17,16 @@ from tmcf.tm import (
     tm_morphic,
     tm_morphism,
 )
-from tmcf.words import AlphabetError, FiniteWord, LazyWord, ModAlphabet, Morphism, SymbolError, WordRangeError
+from tmcf.words import (
+    AlphabetError,
+    FiniteWord,
+    LazyWord,
+    ModAlphabet,
+    Morphism,
+    SymbolError,
+    WordRangeError,
+    prefix_of,
+)
 
 
 def test_tm_digit_sum_examples():
@@ -264,7 +270,7 @@ def test_congruences_packed_check_reports_what_the_scans_report(monkeypatch):
                 word = [(b + r) % m for b in bases for r in range(m)]
             packed = check_congruences(m, length, ModAlphabet(m).pack(word))
             with monkeypatch.context() as patch:
-                patch.setattr(tm, "_congruences_hold", lambda *args: False)
+                patch.setattr(analysis, "_congruences_hold", lambda *args: False)
                 assert packed == check_congruences(m, length, list(word)), (m, length)
             if trial % 4 == 0:
                 assert packed.all_hold
@@ -288,29 +294,29 @@ def test_prefix_of_reads_in_place():
     symbols = [0, 1, 1, 0, 1]
     packed = bytes(symbols)
     for length in (None, 5, 9):
-        assert _prefix_of(packed, length)[0] is packed
-        assert _prefix_of(symbols, length) == (packed, 2)
-        assert _prefix_of(tuple(symbols), length) == (packed, 2)
-    assert _prefix_of(symbols, 3) == (bytes([0, 1, 1]), 2)
+        assert prefix_of(packed, length)[0] is packed
+        assert prefix_of(symbols, length) == (packed, 2)
+        assert prefix_of(tuple(symbols), length) == (packed, 2)
+    assert prefix_of(symbols, 3) == (bytes([0, 1, 1]), 2)
     word = FiniteWord(symbols, ModAlphabet(3))
-    assert _prefix_of(word, None) == (packed, 3)
-    assert _prefix_of(word, None)[0] is word.symbols
+    assert prefix_of(word, None) == (packed, 3)
+    assert prefix_of(word, None)[0] is word.symbols
     # a packed lazy word hands out its bytes buffer
-    assert _prefix_of(tm_morphic(3), 4, 3) == (bytes([0, 1, 2, 1]), 3)
-    assert _prefix_of(tm_morphic(300), 4) == ((0, 1, 2, 3), 300)
+    assert prefix_of(tm_morphic(3), 4, 3) == (bytes([0, 1, 2, 1]), 3)
+    assert prefix_of(tm_morphic(300), 4) == ((0, 1, 2, 3), 300)
     # the caller's modulus, or the largest symbol + 1 and at least 2
-    assert _prefix_of(symbols, None, 5) == (packed, 5)
-    assert _prefix_of([0, 0], None) == (bytes(2), 2)
+    assert prefix_of(symbols, None, 5) == (packed, 5)
+    assert prefix_of([0, 0], None) == (bytes(2), 2)
     # an iterable that is no sequence is read once, up to the length
-    assert _prefix_of(iter([0, 2, 0]), None) == (bytes([0, 2, 0]), 3)
-    assert _prefix_of(itertools.count(), 4) == (bytes([0, 1, 2, 3]), 4)
+    assert prefix_of(iter([0, 2, 0]), None) == (bytes([0, 2, 0]), 3)
+    assert prefix_of(itertools.count(), 4) == (bytes([0, 1, 2, 3]), 4)
     # above 256 symbols a tuple is read in place; a plain list is copied once into one
     wide = (0, 299, 5)
-    assert _prefix_of(wide, None, 300)[0] is wide
-    assert _prefix_of(list(wide), None) == (wide, 300)
+    assert prefix_of(wide, None, 300)[0] is wide
+    assert prefix_of(list(wide), None) == (wide, 300)
     for bad, m in (([0, 3], 3), ([0, -1], None), (word, 2), (tm_morphic(2), 3)):
         with pytest.raises(SymbolError):
-            _prefix_of(bad, 2, m)
+            prefix_of(bad, 2, m)
 
 
 def test_bool_is_never_a_symbol():
@@ -321,7 +327,7 @@ def test_bool_is_never_a_symbol():
             FiniteWord(symbols, ModAlphabet(2))
         for m in (None, 2):
             with pytest.raises(SymbolError, match="symbol (True|False) not"):
-                _prefix_of(symbols, None, m)
+                prefix_of(symbols, None, m)
         with pytest.raises(SymbolError, match="symbol (True|False) not"):
             find_pattern([0, 1, 1, 0, 1], symbols)
     assert True not in ModAlphabet(2) and False not in ModAlphabet(2)
@@ -340,7 +346,7 @@ def test_symbols_that_do_not_compare_are_named():
     for symbols in (["a", 0], [0, "a"], [1, None, 0], [0, 1.5, "b"]):
         bad = next(s for s in symbols if not isinstance(s, int))
         with pytest.raises(SymbolError, match=f"symbol {bad!r} not in alphabet of modulus 2"):
-            _prefix_of(symbols, None)
+            prefix_of(symbols, None)
         with pytest.raises(SymbolError, match=f"symbol {bad!r} not"):
             find_triple_repeat(symbols)
         with pytest.raises(SymbolError, match=f"symbol {bad!r} not"):
@@ -397,7 +403,7 @@ def test_triple_repeat_on_packed_and_plain_words():
         (wide, None),
         (LazyWord(ModAlphabet(300), lambda n: wide[:n]), len(wide)),
     ):
-        expected = first_triple_by_scan(_prefix_of(word, length)[0])
+        expected = first_triple_by_scan(prefix_of(word, length)[0])
         assert find_triple_repeat(word, length) == expected
     assert find_triple_repeat(planted) == 12_345  # planted between a 0 and a 1
     assert find_triple_repeat(wide) == 5000
@@ -433,7 +439,7 @@ def planted_tm3(block=None, extra=None):
 def test_factor_scans_on_words_that_repeat_their_blocks(word, first):
     # every one of these words repeats its blocks, so an absent factor is
     # decided from the cover alone; each holds a factor the cover must keep
-    assert tm._factor_cover(bytes(word), 3, 3) is not None
+    assert analysis._factor_cover(bytes(word), 3, 3) is not None
     assert first_triple_by_scan(word) == first
     assert find_triple_repeat(word) == find_triple_repeat(FiniteWord(word, ModAlphabet(3))) == first
     for factor in ([1, 1, 0], [2, 2, 2], [0, 0, 2], [2, 1]):

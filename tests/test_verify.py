@@ -147,8 +147,9 @@ def test_checks_fail_on_a_wrong_exact_count(monkeypatch, length, delta):
 
 
 def test_checks_fail_on_a_wrong_convergent(monkeypatch):
-    # gcd(p_n, q_n) = 1 follows from determinants of +-1: it is computed
-    # only when one is off, here at n = 500 and 501
+    # determinants of +-1 prove gcd(p_n, q_n) = 1 (Bezout), so the record
+    # rests on them alone: no convergent's gcd is computed, here with one
+    # off at n = 500 and 501
     rows = cf.tm_convergent_rows
     table = {n: (p, q) for n, p, q in rows(cf.AlphabetMap(2), 1000)}
     gcd_args = []
@@ -169,7 +170,7 @@ def test_checks_fail_on_a_wrong_convergent(monkeypatch):
     records = run_checks(2, 5000, n_max=30)
     assert not all(passed for _, _, passed, _ in records)
     assert [passed for _, _, passed, _ in convergents_record(records)] == [False]
-    assert (table[500][0], table[500][1] + 1) in gcd_args
+    assert (table[500][0], table[500][1] + 1) not in gcd_args
 
 
 @pytest.mark.parametrize("m, length, flip", [
